@@ -114,15 +114,20 @@ mod tests {
 
     #[test]
     fn emit_updates_thread_stats_and_sink() {
-        struct CountingSink(Arc<AtomicU64>);
+        struct CountingSink(Arc<AtomicU64>, std::thread::ThreadId);
         impl SessionSink for CountingSink {
             fn record(&self, obs: &SessionObservation) {
-                self.0.fetch_add(obs.samples, Ordering::Relaxed);
+                // The sink is process-wide and other tests finish sessions
+                // on their own threads meanwhile: count only this test's.
+                if std::thread::current().id() == self.1 {
+                    self.0.fetch_add(obs.samples, Ordering::Relaxed);
+                }
             }
         }
 
         let seen = Arc::new(AtomicU64::new(0));
-        install_session_sink(Box::new(CountingSink(seen.clone())));
+        let me = std::thread::current().id();
+        install_session_sink(Box::new(CountingSink(seen.clone(), me)));
         let _ = take_thread_session_stats();
 
         note_convergence_nanos(40);

@@ -3,51 +3,63 @@
 //! **live graph epochs** — edge-probability updates and wholesale
 //! reloads swap the served graph without restarting the process.
 //!
+//! ## One pipeline
+//!
+//! Every workload — s-t reliability (`query`), top-k search (`topk`),
+//! distance-constrained reliability (`dquery`) and greedy reliability
+//! maximization (`maximize`) — runs through one generic pipeline,
+//! `QueryEngine::run`: admission → clock → epoch snapshot → plan → cache
+//! lookup → sample → cache insert (or commit) → respond → account. The
+//! pipeline owns the admission guard, the retry when a query races an
+//! epoch swap, the trace stages, one latency clock started before the
+//! first plan, the cache, and hit / miss / error / rejected accounting.
+//!
+//! A private `Workload` trait, implemented by each wire request type and
+//! dispatched statically, supplies only what differs: `plan` (node
+//! checks, the workload's own parameters and the shared budget
+//! resolution, yielding the [`WorkloadKind`] from which one constructor
+//! builds the [`QueryKey`]), `compute` (the sampler call), `respond` (the
+//! wire struct), and `cacheable` / `commit` (maximize `apply` runs skip
+//! the cache and commit their upgrades through
+//! [`QueryEngine::apply_updates`]). [`QueryEngine::execute_request`]
+//! routes a parsed wire request to its workload; batches reuse the s-t
+//! workload's plan, key and respond.
+//!
+//! ## Keys and determinism
+//!
 //! One engine serves one graph *lineage*. Answers are independent of the
-//! worker thread count and keyed by `(graph epoch, s, t, estimator,
-//! samples, seed, budget)` — the budget being the adaptive-session
-//! fields `eps`/`confidence`/`time_budget_ms` (see [`QueryKey`]):
+//! worker thread count and keyed by the workload, the graph epoch, the
+//! pair, the estimator and the budget (see [`QueryKey`]). MC and
+//! BFS-Sharing run on the [`ParallelSampler`], whose sharded RNG streams
+//! make the estimate independent of the thread count; the other
+//! estimators (ProbTree, LP/LP+, RHH, RSS, couplings) are built once,
+//! parked in an epoch-tagged registry behind per-kind mutexes, and
+//! queried with an RNG derived from the key.
 //!
-//! * MC and BFS-Sharing queries run on the [`ParallelSampler`], whose
-//!   sharded RNG streams make the estimate independent of the worker
-//!   thread count;
-//! * the remaining estimators (ProbTree, LP/LP+, RHH, RSS, couplings)
-//!   are built once, parked in an epoch-tagged registry behind per-kind
-//!   mutexes, and queried with an RNG derived from the cache key.
-//!
-//! Batches amortize sampling: MC queries sharing `(s, samples, seed)`
-//! are answered from **one** stream of possible worlds via
-//! [`ParallelSampler::estimate_mc_multi`] — n queries for the sampling
-//! cost of one. A batch group of one degenerates to exactly the
-//! single-query stream, so cache entries never depend on whether a query
-//! arrived alone or in a batch of one.
+//! Batches answer fixed-budget MC queries sharing `(s, samples, seed)`
+//! from **one** stream of possible worlds
+//! ([`ParallelSampler::estimate_mc_multi`]). A group of one is exactly
+//! the single-query stream, so cache entries never depend on whether a
+//! query arrived alone or in a batch of one.
 //!
 //! ## Epoch swaps
 //!
-//! [`QueryEngine::apply_updates`] resolves a batch of `(s, t, prob)`
-//! updates against the current graph, snapshots a new epoch via
-//! [`UncertainGraph::with_updated_probs`] (topology shared,
-//! probabilities copy-on-write), migrates every resident estimator
-//! through [`Estimator::apply_updates`] — incremental index maintenance
-//! for ProbTree, a pointer rebind for the index-free estimators — and
-//! evicts residents that cannot migrate (rebuilt lazily on next use).
-//! MC and BFS-Sharing queries sample from the swapped-in graph on
-//! their next query, so the sampler path needs no migration. The epoch
-//! bump makes every existing cache key miss, so stale answers age out
-//! of the LRU without an explicit flush.
-//!
-//! Queries snapshot `(epoch, graph, sampler)` once and compute entirely
-//! against that snapshot; a query that races an epoch swap on the
-//! resident-estimator path detects the migrated (re-tagged) estimator
-//! under its lock and transparently retries against the new epoch, so a
-//! cache entry is only ever written by a computation over its own
-//! epoch's graph.
+//! [`QueryEngine::apply_updates`] snapshots a new epoch via
+//! [`UncertainGraph::with_updated_probs`] (topology shared, probabilities
+//! copy-on-write) and migrates every resident estimator through
+//! [`Estimator::apply_updates`] — incremental for ProbTree, a pointer
+//! rebind for the index-free estimators — evicting those that cannot
+//! migrate. The epoch bump makes every existing cache key miss, so stale
+//! answers age out of the LRU without a flush. A query that races a swap
+//! on the resident path finds the re-tagged estimator under its lock and
+//! retries at the new epoch, so a cache entry is only ever written by a
+//! computation over its own epoch's graph.
 
 use crate::cache::ShardedLru;
 use crate::protocol::{
     DistanceQueryRequest, DistanceQueryResponse, EdgeProbUpdate, MaximizeRequest, MaximizeResponse,
-    MigratedResident, QueryRequest, QueryResponse, ReloadResponse, StatsResponse, TargetEntry,
-    TopKRequest, TopKResponse, UpdateResponse, UpgradeRow,
+    MigratedResident, QueryRequest, QueryResponse, ReloadResponse, Request, Response,
+    StatsResponse, TargetEntry, TopKRequest, TopKResponse, UpdateResponse, UpgradeRow,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -242,6 +254,35 @@ impl PlannedQuery {
     }
 }
 
+/// Any workload's request after validation and defaulting: the pair,
+/// estimator and budget every workload shares, plus the cache-key
+/// discriminator carrying the workload's own resolved parameters.
+#[derive(Clone, Copy, Debug)]
+struct Plan {
+    workload: WorkloadKind,
+    query: PlannedQuery,
+}
+
+impl Plan {
+    /// The cache key of this plan at `epoch` — the one place a key is
+    /// built, so every workload keys its budget the same way.
+    fn key(&self, epoch: u64) -> QueryKey {
+        let p = &self.query;
+        QueryKey {
+            workload: self.workload,
+            epoch,
+            s: p.s.0,
+            t: p.t.0,
+            kind: p.kind,
+            samples: p.samples,
+            seed: p.seed,
+            eps_bits: p.eps.map(f64::to_bits),
+            confidence_bits: Some(p.confidence.to_bits()),
+            time_budget_ms: p.time_budget_ms,
+        }
+    }
+}
+
 /// Per-query outcomes of a batch, in request order.
 pub type BatchResults = Vec<Result<QueryResponse, String>>;
 
@@ -271,8 +312,22 @@ pub(crate) struct MaximizeAnswer {
     pub(crate) evaluations: usize,
 }
 
-/// The query raced an epoch swap; re-snapshot and retry.
-struct Stale;
+impl CachedAnswer {
+    /// A single-value answer (s-t or distance-constrained) from one
+    /// estimate.
+    fn from_estimate(est: relcomp_core::Estimate, estimator: &'static str) -> Self {
+        CachedAnswer {
+            reliability: est.reliability,
+            samples: est.samples,
+            estimator,
+            stop_reason: est.stop_reason,
+            half_width: est.half_width,
+            variance: est.variance,
+            targets: None,
+            upgrades: None,
+        }
+    }
+}
 
 /// A resident estimator with the epoch its index currently reflects.
 /// The tag is read and written only under the mutex, so a query that
@@ -336,22 +391,21 @@ pub struct QueryEngine {
 /// How a query failed, so the registry can count admission-control
 /// rejections (`rejected` outcome) apart from other failures (`error`).
 /// Collapses back to the plain `String` error at the public API boundary.
+#[derive(Clone, Debug)]
 enum Fail {
     Rejected(String),
     Error(String),
+    /// The query raced an epoch swap; the pipeline re-snapshots and
+    /// retries, and only reports this (as an error) once retries run out.
+    Stale,
 }
 
 impl Fail {
     fn into_message(self) -> String {
         match self {
             Fail::Rejected(m) | Fail::Error(m) => m,
+            Fail::Stale => "graph is being updated faster than this query can retry".into(),
         }
-    }
-}
-
-impl From<String> for Fail {
-    fn from(m: String) -> Self {
-        Fail::Error(m)
     }
 }
 
@@ -472,78 +526,51 @@ impl QueryEngine {
     /// Resolve defaults, pick an estimator, and validate one request
     /// against the current epoch's graph.
     pub fn plan(&self, req: &QueryRequest) -> Result<PlannedQuery, String> {
-        self.plan_on(&self.snapshot().graph, req)
+        req.plan(self, &self.snapshot().graph)
+            .map(|plan| plan.query)
             .map_err(Fail::into_message)
-    }
-
-    fn plan_on(&self, graph: &UncertainGraph, req: &QueryRequest) -> Result<PlannedQuery, Fail> {
-        let n = graph.num_nodes();
-        for (what, id) in [("source", req.s), ("target", req.t)] {
-            if !graph.contains_node(NodeId(id)) {
-                return Err(Fail::Error(format!(
-                    "{what} node {id} out of range (graph has {n} nodes)"
-                )));
-            }
-        }
-        let mut eps = req.eps;
-        let is_auto = req.estimator.as_deref() == Some("auto");
-        // The Fig. 18 auto planner now picks *budgets*, not raw sample
-        // counts: with no explicit samples or eps, it targets the
-        // configured accuracy adaptively.
-        if is_auto && req.samples.is_none() && eps.is_none() {
-            eps = Some(self.config.auto_eps);
-        }
-        let (samples, confidence) =
-            self.resolve_budget(req.samples, eps, req.confidence, req.time_budget_ms)?;
-        let kind = match req.estimator.as_deref() {
-            None => self.config.default_estimator,
-            Some("auto") => recommend(self.config.memory, self.config.variance, self.config.speed)
-                .first()
-                .copied()
-                .unwrap_or(self.config.default_estimator),
-            Some(name) => EstimatorKind::parse(name).map_err(Fail::Error)?,
-        };
-        Ok(PlannedQuery {
-            s: NodeId(req.s),
-            t: NodeId(req.t),
-            kind,
-            samples,
-            seed: req.seed.unwrap_or(self.config.default_seed),
-            eps,
-            confidence,
-            time_budget_ms: req.time_budget_ms,
-        })
     }
 
     /// Resolve and admission-check the budget fields every workload
     /// shares: validates the adaptive knobs, substitutes the configured
     /// defaults (the adaptive cap when an adaptive knob is present), and
-    /// enforces the `max_samples` admission limit. Returns the resolved
-    /// `(samples, confidence)`.
+    /// enforces the `max_samples` admission limit. Returns a plan for the
+    /// pair `(s, t)` answered by MC, which the s-t workload re-targets.
     fn resolve_budget(
         &self,
+        (s, t): (u32, u32),
         samples: Option<usize>,
         eps: Option<f64>,
         confidence: Option<f64>,
         time_budget_ms: Option<u64>,
-    ) -> Result<(usize, f64), Fail> {
+        seed: Option<u64>,
+    ) -> Result<PlannedQuery, Fail> {
         validate_budget_fields(eps, confidence, time_budget_ms).map_err(Fail::Error)?;
         let adaptive = eps.is_some() || time_budget_ms.is_some();
-        let samples = samples.unwrap_or(if adaptive {
-            self.config.adaptive_max_samples
-        } else {
-            self.config.default_samples
-        });
-        if samples == 0 {
-            return Err(Fail::Error("samples must be positive".into()));
-        }
+        let samples = positive(
+            "samples",
+            samples.unwrap_or(if adaptive {
+                self.config.adaptive_max_samples
+            } else {
+                self.config.default_samples
+            }),
+        )?;
         if samples > self.config.max_samples {
             return Err(Fail::Rejected(format!(
                 "samples {samples} exceeds the admission limit {}",
                 self.config.max_samples
             )));
         }
-        Ok((samples, confidence.unwrap_or(DEFAULT_CONFIDENCE)))
+        Ok(PlannedQuery {
+            s: NodeId(s),
+            t: NodeId(t),
+            kind: EstimatorKind::Mc,
+            samples,
+            seed: seed.unwrap_or(self.config.default_seed),
+            eps,
+            confidence: confidence.unwrap_or(DEFAULT_CONFIDENCE),
+            time_budget_ms,
+        })
     }
 
     fn admit(&self) -> Result<InflightGuard<'_>, Fail> {
@@ -563,140 +590,32 @@ impl QueryEngine {
     fn fail(&self, workload: ObsWorkload, fail: Fail) -> String {
         match &fail {
             Fail::Rejected(_) => self.obs.record_rejected(workload),
-            Fail::Error(_) => self.obs.record_error(workload),
+            Fail::Error(_) | Fail::Stale => self.obs.record_error(workload),
         }
         fail.into_message()
     }
 
-    fn key(epoch: u64, p: &PlannedQuery) -> QueryKey {
-        QueryKey {
-            workload: WorkloadKind::St,
-            epoch,
-            s: p.s.0,
-            t: p.t.0,
-            kind: p.kind,
-            samples: p.samples,
-            seed: p.seed,
-            eps_bits: p.eps.map(f64::to_bits),
-            confidence_bits: Some(p.confidence.to_bits()),
-            time_budget_ms: p.time_budget_ms,
-        }
-    }
-
-    /// The shared success epilogue the three `respond*` helpers used to
-    /// copy-paste: stamp the elapsed time and record the query in the
-    /// registry (outcome counter, estimator counter, latency histogram).
-    /// Returns the elapsed microseconds for the wire response.
-    fn observe(
+    /// The success epilogue of every answered query: stamp the elapsed
+    /// time, record the query in the registry (outcome counter,
+    /// estimator counter, latency histogram), and build the wire answer.
+    fn respond<W: Workload>(
         &self,
-        workload: ObsWorkload,
-        estimator: &'static str,
-        cached: bool,
-        start: Instant,
-    ) -> u64 {
-        let micros = start.elapsed().as_micros() as u64;
-        let outcome = if cached { Outcome::Hit } else { Outcome::Miss };
-        self.obs.observe_query(workload, outcome, estimator, micros);
-        micros
-    }
-
-    fn respond(
-        &self,
-        p: &PlannedQuery,
-        a: &CachedAnswer,
-        cached: bool,
-        start: Instant,
-    ) -> QueryResponse {
-        let micros = self.observe(ObsWorkload::St, a.estimator, cached, start);
-        QueryResponse {
-            s: p.s.0,
-            t: p.t.0,
-            reliability: a.reliability,
-            samples: a.samples,
-            estimator: a.estimator.to_owned(),
-            micros,
-            cached,
-            stop_reason: a.stop_reason.label().to_owned(),
-            half_width: a.half_width,
-            variance: a.variance,
-        }
-    }
-
-    fn respond_topk(
-        &self,
-        s: u32,
-        k: usize,
-        a: &CachedAnswer,
-        cached: bool,
-        start: Instant,
-    ) -> TopKResponse {
-        let micros = self.observe(ObsWorkload::TopK, a.estimator, cached, start);
-        TopKResponse {
-            s,
-            k,
-            targets: a
-                .targets
-                .as_deref()
-                .unwrap_or_default()
-                .iter()
-                .map(|&(node, reliability)| TargetEntry { node, reliability })
-                .collect(),
-            samples: a.samples,
-            micros,
-            cached,
-            stop_reason: a.stop_reason.label().to_owned(),
-            half_width: a.half_width,
-        }
-    }
-
-    fn respond_dquery(
-        &self,
-        req: &DistanceQueryRequest,
-        a: &CachedAnswer,
-        cached: bool,
-        start: Instant,
-    ) -> DistanceQueryResponse {
-        let micros = self.observe(ObsWorkload::Distance, a.estimator, cached, start);
-        DistanceQueryResponse {
-            s: req.s,
-            t: req.t,
-            d: req.d,
-            reliability: a.reliability,
-            samples: a.samples,
-            micros,
-            cached,
-            stop_reason: a.stop_reason.label().to_owned(),
-            half_width: a.half_width,
-            variance: a.variance,
-        }
-    }
-
-    fn respond_maximize(
-        &self,
-        req: &MaximizeRequest,
-        k: usize,
+        req: &W,
+        plan: &Plan,
         a: &CachedAnswer,
         cached: bool,
         applied_epoch: Option<u64>,
         start: Instant,
-    ) -> MaximizeResponse {
-        let micros = self.observe(ObsWorkload::Maximize, a.estimator, cached, start);
-        let m = a.upgrades.as_ref().expect("maximize answer payload");
-        MaximizeResponse {
-            s: req.s,
-            t: req.t,
-            k,
-            base_reliability: m.base_reliability,
-            reliability: a.reliability,
-            gain: m.gain,
-            chosen: m.chosen.clone(),
-            candidates: m.candidates,
-            evaluations: m.evaluations,
-            samples: a.samples,
-            micros,
+    ) -> W::Response {
+        let micros = start.elapsed().as_micros() as u64;
+        let outcome = if cached { Outcome::Hit } else { Outcome::Miss };
+        self.obs.observe_query(W::OBS, outcome, a.estimator, micros);
+        let served = Served {
             cached,
+            micros,
             applied_epoch,
-        }
+        };
+        req.respond(plan, a, served)
     }
 
     /// Fetch (building on first use) the shared estimator cell for
@@ -708,11 +627,11 @@ impl QueryEngine {
         &self,
         snap: &Snapshot,
         kind: EstimatorKind,
-    ) -> Result<Arc<ResidentCell>, Stale> {
+    ) -> Result<Arc<ResidentCell>, Fail> {
         {
             let state = self.state.read().expect("engine state poisoned");
             if state.epoch != snap.epoch {
-                return Err(Stale);
+                return Err(Fail::Stale);
             }
             if let Some(cell) = state.resident.get(&kind) {
                 return Ok(Arc::clone(cell));
@@ -734,56 +653,11 @@ impl QueryEngine {
         if state.epoch != snap.epoch {
             // An update landed while we were building: the index reflects
             // a dead epoch, discard it and retry at the new one.
-            return Err(Stale);
+            return Err(Fail::Stale);
         }
         Ok(Arc::clone(state.resident.entry(kind).or_insert_with(
             || Arc::new(Mutex::new((snap.epoch, built))),
         )))
-    }
-
-    /// Compute a planned query against one epoch snapshot, bypassing the
-    /// cache. `Err(Stale)` means an epoch swap won the race and the
-    /// caller must re-plan.
-    fn compute(&self, snap: &Snapshot, p: &PlannedQuery) -> Result<CachedAnswer, Stale> {
-        let budget = p.budget();
-        let answer = |est: relcomp_core::Estimate, name: &'static str| CachedAnswer {
-            reliability: est.reliability,
-            samples: est.samples,
-            estimator: name,
-            stop_reason: est.stop_reason,
-            half_width: est.half_width,
-            variance: est.variance,
-            targets: None,
-            upgrades: None,
-        };
-        match p.kind {
-            EstimatorKind::Mc => {
-                let est = snap.sampler.estimate_mc_with(p.s, p.t, &budget, p.seed);
-                Ok(answer(est, "MC"))
-            }
-            EstimatorKind::BfsSharing => {
-                let est = snap
-                    .sampler
-                    .estimate_bfs_sharing_with(p.s, p.t, &budget, p.seed);
-                Ok(answer(est, "BFS Sharing"))
-            }
-            kind => {
-                let cell = self.resident_cell(snap, kind)?;
-                let mut guard = cell.lock().expect("resident estimator poisoned");
-                let (cell_epoch, est) = &mut *guard;
-                if *cell_epoch != snap.epoch {
-                    // Migrated (or rebuilt) under our feet — this cell now
-                    // answers for a different graph than the key we hold.
-                    return Err(Stale);
-                }
-                // Derive the query stream from the cache key so identical
-                // keys replay identical randomness.
-                let mut rng = shard_rng(p.seed, ((p.s.0 as u64) << 32) | p.t.0 as u64);
-                est.refresh(&mut rng);
-                let e = est.estimate_with(p.s, p.t, &budget, &mut rng);
-                Ok(answer(e, kind.display_name()))
-            }
-        }
     }
 
     /// Run an estimation step with its time split into the `sample` and
@@ -805,90 +679,128 @@ impl QueryEngine {
         out
     }
 
-    fn compute_traced(
-        &self,
-        snap: &Snapshot,
-        p: &PlannedQuery,
-        tb: &mut TraceBuilder,
-    ) -> Result<CachedAnswer, Stale> {
-        self.sample_span(tb, || self.compute(snap, p))
+    /// The query pipeline every workload runs through: admission, then
+    /// [`QueryEngine::answer`], then outcome accounting. Stage timings and
+    /// the trace's workload, pair and outcome land in `tb`; failures are
+    /// counted under the right outcome label here.
+    fn run<W: Workload>(&self, req: &W, tb: &mut TraceBuilder) -> Result<W::Response, String> {
+        tb.set_workload(W::OBS.label());
+        let (s, t) = req.pair();
+        tb.set_pair(s as u64, t as u64);
+        let admitted = {
+            let _span = Span::enter(tb, Stage::Admission);
+            self.admit()
+        };
+        admitted
+            .and_then(|_guard| self.answer(req, tb, Instant::now()))
+            .map_err(|f| {
+                tb.set_outcome(false, false);
+                self.fail(W::OBS, f)
+            })
     }
 
-    /// Answer one query against the current epoch, retrying transparently
-    /// if an epoch swap races the computation. Stage timings (plan, cache
-    /// lookup, sample, convergence check) land in `tb`.
-    fn answer_traced(
+    /// Plan → cache lookup → compute → respond against the current epoch,
+    /// retrying transparently when an epoch swap races the computation.
+    /// The latency clock runs from `start` across every attempt, planning
+    /// included.
+    fn answer<W: Workload>(
         &self,
-        req: &QueryRequest,
+        req: &W,
         tb: &mut TraceBuilder,
-    ) -> Result<QueryResponse, Fail> {
+        start: Instant,
+    ) -> Result<W::Response, Fail> {
+        let cacheable = req.cacheable();
         for _ in 0..MAX_EPOCH_RETRIES {
             let snap = self.snapshot();
             let plan = {
                 let _span = Span::enter(tb, Stage::Plan);
-                self.plan_on(&snap.graph, req)?
+                req.plan(self, &snap.graph)?
             };
-            let start = Instant::now();
-            let key = Self::key(snap.epoch, &plan);
-            let hit = {
-                let _span = Span::enter(tb, Stage::CacheLookup);
-                self.cache.get(&key)
-            };
-            if let Some(hit) = hit {
-                return Ok(self.respond(&plan, &hit, true, start));
-            }
-            match self.compute_traced(&snap, &plan, tb) {
-                Ok(answer) => {
-                    self.cache.insert(key, answer.clone());
-                    return Ok(self.respond(&plan, &answer, false, start));
+            let key = plan.key(snap.epoch);
+            if cacheable {
+                let hit = {
+                    let _span = Span::enter(tb, Stage::CacheLookup);
+                    self.cache.get(&key)
+                };
+                if let Some(hit) = hit {
+                    tb.set_outcome(true, true);
+                    return Ok(self.respond(req, &plan, &hit, true, None, start));
                 }
-                Err(Stale) => continue,
             }
+            let answer = match self.sample_span(tb, || req.compute(self, &snap, &plan)) {
+                Err(Fail::Stale) => continue,
+                computed => computed?,
+            };
+            let applied_epoch = if cacheable {
+                self.cache.insert(key, answer.clone());
+                None
+            } else {
+                req.commit(self, &answer)?
+            };
+            tb.set_outcome(true, false);
+            return Ok(self.respond(req, &plan, &answer, false, applied_epoch, start));
         }
-        Err(Fail::Error(
-            "graph is being updated faster than this query can retry".into(),
-        ))
+        Err(Fail::Stale)
     }
 
-    fn answer(&self, req: &QueryRequest) -> Result<QueryResponse, Fail> {
-        self.answer_traced(req, &mut TraceBuilder::new())
-    }
-
-    /// Answer one query (admission → plan → cache → compute).
-    pub fn execute(&self, req: &QueryRequest) -> Result<QueryResponse, String> {
+    /// [`QueryEngine::run`] with a trace of its own, pushed into the ring.
+    fn run_recorded<W: Workload>(&self, req: &W) -> Result<W::Response, String> {
         let mut tb = TraceBuilder::new();
-        let out = self.execute_traced(req, &mut tb);
+        let out = self.run(req, &mut tb);
         self.record_trace(tb);
         out
     }
 
-    /// [`QueryEngine::execute`] with caller-supplied stage tracing: the
-    /// server's dispatch loop uses this to add its own `parse`/`serialize`
-    /// stages before pushing the trace via [`QueryEngine::record_trace`].
-    /// Failures are counted under the right outcome label here.
-    pub fn execute_traced(
+    /// Answer one s-t reliability query.
+    pub fn execute(&self, req: &QueryRequest) -> Result<QueryResponse, String> {
+        self.run_recorded(req)
+    }
+
+    /// Answer one top-k reliability search. The answer runs entirely on
+    /// the snapshot's sampler, so it is thread-count invariant and keyed
+    /// by the snapshot's epoch — an `update`/`reload` makes it stale
+    /// exactly like an s-t answer.
+    pub fn execute_topk(&self, req: &TopKRequest) -> Result<TopKResponse, String> {
+        self.run_recorded(req)
+    }
+
+    /// Answer one distance-constrained reliability query, with the same
+    /// epoch and budget cache-key semantics as `execute`.
+    pub fn execute_dquery(
         &self,
-        req: &QueryRequest,
-        tb: &mut TraceBuilder,
-    ) -> Result<QueryResponse, String> {
-        tb.set_workload(ObsWorkload::St.label());
-        tb.set_pair(req.s as u64, req.t as u64);
-        let res = (|| {
-            let _guard = {
-                let _span = Span::enter(tb, Stage::Admission);
-                self.admit()?
-            };
-            self.answer_traced(req, tb)
-        })();
-        match res {
-            Ok(resp) => {
-                tb.set_outcome(true, resp.cached);
-                Ok(resp)
-            }
-            Err(f) => {
-                tb.set_outcome(false, false);
-                Err(self.fail(ObsWorkload::St, f))
-            }
+        req: &DistanceQueryRequest,
+    ) -> Result<DistanceQueryResponse, String> {
+        self.run_recorded(req)
+    }
+
+    /// Answer one reliability-maximization request: greedily pick the
+    /// `k` edge upgrades (probability boosts to `boost`) that maximize
+    /// `R(s, t)` (see [`relcomp_core::maximize`]). Report-only answers
+    /// cache like every other workload; `apply` requests commit the
+    /// chosen boosts through [`QueryEngine::apply_updates`] and are
+    /// never cached (their answer is tied to the epoch they retired).
+    pub fn execute_maximize(&self, req: &MaximizeRequest) -> Result<MaximizeResponse, String> {
+        self.run_recorded(req)
+    }
+
+    /// Answer a parsed query-workload request (`query`, `topk`, `dquery`,
+    /// `maximize`) through the pipeline with caller-supplied tracing: the
+    /// server adds its own `parse`/`serialize` stages to `tb` before
+    /// pushing the trace via [`QueryEngine::record_trace`]. Any other verb
+    /// answers with an error; the server resolves those itself.
+    pub fn execute_request(&self, request: &Request, tb: &mut TraceBuilder) -> Response {
+        match request {
+            Request::Query(q) => self
+                .run(q, tb)
+                .map_or_else(Response::Error, Response::Query),
+            Request::TopK(q) => self.run(q, tb).map_or_else(Response::Error, Response::TopK),
+            Request::DQuery(q) => self
+                .run(q, tb)
+                .map_or_else(Response::Error, Response::DQuery),
+            Request::Maximize(q) => self
+                .run(q, tb)
+                .map_or_else(Response::Error, Response::Maximize),
+            _ => Response::Error("not a query workload".into()),
         }
     }
 
@@ -897,452 +809,48 @@ impl QueryEngine {
         self.obs.traces.push(tb.finish());
     }
 
-    /// Answer one top-k reliability search (admission → plan → cache →
-    /// parallel sharded compute). The answer runs entirely on the
-    /// snapshot's sampler, so it is thread-count invariant and keyed by
-    /// the snapshot's epoch — an `update`/`reload` makes it stale exactly
-    /// like an s-t answer.
-    pub fn execute_topk(&self, req: &TopKRequest) -> Result<TopKResponse, String> {
-        let mut tb = TraceBuilder::new();
-        let out = self.execute_topk_traced(req, &mut tb);
-        self.record_trace(tb);
-        out
-    }
-
-    /// [`QueryEngine::execute_topk`] with caller-supplied stage tracing
-    /// (see [`QueryEngine::execute_traced`]).
-    pub fn execute_topk_traced(
-        &self,
-        req: &TopKRequest,
-        tb: &mut TraceBuilder,
-    ) -> Result<TopKResponse, String> {
-        tb.set_workload(ObsWorkload::TopK.label());
-        tb.set_pair(req.s as u64, 0);
-        match self.topk_inner(req, tb) {
-            Ok(resp) => {
-                tb.set_outcome(true, resp.cached);
-                Ok(resp)
-            }
-            Err(f) => {
-                tb.set_outcome(false, false);
-                Err(self.fail(ObsWorkload::TopK, f))
-            }
-        }
-    }
-
-    fn topk_inner(&self, req: &TopKRequest, tb: &mut TraceBuilder) -> Result<TopKResponse, Fail> {
-        let _guard = {
-            let _span = Span::enter(tb, Stage::Admission);
-            self.admit()?
-        };
-        let snap = self.snapshot();
-        let start = Instant::now();
-        let (k, samples, confidence, seed) = {
-            let _span = Span::enter(tb, Stage::Plan);
-            if !snap.graph.contains_node(NodeId(req.s)) {
-                return Err(Fail::Error(format!(
-                    "source node {} out of range (graph has {} nodes)",
-                    req.s,
-                    snap.graph.num_nodes()
-                )));
-            }
-            let k = req.k.unwrap_or(self.config.default_top_k);
-            if k == 0 {
-                return Err(Fail::Error("k must be positive".into()));
-            }
-            let (samples, confidence) =
-                self.resolve_budget(req.samples, req.eps, req.confidence, req.time_budget_ms)?;
-            (
-                k,
-                samples,
-                confidence,
-                req.seed.unwrap_or(self.config.default_seed),
-            )
-        };
-        let key = QueryKey {
-            workload: WorkloadKind::TopK { k },
-            epoch: snap.epoch,
-            s: req.s,
-            t: 0,
-            kind: EstimatorKind::Mc,
-            samples,
-            seed,
-            eps_bits: req.eps.map(f64::to_bits),
-            confidence_bits: Some(confidence.to_bits()),
-            time_budget_ms: req.time_budget_ms,
-        };
-        let hit = {
-            let _span = Span::enter(tb, Stage::CacheLookup);
-            self.cache.get(&key)
-        };
-        if let Some(hit) = hit {
-            return Ok(self.respond_topk(req.s, k, &hit, true, start));
-        }
-        let budget = SampleBudget::assemble(samples, req.eps, confidence, req.time_budget_ms);
-        let result = self.sample_span(tb, || {
-            snap.sampler
-                .top_k_targets_with(NodeId(req.s), k, &budget, seed)
-        });
-        let answer = CachedAnswer {
-            reliability: result.scores.last().map_or(0.0, |ts| ts.reliability),
-            samples: result.samples,
-            estimator: "MC",
-            stop_reason: result.stop_reason,
-            half_width: result.half_width,
-            variance: None,
-            targets: Some(
-                result
-                    .scores
-                    .iter()
-                    .map(|ts| (ts.node.0, ts.reliability))
-                    .collect(),
-            ),
-            upgrades: None,
-        };
-        self.cache.insert(key, answer.clone());
-        Ok(self.respond_topk(req.s, k, &answer, false, start))
-    }
-
-    /// Answer one distance-constrained reliability query (admission →
-    /// plan → cache → parallel sharded compute), with the same epoch and
-    /// budget cache-key semantics as `execute`.
-    pub fn execute_dquery(
-        &self,
-        req: &DistanceQueryRequest,
-    ) -> Result<DistanceQueryResponse, String> {
-        let mut tb = TraceBuilder::new();
-        let out = self.execute_dquery_traced(req, &mut tb);
-        self.record_trace(tb);
-        out
-    }
-
-    /// [`QueryEngine::execute_dquery`] with caller-supplied stage tracing
-    /// (see [`QueryEngine::execute_traced`]).
-    pub fn execute_dquery_traced(
-        &self,
-        req: &DistanceQueryRequest,
-        tb: &mut TraceBuilder,
-    ) -> Result<DistanceQueryResponse, String> {
-        tb.set_workload(ObsWorkload::Distance.label());
-        tb.set_pair(req.s as u64, req.t as u64);
-        match self.dquery_inner(req, tb) {
-            Ok(resp) => {
-                tb.set_outcome(true, resp.cached);
-                Ok(resp)
-            }
-            Err(f) => {
-                tb.set_outcome(false, false);
-                Err(self.fail(ObsWorkload::Distance, f))
-            }
-        }
-    }
-
-    fn dquery_inner(
-        &self,
-        req: &DistanceQueryRequest,
-        tb: &mut TraceBuilder,
-    ) -> Result<DistanceQueryResponse, Fail> {
-        let _guard = {
-            let _span = Span::enter(tb, Stage::Admission);
-            self.admit()?
-        };
-        let snap = self.snapshot();
-        let start = Instant::now();
-        let (samples, confidence, seed) = {
-            let _span = Span::enter(tb, Stage::Plan);
-            for (what, id) in [("source", req.s), ("target", req.t)] {
-                if !snap.graph.contains_node(NodeId(id)) {
-                    return Err(Fail::Error(format!(
-                        "{what} node {id} out of range (graph has {} nodes)",
-                        snap.graph.num_nodes()
-                    )));
-                }
-            }
-            let (samples, confidence) =
-                self.resolve_budget(req.samples, req.eps, req.confidence, req.time_budget_ms)?;
-            (
-                samples,
-                confidence,
-                req.seed.unwrap_or(self.config.default_seed),
-            )
-        };
-        let key = QueryKey {
-            workload: WorkloadKind::Distance { d: req.d },
-            epoch: snap.epoch,
-            s: req.s,
-            t: req.t,
-            kind: EstimatorKind::Mc,
-            samples,
-            seed,
-            eps_bits: req.eps.map(f64::to_bits),
-            confidence_bits: Some(confidence.to_bits()),
-            time_budget_ms: req.time_budget_ms,
-        };
-        let hit = {
-            let _span = Span::enter(tb, Stage::CacheLookup);
-            self.cache.get(&key)
-        };
-        if let Some(hit) = hit {
-            return Ok(self.respond_dquery(req, &hit, true, start));
-        }
-        let budget = SampleBudget::assemble(samples, req.eps, confidence, req.time_budget_ms);
-        let est = self.sample_span(tb, || {
-            snap.sampler.estimate_distance_constrained_with(
-                NodeId(req.s),
-                NodeId(req.t),
-                req.d,
-                &budget,
-                seed,
-            )
-        });
-        let answer = CachedAnswer {
-            reliability: est.reliability,
-            samples: est.samples,
-            estimator: "MC",
-            stop_reason: est.stop_reason,
-            half_width: est.half_width,
-            variance: est.variance,
-            targets: None,
-            upgrades: None,
-        };
-        self.cache.insert(key, answer.clone());
-        Ok(self.respond_dquery(req, &answer, false, start))
-    }
-
-    /// Answer one reliability-maximization request: greedily pick the
-    /// `k` edge upgrades (probability boosts to `boost`) that maximize
-    /// `R(s, t)`, scoring candidates by marginal gain on copy-on-write
-    /// snapshots of the served graph (see [`relcomp_core::maximize`]).
-    ///
-    /// Report-only answers share the epoch/budget cache-key semantics of
-    /// every other workload. `apply` requests additionally commit the
-    /// chosen boosts through [`QueryEngine::apply_updates`] — the same
-    /// write path as the `update` verb, bumping the epoch and migrating
-    /// resident estimators — and are never cached (their answer is tied
-    /// to the epoch they retired).
-    pub fn execute_maximize(&self, req: &MaximizeRequest) -> Result<MaximizeResponse, String> {
-        let mut tb = TraceBuilder::new();
-        let out = self.execute_maximize_traced(req, &mut tb);
-        self.record_trace(tb);
-        out
-    }
-
-    /// [`QueryEngine::execute_maximize`] with caller-supplied stage
-    /// tracing (see [`QueryEngine::execute_traced`]).
-    pub fn execute_maximize_traced(
-        &self,
-        req: &MaximizeRequest,
-        tb: &mut TraceBuilder,
-    ) -> Result<MaximizeResponse, String> {
-        tb.set_workload(ObsWorkload::Maximize.label());
-        tb.set_pair(req.s as u64, req.t as u64);
-        match self.maximize_inner(req, tb) {
-            Ok(resp) => {
-                tb.set_outcome(true, resp.cached);
-                Ok(resp)
-            }
-            Err(f) => {
-                tb.set_outcome(false, false);
-                Err(self.fail(ObsWorkload::Maximize, f))
-            }
-        }
-    }
-
-    fn maximize_inner(
-        &self,
-        req: &MaximizeRequest,
-        tb: &mut TraceBuilder,
-    ) -> Result<MaximizeResponse, Fail> {
-        let _guard = {
-            let _span = Span::enter(tb, Stage::Admission);
-            self.admit()?
-        };
-        let snap = self.snapshot();
-        let start = Instant::now();
-        let (k, boost, candidates, samples, confidence, seed) = {
-            let _span = Span::enter(tb, Stage::Plan);
-            for (what, id) in [("source", req.s), ("target", req.t)] {
-                if !snap.graph.contains_node(NodeId(id)) {
-                    return Err(Fail::Error(format!(
-                        "{what} node {id} out of range (graph has {} nodes)",
-                        snap.graph.num_nodes()
-                    )));
-                }
-            }
-            let k = req.k.unwrap_or(self.config.default_maximize_k);
-            if k == 0 {
-                return Err(Fail::Error("k must be positive".into()));
-            }
-            let boost = req.boost.unwrap_or(1.0);
-            if !(boost > 0.0 && boost <= 1.0) {
-                return Err(Fail::Error(format!("boost {boost} out of range (0, 1]")));
-            }
-            let candidates = req
-                .candidates
-                .unwrap_or(self.config.max_maximize_candidates);
-            if candidates == 0 {
-                return Err(Fail::Error("candidates must be positive".into()));
-            }
-            if candidates > self.config.max_maximize_candidates {
-                return Err(Fail::Rejected(format!(
-                    "candidate pool {candidates} exceeds the admission limit {}",
-                    self.config.max_maximize_candidates
-                )));
-            }
-            let (samples, confidence) =
-                self.resolve_budget(req.samples, req.eps, req.confidence, req.time_budget_ms)?;
-            (
-                k,
-                boost,
-                candidates,
-                samples,
-                confidence,
-                req.seed.unwrap_or(self.config.default_seed),
-            )
-        };
-        let key = QueryKey {
-            workload: WorkloadKind::Maximize {
-                k,
-                boost_bits: boost.to_bits(),
-                candidates,
-            },
-            epoch: snap.epoch,
-            s: req.s,
-            t: req.t,
-            kind: EstimatorKind::Mc,
-            samples,
-            seed,
-            eps_bits: req.eps.map(f64::to_bits),
-            confidence_bits: Some(confidence.to_bits()),
-            time_budget_ms: req.time_budget_ms,
-        };
-        if !req.apply {
-            let hit = {
-                let _span = Span::enter(tb, Stage::CacheLookup);
-                self.cache.get(&key)
-            };
-            if let Some(hit) = hit {
-                return Ok(self.respond_maximize(req, k, &hit, true, None, start));
-            }
-        }
-        let budget = SampleBudget::assemble(samples, req.eps, confidence, req.time_budget_ms);
-        let mut opts = MaximizeOptions::new(k, boost, budget);
-        opts.threads = self.threads;
-        opts.seed = seed;
-        opts.max_candidates = candidates;
-        let result = self
-            .sample_span(tb, || {
-                relcomp_core::maximize::maximize(&snap.graph, NodeId(req.s), NodeId(req.t), &opts)
-            })
-            .map_err(|e| Fail::Error(e.to_string()))?;
-        let answer = CachedAnswer {
-            reliability: result.reliability,
-            samples: result.samples,
-            estimator: "MC",
-            stop_reason: StopReason::FixedK,
-            half_width: None,
-            variance: None,
-            targets: None,
-            upgrades: Some(MaximizeAnswer {
-                base_reliability: result.base_reliability,
-                gain: result.gain,
-                chosen: result
-                    .chosen
-                    .iter()
-                    .map(|c| UpgradeRow {
-                        s: c.from.0,
-                        t: c.to.0,
-                        old_prob: c.old_prob,
-                        new_prob: c.new_prob,
-                        gain: c.gain,
-                        reliability: c.reliability,
-                    })
-                    .collect(),
-                candidates: result.candidates,
-                evaluations: result.evaluations,
-            }),
-        };
-        let applied_epoch = if req.apply {
-            let updates: Vec<EdgeProbUpdate> = result
-                .chosen
-                .iter()
-                .map(|c| EdgeProbUpdate {
-                    s: c.from.0,
-                    t: c.to.0,
-                    prob: c.new_prob,
-                })
-                .collect();
-            if updates.is_empty() {
-                // Nothing to upgrade (e.g. every candidate already at
-                // the boost): an apply run with no picks commits nothing.
-                None
-            } else {
-                let committed = self.apply_updates(&updates).map_err(Fail::Error)?;
-                Some(committed.epoch)
-            }
-        } else {
-            self.cache.insert(key, answer.clone());
-            None
-        };
-        Ok(self.respond_maximize(req, k, &answer, false, applied_epoch, start))
-    }
-
     /// Answer a batch in one pass, amortizing MC world sampling across
     /// queries that share `(s, samples, seed)`. Results keep input order;
     /// per-query failures do not fail the batch.
     pub fn execute_batch(&self, reqs: &[QueryRequest]) -> Result<BatchResults, String> {
-        let _guard = match self.admit() {
-            Ok(g) => g,
-            Err(f) => return Err(self.fail(ObsWorkload::St, f)),
-        };
+        let _guard = self.admit().map_err(|f| self.fail(ObsWorkload::St, f))?;
         if reqs.len() > self.config.max_batch {
-            return Err(self.fail(
-                ObsWorkload::St,
-                Fail::Rejected(format!(
-                    "batch of {} exceeds the admission limit {}",
-                    reqs.len(),
-                    self.config.max_batch
-                )),
-            ));
+            let limit = self.config.max_batch;
+            let msg = format!(
+                "batch of {} exceeds the admission limit {limit}",
+                reqs.len()
+            );
+            return Err(self.fail(ObsWorkload::St, Fail::Rejected(msg)));
         }
         let snap = self.snapshot();
         let start = Instant::now();
-        let mut out: Vec<Option<Result<QueryResponse, String>>> = vec![None; reqs.len()];
+        let mut out: Vec<Option<Result<QueryResponse, Fail>>> = vec![None; reqs.len()];
         // (group key -> indices of cache-missing MC queries to batch).
         let mut mc_groups: HashMap<(u32, usize, u64), Vec<usize>> = HashMap::new();
-        let mut plans: Vec<Option<PlannedQuery>> = vec![None; reqs.len()];
+        let mut plans: Vec<Option<Plan>> = vec![None; reqs.len()];
 
         for (i, req) in reqs.iter().enumerate() {
-            match self.plan_on(&snap.graph, req) {
-                Err(e) => out[i] = Some(Err(self.fail(ObsWorkload::St, e))),
-                Ok(plan) => {
-                    let key = Self::key(snap.epoch, &plan);
-                    if let Some(hit) = self.cache.get(&key) {
-                        out[i] = Some(Ok(self.respond(&plan, &hit, true, start)));
-                    } else if plan.kind == EstimatorKind::Mc && plan.is_fixed() {
-                        // Only fixed budgets share a world stream: an
-                        // adaptive query's stopping point is its own.
-                        mc_groups
-                            .entry((plan.s.0, plan.samples, plan.seed))
-                            .or_default()
-                            .push(i);
-                        plans[i] = Some(plan);
-                    } else {
-                        match self.compute(&snap, &plan) {
-                            Ok(answer) => {
-                                self.cache.insert(key, answer.clone());
-                                out[i] = Some(Ok(self.respond(&plan, &answer, false, start)));
-                            }
-                            // Raced an epoch swap: answer this query alone
-                            // at the new epoch (re-planned and re-keyed).
-                            Err(Stale) => {
-                                out[i] = Some(
-                                    self.answer(req).map_err(|f| self.fail(ObsWorkload::St, f)),
-                                )
-                            }
-                        }
-                    }
+            let plan = match req.plan(self, &snap.graph) {
+                Ok(plan) => plan,
+                Err(f) => {
+                    out[i] = Some(Err(f));
+                    continue;
                 }
+            };
+            // Only fixed-budget MC shares a world stream (an adaptive
+            // query's stopping point is its own); everything else runs
+            // the single-query pipeline.
+            if plan.query.kind != EstimatorKind::Mc || !plan.query.is_fixed() {
+                out[i] = Some(self.answer(req, &mut TraceBuilder::new(), start));
+            } else if let Some(hit) = self.cache.get(&plan.key(snap.epoch)) {
+                out[i] = Some(Ok(self.respond(req, &plan, &hit, true, None, start)));
+            } else {
+                let q = &plan.query;
+                mc_groups
+                    .entry((q.s.0, q.samples, q.seed))
+                    .or_default()
+                    .push(i);
+                plans[i] = Some(plan);
             }
         }
 
@@ -1352,7 +860,7 @@ impl QueryEngine {
         for ((s, samples, seed), indices) in mc_groups {
             let targets: Vec<NodeId> = indices
                 .iter()
-                .map(|&i| plans[i].expect("planned").t)
+                .map(|&i| plans[i].expect("planned").query.t)
                 .collect();
             let estimates = snap
                 .sampler
@@ -1363,30 +871,26 @@ impl QueryEngine {
                 // confidence; restate it at the plan's, so a grouped
                 // answer matches what the single-query path would have
                 // cached under the same key.
-                let est = if plan.confidence == DEFAULT_CONFIDENCE {
+                let confidence = plan.query.confidence;
+                let est = if confidence == DEFAULT_CONFIDENCE {
                     *est
                 } else {
-                    restate_bernoulli_confidence(*est, plan.confidence)
+                    restate_bernoulli_confidence(*est, confidence)
                 };
-                let answer = CachedAnswer {
-                    reliability: est.reliability,
-                    samples: est.samples,
-                    estimator: "MC",
-                    stop_reason: est.stop_reason,
-                    half_width: est.half_width,
-                    variance: est.variance,
-                    targets: None,
-                    upgrades: None,
-                };
-                self.cache
-                    .insert(Self::key(snap.epoch, &plan), answer.clone());
-                out[i] = Some(Ok(self.respond(&plan, &answer, false, start)));
+                let answer = CachedAnswer::from_estimate(est, "MC");
+                self.cache.insert(plan.key(snap.epoch), answer.clone());
+                out[i] = Some(Ok(
+                    self.respond(&reqs[i], &plan, &answer, false, None, start)
+                ));
             }
         }
 
         Ok(out
             .into_iter()
-            .map(|r| r.expect("every slot answered"))
+            .map(|r| {
+                r.expect("every slot answered")
+                    .map_err(|f| self.fail(ObsWorkload::St, f))
+            })
             .collect())
     }
 
@@ -1529,11 +1033,9 @@ impl QueryEngine {
             resident_bytes,
             packed_samples,
             scalar_samples,
-            load_path: match last_load {
-                Some((true, _)) => "mmap".to_string(),
-                Some((false, _)) => "heap".to_string(),
-                None => String::new(),
-            },
+            load_path: last_load
+                .map_or("", |(mmapped, _)| if mmapped { "mmap" } else { "heap" })
+                .to_owned(),
             load_micros: last_load.map_or(0, |(_, micros)| micros),
             uptime_micros: self.started.elapsed().as_micros() as u64,
         }
@@ -1558,24 +1060,18 @@ impl QueryEngine {
         let mut m = MetricsSnapshot::default();
         for w in ObsWorkload::ALL {
             for o in Outcome::ALL {
-                m.counter(
-                    "relcomp_queries_total",
-                    vec![
-                        ("workload", w.label().into()),
-                        ("outcome", o.label().into()),
-                    ],
-                    self.obs.count(w, o),
-                );
+                let labels = vec![
+                    ("workload", w.label().into()),
+                    ("outcome", o.label().into()),
+                ];
+                m.counter("relcomp_queries_total", labels, self.obs.count(w, o));
             }
         }
         for label in relcomp_obs::ESTIMATOR_LABELS {
             let n = self.obs.estimator_count(label);
             if n > 0 {
-                m.counter(
-                    "relcomp_queries_by_estimator_total",
-                    vec![("estimator", label.into())],
-                    n,
-                );
+                let labels = vec![("estimator", label.into())];
+                m.counter("relcomp_queries_by_estimator_total", labels, n);
             }
         }
         m.counter("relcomp_cache_hits_total", vec![], self.cache.hits());
@@ -1583,89 +1079,502 @@ impl QueryEngine {
         m.counter("relcomp_updates_total", vec![], self.obs.updates());
 
         let (epoch, nodes, edges, resident_estimators, resident_bytes) = self.state_gauges();
-        m.gauge("relcomp_cache_entries", vec![], self.cache.len() as u64);
-        m.gauge(
-            "relcomp_inflight",
-            vec![],
-            self.inflight.load(Ordering::Relaxed) as u64,
-        );
-        m.gauge("relcomp_epoch", vec![], epoch);
-        m.gauge("relcomp_threads", vec![], self.threads as u64);
-        m.gauge("relcomp_graph_nodes", vec![], nodes as u64);
-        m.gauge("relcomp_graph_edges", vec![], edges as u64);
-        m.gauge(
-            "relcomp_resident_estimators",
-            vec![],
-            resident_estimators as u64,
-        );
-        m.gauge("relcomp_resident_bytes", vec![], resident_bytes as u64);
-        m.gauge(
-            "relcomp_uptime_micros",
-            vec![],
-            self.started.elapsed().as_micros() as u64,
-        );
+        let inflight = self.inflight.load(Ordering::Relaxed) as u64;
+        let uptime = self.started.elapsed().as_micros() as u64;
+        for (name, value) in [
+            ("relcomp_cache_entries", self.cache.len() as u64),
+            ("relcomp_inflight", inflight),
+            ("relcomp_epoch", epoch),
+            ("relcomp_threads", self.threads as u64),
+            ("relcomp_graph_nodes", nodes as u64),
+            ("relcomp_graph_edges", edges as u64),
+            ("relcomp_resident_estimators", resident_estimators as u64),
+            ("relcomp_resident_bytes", resident_bytes as u64),
+            ("relcomp_uptime_micros", uptime),
+        ] {
+            m.gauge(name, vec![], value);
+        }
         if let Some((mmapped, micros)) = self.last_load() {
-            let path = if mmapped { "mmap" } else { "heap" };
-            m.gauge(
-                "relcomp_graph_load_micros",
-                vec![("path", path.into())],
-                micros,
-            );
+            let labels = vec![("path", if mmapped { "mmap" } else { "heap" }.into())];
+            m.gauge("relcomp_graph_load_micros", labels, micros);
         }
 
         for w in ObsWorkload::ALL {
-            m.histogram(
-                "relcomp_query_latency_micros",
-                vec![("workload", w.label().into())],
-                &self.obs.latency(w).snapshot(),
-            );
+            let labels = vec![("workload", w.label().into())];
+            let hist = self.obs.latency(w).snapshot();
+            m.histogram("relcomp_query_latency_micros", labels, &hist);
         }
         // The merged view doubles as a live check of histogram mergeability.
-        m.histogram(
-            "relcomp_query_latency_micros",
-            vec![("workload", "all".into())],
-            &self.obs.merged_latency(),
-        );
+        let (labels, hist) = (vec![("workload", "all".into())], self.obs.merged_latency());
+        m.histogram("relcomp_query_latency_micros", labels, &hist);
 
         let sampler = relcomp_obs::sampler_snapshot();
-        m.counter(
-            "relcomp_samples_total",
-            vec![("path", "packed".into())],
-            sampler.packed_samples,
-        );
-        m.counter(
-            "relcomp_samples_total",
-            vec![("path", "scalar".into())],
-            sampler.scalar_samples,
-        );
-        for (reason, n) in &sampler.sessions {
-            m.counter(
-                "relcomp_sessions_total",
-                vec![("stop_reason", (*reason).into())],
-                *n,
-            );
+        for (path, n) in [
+            ("packed", sampler.packed_samples),
+            ("scalar", sampler.scalar_samples),
+        ] {
+            m.counter("relcomp_samples_total", vec![("path", path.into())], n);
         }
-        m.counter(
-            "relcomp_session_batches_total",
-            vec![],
-            sampler.session_batches,
-        );
-        m.counter(
-            "relcomp_session_samples_total",
-            vec![],
-            sampler.session_samples,
-        );
-        m.counter(
-            "relcomp_sampling_micros_total",
-            vec![],
-            sampler.session_micros,
-        );
-        m.counter(
-            "relcomp_convergence_nanos_total",
-            vec![],
-            sampler.convergence_nanos,
-        );
+        for (reason, n) in &sampler.sessions {
+            let labels = vec![("stop_reason", (*reason).into())];
+            m.counter("relcomp_sessions_total", labels, *n);
+        }
+        for (name, value) in [
+            ("relcomp_session_batches_total", sampler.session_batches),
+            ("relcomp_session_samples_total", sampler.session_samples),
+            ("relcomp_sampling_micros_total", sampler.session_micros),
+            ("relcomp_convergence_nanos_total", sampler.convergence_nanos),
+        ] {
+            m.counter(name, vec![], value);
+        }
         m
+    }
+}
+
+/// The per-workload half of the query pipeline, implemented by each wire
+/// request type. [`QueryEngine::run`] owns every step the workloads
+/// share; an implementation supplies only what differs.
+trait Workload {
+    /// The wire answer.
+    type Response;
+    /// Label for metrics and traces.
+    const OBS: ObsWorkload;
+
+    /// The `(s, t)` pair the trace records.
+    fn pair(&self) -> (u32, u32);
+
+    /// Validate the request against `graph` and resolve its defaults.
+    fn plan(&self, engine: &QueryEngine, graph: &UncertainGraph) -> Result<Plan, Fail>;
+
+    /// Compute a fresh answer against one epoch snapshot, bypassing the
+    /// cache. `Err(Fail::Stale)` means an epoch swap won the race and the
+    /// pipeline must re-plan.
+    fn compute(
+        &self,
+        engine: &QueryEngine,
+        snap: &Snapshot,
+        plan: &Plan,
+    ) -> Result<CachedAnswer, Fail>;
+
+    /// Whether the answer may be served from and stored in the cache.
+    fn cacheable(&self) -> bool {
+        true
+    }
+
+    /// Commit a fresh answer that bypassed the cache, returning the
+    /// epoch the commit created, if any.
+    fn commit(&self, _engine: &QueryEngine, _answer: &CachedAnswer) -> Result<Option<u64>, Fail> {
+        Ok(None)
+    }
+
+    /// Build the wire answer.
+    fn respond(&self, plan: &Plan, a: &CachedAnswer, served: Served) -> Self::Response;
+}
+
+/// How an answer was served: the wire fields the pipeline fills in.
+#[derive(Clone, Copy)]
+struct Served {
+    cached: bool,
+    micros: u64,
+    /// The epoch a maximize `apply` run committed, if any.
+    applied_epoch: Option<u64>,
+}
+
+/// Reject any `(what, node)` that is not in `graph`.
+fn check_nodes(graph: &UncertainGraph, nodes: &[(&str, u32)]) -> Result<(), Fail> {
+    match nodes
+        .iter()
+        .find(|&&(_, id)| !graph.contains_node(NodeId(id)))
+    {
+        Some((what, id)) => Err(Fail::Error(format!(
+            "{what} node {id} out of range (graph has {} nodes)",
+            graph.num_nodes()
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Reject a zero count.
+fn positive(what: &str, n: usize) -> Result<usize, Fail> {
+    if n == 0 {
+        return Err(Fail::Error(format!("{what} must be positive")));
+    }
+    Ok(n)
+}
+
+/// Plain s-t reliability (`query`).
+impl Workload for QueryRequest {
+    type Response = QueryResponse;
+    const OBS: ObsWorkload = ObsWorkload::St;
+
+    fn pair(&self) -> (u32, u32) {
+        (self.s, self.t)
+    }
+
+    fn plan(&self, engine: &QueryEngine, graph: &UncertainGraph) -> Result<Plan, Fail> {
+        check_nodes(graph, &[("source", self.s), ("target", self.t)])?;
+        let config = &engine.config;
+        let mut eps = self.eps;
+        let is_auto = self.estimator.as_deref() == Some("auto");
+        // The Fig. 18 auto planner now picks *budgets*, not raw sample
+        // counts: with no explicit samples or eps, it targets the
+        // configured accuracy adaptively.
+        if is_auto && self.samples.is_none() && eps.is_none() {
+            eps = Some(config.auto_eps);
+        }
+        let budget = engine.resolve_budget(
+            (self.s, self.t),
+            self.samples,
+            eps,
+            self.confidence,
+            self.time_budget_ms,
+            self.seed,
+        )?;
+        let kind = match self.estimator.as_deref() {
+            None => config.default_estimator,
+            Some("auto") => recommend(config.memory, config.variance, config.speed)
+                .first()
+                .copied()
+                .unwrap_or(config.default_estimator),
+            Some(name) => EstimatorKind::parse(name).map_err(Fail::Error)?,
+        };
+        Ok(Plan {
+            workload: WorkloadKind::St,
+            query: PlannedQuery { kind, ..budget },
+        })
+    }
+
+    fn compute(
+        &self,
+        engine: &QueryEngine,
+        snap: &Snapshot,
+        plan: &Plan,
+    ) -> Result<CachedAnswer, Fail> {
+        let p = &plan.query;
+        let budget = p.budget();
+        match p.kind {
+            EstimatorKind::Mc => {
+                let est = snap.sampler.estimate_mc_with(p.s, p.t, &budget, p.seed);
+                Ok(CachedAnswer::from_estimate(est, "MC"))
+            }
+            EstimatorKind::BfsSharing => {
+                let est = snap
+                    .sampler
+                    .estimate_bfs_sharing_with(p.s, p.t, &budget, p.seed);
+                Ok(CachedAnswer::from_estimate(est, "BFS Sharing"))
+            }
+            kind => {
+                let cell = engine.resident_cell(snap, kind)?;
+                let mut guard = cell.lock().expect("resident estimator poisoned");
+                let (cell_epoch, est) = &mut *guard;
+                if *cell_epoch != snap.epoch {
+                    // Migrated (or rebuilt) under our feet — this cell now
+                    // answers for a different graph than the key we hold.
+                    return Err(Fail::Stale);
+                }
+                // Derive the query stream from the cache key so identical
+                // keys replay identical randomness.
+                let mut rng = shard_rng(p.seed, ((p.s.0 as u64) << 32) | p.t.0 as u64);
+                est.refresh(&mut rng);
+                let e = est.estimate_with(p.s, p.t, &budget, &mut rng);
+                Ok(CachedAnswer::from_estimate(e, kind.display_name()))
+            }
+        }
+    }
+
+    fn respond(&self, plan: &Plan, a: &CachedAnswer, served: Served) -> QueryResponse {
+        QueryResponse {
+            s: plan.query.s.0,
+            t: plan.query.t.0,
+            reliability: a.reliability,
+            samples: a.samples,
+            estimator: a.estimator.to_owned(),
+            micros: served.micros,
+            cached: served.cached,
+            stop_reason: a.stop_reason.label().to_owned(),
+            half_width: a.half_width,
+            variance: a.variance,
+        }
+    }
+}
+
+/// Top-k reliability search (`topk`), answered on the parallel sampler.
+impl Workload for TopKRequest {
+    type Response = TopKResponse;
+    const OBS: ObsWorkload = ObsWorkload::TopK;
+
+    fn pair(&self) -> (u32, u32) {
+        (self.s, 0)
+    }
+
+    fn plan(&self, engine: &QueryEngine, graph: &UncertainGraph) -> Result<Plan, Fail> {
+        check_nodes(graph, &[("source", self.s)])?;
+        let k = positive("k", self.k.unwrap_or(engine.config.default_top_k))?;
+        let query = engine.resolve_budget(
+            (self.s, 0),
+            self.samples,
+            self.eps,
+            self.confidence,
+            self.time_budget_ms,
+            self.seed,
+        )?;
+        Ok(Plan {
+            workload: WorkloadKind::TopK { k },
+            query,
+        })
+    }
+
+    fn compute(
+        &self,
+        _engine: &QueryEngine,
+        snap: &Snapshot,
+        plan: &Plan,
+    ) -> Result<CachedAnswer, Fail> {
+        let WorkloadKind::TopK { k } = plan.workload else {
+            unreachable!("top-k plan");
+        };
+        let p = &plan.query;
+        let result = snap.sampler.top_k_targets_with(p.s, k, &p.budget(), p.seed);
+        Ok(CachedAnswer {
+            reliability: result.scores.last().map_or(0.0, |ts| ts.reliability),
+            samples: result.samples,
+            estimator: "MC",
+            stop_reason: result.stop_reason,
+            half_width: result.half_width,
+            variance: None,
+            targets: Some(
+                result
+                    .scores
+                    .iter()
+                    .map(|ts| (ts.node.0, ts.reliability))
+                    .collect(),
+            ),
+            upgrades: None,
+        })
+    }
+
+    fn respond(&self, plan: &Plan, a: &CachedAnswer, served: Served) -> TopKResponse {
+        let WorkloadKind::TopK { k } = plan.workload else {
+            unreachable!("top-k plan");
+        };
+        TopKResponse {
+            s: self.s,
+            k,
+            targets: a
+                .targets
+                .as_deref()
+                .unwrap_or_default()
+                .iter()
+                .map(|&(node, reliability)| TargetEntry { node, reliability })
+                .collect(),
+            samples: a.samples,
+            micros: served.micros,
+            cached: served.cached,
+            stop_reason: a.stop_reason.label().to_owned(),
+            half_width: a.half_width,
+        }
+    }
+}
+
+/// Distance-constrained reliability (`dquery`), answered on the parallel
+/// sampler.
+impl Workload for DistanceQueryRequest {
+    type Response = DistanceQueryResponse;
+    const OBS: ObsWorkload = ObsWorkload::Distance;
+
+    fn pair(&self) -> (u32, u32) {
+        (self.s, self.t)
+    }
+
+    fn plan(&self, engine: &QueryEngine, graph: &UncertainGraph) -> Result<Plan, Fail> {
+        check_nodes(graph, &[("source", self.s), ("target", self.t)])?;
+        let query = engine.resolve_budget(
+            (self.s, self.t),
+            self.samples,
+            self.eps,
+            self.confidence,
+            self.time_budget_ms,
+            self.seed,
+        )?;
+        Ok(Plan {
+            workload: WorkloadKind::Distance { d: self.d },
+            query,
+        })
+    }
+
+    fn compute(
+        &self,
+        _engine: &QueryEngine,
+        snap: &Snapshot,
+        plan: &Plan,
+    ) -> Result<CachedAnswer, Fail> {
+        let p = &plan.query;
+        let est =
+            snap.sampler
+                .estimate_distance_constrained_with(p.s, p.t, self.d, &p.budget(), p.seed);
+        Ok(CachedAnswer::from_estimate(est, "MC"))
+    }
+
+    fn respond(&self, _plan: &Plan, a: &CachedAnswer, served: Served) -> DistanceQueryResponse {
+        DistanceQueryResponse {
+            s: self.s,
+            t: self.t,
+            d: self.d,
+            reliability: a.reliability,
+            samples: a.samples,
+            micros: served.micros,
+            cached: served.cached,
+            stop_reason: a.stop_reason.label().to_owned(),
+            half_width: a.half_width,
+            variance: a.variance,
+        }
+    }
+}
+
+/// Greedy reliability maximization (`maximize`). Report-only answers
+/// cache like every other workload; `apply` requests skip the cache and
+/// commit their upgrades through the live update path.
+impl Workload for MaximizeRequest {
+    type Response = MaximizeResponse;
+    const OBS: ObsWorkload = ObsWorkload::Maximize;
+
+    fn pair(&self) -> (u32, u32) {
+        (self.s, self.t)
+    }
+
+    fn plan(&self, engine: &QueryEngine, graph: &UncertainGraph) -> Result<Plan, Fail> {
+        check_nodes(graph, &[("source", self.s), ("target", self.t)])?;
+        let config = &engine.config;
+        let k = positive("k", self.k.unwrap_or(config.default_maximize_k))?;
+        let boost = self.boost.unwrap_or(1.0);
+        if !(boost > 0.0 && boost <= 1.0) {
+            return Err(Fail::Error(format!("boost {boost} out of range (0, 1]")));
+        }
+        let candidates = positive(
+            "candidates",
+            self.candidates.unwrap_or(config.max_maximize_candidates),
+        )?;
+        if candidates > config.max_maximize_candidates {
+            return Err(Fail::Rejected(format!(
+                "candidate pool {candidates} exceeds the admission limit {}",
+                config.max_maximize_candidates
+            )));
+        }
+        let query = engine.resolve_budget(
+            (self.s, self.t),
+            self.samples,
+            self.eps,
+            self.confidence,
+            self.time_budget_ms,
+            self.seed,
+        )?;
+        Ok(Plan {
+            workload: WorkloadKind::Maximize {
+                k,
+                boost_bits: boost.to_bits(),
+                candidates,
+            },
+            query,
+        })
+    }
+
+    fn compute(
+        &self,
+        engine: &QueryEngine,
+        snap: &Snapshot,
+        plan: &Plan,
+    ) -> Result<CachedAnswer, Fail> {
+        let WorkloadKind::Maximize {
+            k,
+            boost_bits,
+            candidates,
+        } = plan.workload
+        else {
+            unreachable!("maximize plan");
+        };
+        let p = &plan.query;
+        let mut opts = MaximizeOptions::new(k, f64::from_bits(boost_bits), p.budget());
+        opts.threads = engine.threads;
+        opts.seed = p.seed;
+        opts.max_candidates = candidates;
+        let result = relcomp_core::maximize::maximize(&snap.graph, p.s, p.t, &opts)
+            .map_err(|e| Fail::Error(e.to_string()))?;
+        Ok(CachedAnswer {
+            reliability: result.reliability,
+            samples: result.samples,
+            estimator: "MC",
+            stop_reason: StopReason::FixedK,
+            half_width: None,
+            variance: None,
+            targets: None,
+            upgrades: Some(MaximizeAnswer {
+                base_reliability: result.base_reliability,
+                gain: result.gain,
+                chosen: result
+                    .chosen
+                    .iter()
+                    .map(|c| UpgradeRow {
+                        s: c.from.0,
+                        t: c.to.0,
+                        old_prob: c.old_prob,
+                        new_prob: c.new_prob,
+                        gain: c.gain,
+                        reliability: c.reliability,
+                    })
+                    .collect(),
+                candidates: result.candidates,
+                evaluations: result.evaluations,
+            }),
+        })
+    }
+
+    fn cacheable(&self) -> bool {
+        !self.apply
+    }
+
+    fn commit(&self, engine: &QueryEngine, answer: &CachedAnswer) -> Result<Option<u64>, Fail> {
+        let chosen = &answer
+            .upgrades
+            .as_ref()
+            .expect("maximize answer payload")
+            .chosen;
+        if chosen.is_empty() {
+            // Nothing to upgrade (e.g. every candidate already at the
+            // boost): an apply run with no picks commits nothing.
+            return Ok(None);
+        }
+        let updates: Vec<EdgeProbUpdate> = chosen
+            .iter()
+            .map(|c| EdgeProbUpdate {
+                s: c.s,
+                t: c.t,
+                prob: c.new_prob,
+            })
+            .collect();
+        let committed = engine.apply_updates(&updates).map_err(Fail::Error)?;
+        Ok(Some(committed.epoch))
+    }
+
+    fn respond(&self, plan: &Plan, a: &CachedAnswer, served: Served) -> MaximizeResponse {
+        let WorkloadKind::Maximize { k, .. } = plan.workload else {
+            unreachable!("maximize plan");
+        };
+        let m = a.upgrades.as_ref().expect("maximize answer payload");
+        MaximizeResponse {
+            s: self.s,
+            t: self.t,
+            k,
+            base_reliability: m.base_reliability,
+            reliability: a.reliability,
+            gain: m.gain,
+            chosen: m.chosen.clone(),
+            candidates: m.candidates,
+            evaluations: m.evaluations,
+            samples: a.samples,
+            micros: served.micros,
+            cached: served.cached,
+            applied_epoch: served.applied_epoch,
+        }
     }
 }
 

@@ -332,7 +332,7 @@ pub(crate) fn run(
         let _ = h.join();
     }
     let open = loop_state.slab.iter().filter(|s| s.is_some()).count() as u64;
-    loop_state.ctx.gauges().note_closed(open);
+    loop_state.ctx.gauges.note_closed(open);
     Ok(())
 }
 
@@ -396,7 +396,7 @@ impl LoopState {
                 self.free.push(index);
                 continue;
             }
-            self.ctx.gauges().note_opened();
+            self.ctx.gauges.note_opened();
         }
     }
 
@@ -606,7 +606,7 @@ impl LoopState {
         if let Some(conn) = self.slab.get_mut(index).and_then(|s| s.take()) {
             self.epoll.del(conn.stream.as_raw_fd());
             self.free.push(index);
-            self.ctx.gauges().note_closed(1);
+            self.ctx.gauges.note_closed(1);
             // conn drops here, closing the socket.
         }
     }

@@ -30,6 +30,7 @@ use relcomp_obs::{render_prometheus, MetricsSnapshot, Span, Stage, TraceBuilder}
 use relcomp_ugraph::io::load_graph_auto;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -101,12 +102,6 @@ impl ServerGauges {
 pub(crate) struct ServeCtx {
     pub(crate) tenants: Arc<TenantRegistry>,
     pub(crate) gauges: Arc<ServerGauges>,
-}
-
-impl ServeCtx {
-    pub(crate) fn gauges(&self) -> &ServerGauges {
-        &self.gauges
-    }
 }
 
 /// Per-connection state: which tenant this session is pointed at.
@@ -214,28 +209,17 @@ impl Server {
     }
 
     fn serve(&self, ctx: ServeCtx) -> std::io::Result<()> {
-        match self.options.mode {
-            ServerMode::Threaded => self.run_threaded(ctx),
-            ServerMode::Auto | ServerMode::Reactor => {
-                #[cfg(target_os = "linux")]
-                {
-                    if let Some(waker) = &self.waker {
-                        return crate::reactor::run(
-                            Arc::clone(&self.listener),
-                            ctx,
-                            Arc::clone(&self.shutdown),
-                            Arc::clone(waker),
-                            self.resolved_workers(),
-                        );
-                    }
-                    self.run_threaded(ctx)
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    self.run_threaded(ctx)
-                }
-            }
+        // The reactor needs Linux and its wakeup fd; anything else (or an
+        // explicit `Threaded`) runs one thread per connection.
+        #[cfg(target_os = "linux")]
+        if let (ServerMode::Auto | ServerMode::Reactor, Some(waker)) =
+            (self.options.mode, &self.waker)
+        {
+            let (listener, shutdown) = (Arc::clone(&self.listener), Arc::clone(&self.shutdown));
+            let workers = self.resolved_workers();
+            return crate::reactor::run(listener, ctx, shutdown, Arc::clone(waker), workers);
         }
+        self.run_threaded(ctx)
     }
 
     #[cfg(target_os = "linux")]
@@ -337,13 +321,14 @@ impl ShutdownHandle {
         }
         // Threaded mode: downgrade the listener to nonblocking so the
         // accept loop can never block again with the flag set (the poke
-        // below can be dropped by a full backlog under accept pressure),
-        // then poke it so an idle accept wakes immediately.
+        // below can be dropped by a full backlog under accept pressure,
+        // hence its bounded wait instead of minutes of SYN retries), then
+        // poke it so an idle accept wakes immediately.
         if let Some(listener) = &self.listener {
             let _ = listener.set_nonblocking(true);
         }
         if let Some(addr) = self.addr {
-            let _ = TcpStream::connect(addr);
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
         }
     }
 
@@ -395,78 +380,45 @@ fn response_text(response: &Response) -> String {
 /// Traces returned by a `trace` request that does not say how many.
 const DEFAULT_TRACE_COUNT: usize = 16;
 
-/// Parse one request line and run it against the engine.
-pub fn dispatch(line: &str, engine: &QueryEngine) -> Response {
-    match serde_json::from_str(line) {
-        Ok(request) => execute_request(request, engine),
-        Err(e) => Response::Error(format!("bad request: {e}")),
-    }
-}
-
-/// Serve one request line end to end against a single engine — parse,
-/// execute, serialize — and return the serialized response plus whether
-/// it acknowledged a shutdown. Query workloads (`query` / `topk` /
-/// `dquery`) record a stage trace that additionally covers `parse` and
-/// `serialize`, the two wire stages only this layer can see.
-///
-/// Tenancy verbs error here; connection handlers route through
-/// `dispatch_session`, which resolves them against the registry.
-pub fn dispatch_line(line: &str, engine: &QueryEngine) -> (String, bool) {
+/// Serve one request line: parse it, let `route` answer it, serialize the
+/// answer. `route` returns the engine that ran a query workload, if any;
+/// that engine records the request's stage trace, which then also covers
+/// `parse` and `serialize`, the two wire stages only this layer can see.
+/// Returns the serialized response plus whether it acknowledged a
+/// shutdown.
+fn serve_line<E: Deref<Target = QueryEngine>>(
+    line: &str,
+    route: impl FnOnce(Request, &mut TraceBuilder) -> (Response, Option<E>),
+) -> (String, bool) {
     let mut tb = TraceBuilder::new();
     let parsed: Result<Request, _> = {
         let _span = Span::enter(&mut tb, Stage::Parse);
         serde_json::from_str(line)
     };
-    let request = match parsed {
-        Ok(r) => r,
-        // Malformed lines carry no workload to attribute a trace to.
-        Err(e) => {
-            return (
-                response_text(&Response::Error(format!("bad request: {e}"))),
-                false,
-            )
-        }
-    };
-    let (response, traced) = match request {
-        Request::Query(q) => (
-            match engine.execute_traced(&q, &mut tb) {
-                Ok(resp) => Response::Query(resp),
-                Err(e) => Response::Error(e),
-            },
-            true,
-        ),
-        Request::TopK(q) => (
-            match engine.execute_topk_traced(&q, &mut tb) {
-                Ok(resp) => Response::TopK(resp),
-                Err(e) => Response::Error(e),
-            },
-            true,
-        ),
-        Request::DQuery(q) => (
-            match engine.execute_dquery_traced(&q, &mut tb) {
-                Ok(resp) => Response::DQuery(resp),
-                Err(e) => Response::Error(e),
-            },
-            true,
-        ),
-        Request::Maximize(q) => (
-            match engine.execute_maximize_traced(&q, &mut tb) {
-                Ok(resp) => Response::Maximize(resp),
-                Err(e) => Response::Error(e),
-            },
-            true,
-        ),
-        other => (execute_request(other, engine), false),
+    // Malformed lines carry no workload to attribute a trace to.
+    let (response, traced) = match parsed {
+        Ok(request) => route(request, &mut tb),
+        Err(e) => (Response::Error(format!("bad request: {e}")), None),
     };
     let is_bye = matches!(response, Response::Bye);
     let text = {
         let _span = Span::enter(&mut tb, Stage::Serialize);
         response_text(&response)
     };
-    if traced {
+    if let Some(engine) = traced {
         engine.record_trace(tb);
     }
     (text, is_bye)
+}
+
+/// Serve one request line end to end against a single engine — parse,
+/// execute, serialize — and return the serialized response plus whether
+/// it acknowledged a shutdown. Query workloads record a stage trace.
+///
+/// Tenancy verbs error here; connection handlers route through
+/// `dispatch_session`, which resolves them against the registry.
+pub fn dispatch_line(line: &str, engine: &QueryEngine) -> (String, bool) {
+    serve_line(line, |request, tb| serve_request(request, engine, tb))
 }
 
 /// Serve one request line for a connection session: tenancy verbs and
@@ -474,102 +426,45 @@ pub fn dispatch_line(line: &str, engine: &QueryEngine) -> (String, bool) {
 /// session's current tenant. This is the dispatch path both connection
 /// models use, so answers are identical across reactor and threaded.
 pub(crate) fn dispatch_session(line: &str, ctx: &ServeCtx, session: &Session) -> (String, bool) {
-    let mut tb = TraceBuilder::new();
-    let parsed: Result<Request, _> = {
-        let _span = Span::enter(&mut tb, Stage::Parse);
-        serde_json::from_str(line)
-    };
-    let request = match parsed {
-        Ok(r) => r,
-        Err(e) => {
-            return (
-                response_text(&Response::Error(format!("bad request: {e}"))),
-                false,
-            )
-        }
-    };
-    // Query workloads remember their engine so the trace (including the
-    // serialize span below) lands in the tenant that ran the query.
-    let mut trace_engine: Option<Arc<QueryEngine>> = None;
-    let response = match request {
-        Request::LoadGraph { name, path, quota } => match ctx.tenants.load(&name, &path, quota) {
-            Ok(resp) => Response::Loaded(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::UnloadGraph { name } => match ctx.tenants.unload(&name) {
-            Ok(()) => Response::Unloaded { name },
-            Err(e) => Response::Error(e),
-        },
-        Request::UseGraph { name } => match ctx.tenants.get(&name) {
-            Some(engine) => {
-                session.set(&name);
-                Response::Using(UseResponse {
-                    epoch: engine.epoch(),
-                    nodes: engine.graph().num_nodes(),
-                    edges: engine.graph().num_edges(),
-                    name,
-                })
+    serve_line(line, |request, tb| {
+        let response = match request {
+            Request::LoadGraph { name, path, quota } => ctx
+                .tenants
+                .load(&name, &path, quota)
+                .map_or_else(Response::Error, Response::Loaded),
+            Request::UnloadGraph { name } => ctx
+                .tenants
+                .unload(&name)
+                .map_or_else(Response::Error, |()| Response::Unloaded { name }),
+            Request::UseGraph { name } => match ctx.tenants.get(&name) {
+                Some(engine) => {
+                    session.set(&name);
+                    Response::Using(UseResponse {
+                        epoch: engine.epoch(),
+                        nodes: engine.graph().num_nodes(),
+                        edges: engine.graph().num_edges(),
+                        name,
+                    })
+                }
+                None => Response::Error(format!("graph `{name}` is not loaded")),
+            },
+            // Metrics aggregate over every tenant (labelled per graph)
+            // plus the server-scoped gauges no single engine can see.
+            Request::Metrics { format } => metrics_response(format, &server_metrics(ctx)),
+            other => {
+                let tenant = session.current();
+                let Some(engine) = ctx.tenants.get(&tenant) else {
+                    let hint = "(`load` it again or `use` another)";
+                    let error = format!("graph `{tenant}` is not loaded {hint}");
+                    return (Response::Error(error), None);
+                };
+                // Query workloads trace into the tenant that ran them.
+                let (response, traced) = serve_request(other, &engine, tb);
+                return (response, traced.map(|_| Arc::clone(&engine)));
             }
-            None => Response::Error(format!("graph `{name}` is not loaded")),
-        },
-        // Metrics aggregate over every tenant (labelled per graph) plus
-        // the server-scoped gauges no single engine can see.
-        Request::Metrics { format } => {
-            let snap = server_metrics(ctx);
-            match format {
-                MetricsFormat::Json => Response::Metrics(MetricsReport::from(&snap)),
-                MetricsFormat::Prom => Response::MetricsText(render_prometheus(&snap)),
-            }
-        }
-        other => {
-            let tenant = session.current();
-            match ctx.tenants.get(&tenant) {
-                None => Response::Error(format!(
-                    "graph `{tenant}` is not loaded (`load` it again or `use` another)"
-                )),
-                Some(engine) => match other {
-                    Request::Query(q) => {
-                        trace_engine = Some(Arc::clone(&engine));
-                        match engine.execute_traced(&q, &mut tb) {
-                            Ok(resp) => Response::Query(resp),
-                            Err(e) => Response::Error(e),
-                        }
-                    }
-                    Request::TopK(q) => {
-                        trace_engine = Some(Arc::clone(&engine));
-                        match engine.execute_topk_traced(&q, &mut tb) {
-                            Ok(resp) => Response::TopK(resp),
-                            Err(e) => Response::Error(e),
-                        }
-                    }
-                    Request::DQuery(q) => {
-                        trace_engine = Some(Arc::clone(&engine));
-                        match engine.execute_dquery_traced(&q, &mut tb) {
-                            Ok(resp) => Response::DQuery(resp),
-                            Err(e) => Response::Error(e),
-                        }
-                    }
-                    Request::Maximize(q) => {
-                        trace_engine = Some(Arc::clone(&engine));
-                        match engine.execute_maximize_traced(&q, &mut tb) {
-                            Ok(resp) => Response::Maximize(resp),
-                            Err(e) => Response::Error(e),
-                        }
-                    }
-                    o => execute_request(o, &engine),
-                },
-            }
-        }
-    };
-    let is_bye = matches!(response, Response::Bye);
-    let text = {
-        let _span = Span::enter(&mut tb, Stage::Serialize);
-        response_text(&response)
-    };
-    if let Some(engine) = trace_engine {
-        engine.record_trace(tb);
-    }
-    (text, is_bye)
+        };
+        (response, None)
+    })
 }
 
 /// Aggregate metrics across every tenant, labelling each sample with its
@@ -596,44 +491,37 @@ fn server_metrics(ctx: &ServeCtx) -> MetricsSnapshot {
     merged
 }
 
-/// Run one parsed request against the engine (query workloads take their
-/// untraced paths; [`dispatch_line`] routes them through the traced ones).
-fn execute_request(request: Request, engine: &QueryEngine) -> Response {
-    match request {
+fn metrics_response(format: MetricsFormat, snap: &MetricsSnapshot) -> Response {
+    match format {
+        MetricsFormat::Json => Response::Metrics(MetricsReport::from(snap)),
+        MetricsFormat::Prom => Response::MetricsText(render_prometheus(snap)),
+    }
+}
+
+/// Run one parsed request against the engine. Query workloads run
+/// through the engine's traced pipeline and hand back the engine, which
+/// records the trace; every other verb is answered untraced.
+fn serve_request<'e>(
+    request: Request,
+    engine: &'e QueryEngine,
+    tb: &mut TraceBuilder,
+) -> (Response, Option<&'e QueryEngine>) {
+    let response = match request {
+        Request::Query(_) | Request::TopK(_) | Request::DQuery(_) | Request::Maximize(_) => {
+            return (engine.execute_request(&request, tb), Some(engine));
+        }
         Request::Ping => Response::Pong,
-        Request::Query(q) => match engine.execute(&q) {
-            Ok(resp) => Response::Query(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::TopK(q) => match engine.execute_topk(&q) {
-            Ok(resp) => Response::TopK(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::DQuery(q) => match engine.execute_dquery(&q) {
-            Ok(resp) => Response::DQuery(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::Maximize(q) => match engine.execute_maximize(&q) {
-            Ok(resp) => Response::Maximize(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::Batch(queries) => match engine.execute_batch(&queries) {
-            Ok(results) => Response::Batch(results),
-            Err(e) => Response::Error(e),
-        },
-        Request::Update(updates) => match engine.apply_updates(&updates) {
-            Ok(resp) => Response::Update(resp),
-            Err(e) => Response::Error(e),
-        },
-        Request::Reload { path } => match reload_from(path, engine) {
-            Ok(resp) => Response::Reload(resp),
-            Err(e) => Response::Error(e),
-        },
+        Request::Batch(queries) => engine
+            .execute_batch(&queries)
+            .map_or_else(Response::Error, Response::Batch),
+        Request::Update(updates) => engine
+            .apply_updates(&updates)
+            .map_or_else(Response::Error, Response::Update),
+        Request::Reload { path } => {
+            reload_from(path, engine).map_or_else(Response::Error, Response::Reload)
+        }
         Request::Stats => Response::Stats(engine.stats()),
-        Request::Metrics { format } => match format {
-            MetricsFormat::Json => Response::Metrics(MetricsReport::from(&engine.metrics())),
-            MetricsFormat::Prom => Response::MetricsText(render_prometheus(&engine.metrics())),
-        },
+        Request::Metrics { format } => metrics_response(format, &engine.metrics()),
         Request::Trace { n } => Response::Traces(
             engine
                 .traces(n.unwrap_or(DEFAULT_TRACE_COUNT))
@@ -650,7 +538,8 @@ fn execute_request(request: Request, engine: &QueryEngine) -> Response {
             )
         }
         Request::Shutdown => Response::Bye,
-    }
+    };
+    (response, None)
 }
 
 /// Load a graph file (format sniffed from its magic bytes — v2 binary,
@@ -698,11 +587,16 @@ mod tests {
         }
     }
 
+    /// Serve `line` through [`dispatch_line`] and parse the answer back.
+    fn roundtrip(line: &str, engine: &QueryEngine) -> Response {
+        serde_json::from_str(&dispatch_line(line, engine).0).expect("response line parses")
+    }
+
     #[test]
     fn dispatch_covers_update_and_reload() {
         let e = engine();
         assert!(matches!(
-            dispatch(
+            roundtrip(
                 r#"{"cmd":"update","updates":[{"s":0,"t":1,"prob":0.4}]}"#,
                 &e
             ),
@@ -711,7 +605,7 @@ mod tests {
         assert_eq!(e.epoch(), 1);
         // Unknown edge: error, no epoch bump.
         assert!(matches!(
-            dispatch(
+            roundtrip(
                 r#"{"cmd":"update","updates":[{"s":2,"t":0,"prob":0.4}]}"#,
                 &e
             ),
@@ -720,12 +614,12 @@ mod tests {
         assert_eq!(e.epoch(), 1);
         // Reload without a recorded source file fails cleanly.
         assert!(matches!(
-            dispatch(r#"{"cmd":"reload"}"#, &e),
+            roundtrip(r#"{"cmd":"reload"}"#, &e),
             Response::Error(_)
         ));
         // Reload from an explicit (missing) path fails cleanly too.
         assert!(matches!(
-            dispatch(r#"{"cmd":"reload","path":"/nonexistent.ug"}"#, &e),
+            roundtrip(r#"{"cmd":"reload","path":"/nonexistent.ug"}"#, &e),
             Response::Error(_)
         ));
     }
@@ -733,53 +627,53 @@ mod tests {
     #[test]
     fn dispatch_covers_every_command() {
         let e = engine();
-        assert_eq!(dispatch(r#"{"cmd":"ping"}"#, &e), Response::Pong);
+        assert_eq!(roundtrip(r#"{"cmd":"ping"}"#, &e), Response::Pong);
         assert!(matches!(
-            dispatch(r#"{"cmd":"query","s":0,"t":2,"samples":500,"seed":1}"#, &e),
+            roundtrip(r#"{"cmd":"query","s":0,"t":2,"samples":500,"seed":1}"#, &e),
             Response::Query(_)
         ));
         assert!(matches!(
-            dispatch(
+            roundtrip(
                 r#"{"cmd":"batch","queries":[{"s":0,"t":1},{"s":0,"t":2}]}"#,
                 &e
             ),
             Response::Batch(_)
         ));
         assert!(matches!(
-            dispatch(r#"{"cmd":"topk","s":0,"k":2,"samples":500,"seed":1}"#, &e),
+            roundtrip(r#"{"cmd":"topk","s":0,"k":2,"samples":500,"seed":1}"#, &e),
             Response::TopK(_)
         ));
         assert!(matches!(
-            dispatch(r#"{"cmd":"dquery","s":0,"t":2,"d":2,"samples":500}"#, &e),
+            roundtrip(r#"{"cmd":"dquery","s":0,"t":2,"d":2,"samples":500}"#, &e),
             Response::DQuery(_)
         ));
         // `dquery` without the required hop bound is a parse error.
         assert!(matches!(
-            dispatch(r#"{"cmd":"dquery","s":0,"t":2}"#, &e),
+            roundtrip(r#"{"cmd":"dquery","s":0,"t":2}"#, &e),
             Response::Error(_)
         ));
         assert!(matches!(
-            dispatch(r#"{"cmd":"stats"}"#, &e),
+            roundtrip(r#"{"cmd":"stats"}"#, &e),
             Response::Stats(_)
         ));
         // Tenancy verbs only work through a session dispatch; a bare
         // engine answers with a pointer, not a panic.
         assert!(matches!(
-            dispatch(r#"{"cmd":"use","name":"other"}"#, &e),
+            roundtrip(r#"{"cmd":"use","name":"other"}"#, &e),
             Response::Error(_)
         ));
         assert!(matches!(
-            dispatch(r#"{"cmd":"load","name":"g","path":"/tmp/x.ug2"}"#, &e),
+            roundtrip(r#"{"cmd":"load","name":"g","path":"/tmp/x.ug2"}"#, &e),
             Response::Error(_)
         ));
         assert!(matches!(
-            dispatch(r#"{"cmd":"unload","name":"g"}"#, &e),
+            roundtrip(r#"{"cmd":"unload","name":"g"}"#, &e),
             Response::Error(_)
         ));
-        assert_eq!(dispatch(r#"{"cmd":"shutdown"}"#, &e), Response::Bye);
-        assert!(matches!(dispatch("garbage", &e), Response::Error(_)));
+        assert_eq!(roundtrip(r#"{"cmd":"shutdown"}"#, &e), Response::Bye);
+        assert!(matches!(roundtrip("garbage", &e), Response::Error(_)));
         assert!(matches!(
-            dispatch(r#"{"cmd":"query","s":0,"t":77}"#, &e),
+            roundtrip(r#"{"cmd":"query","s":0,"t":77}"#, &e),
             Response::Error(_)
         ));
     }
@@ -788,51 +682,138 @@ mod tests {
     fn dispatch_covers_metrics_and_trace() {
         let e = engine();
         assert!(matches!(
-            dispatch(r#"{"cmd":"query","s":0,"t":2,"samples":500,"seed":1}"#, &e),
+            roundtrip(r#"{"cmd":"query","s":0,"t":2,"samples":500,"seed":1}"#, &e),
             Response::Query(_)
         ));
-        let Response::Metrics(report) = dispatch(r#"{"cmd":"metrics"}"#, &e) else {
+        let Response::Metrics(report) = roundtrip(r#"{"cmd":"metrics"}"#, &e) else {
             panic!("expected metrics response");
         };
         assert_eq!(report.queries_total, 1);
         assert!(report
             .histogram("relcomp_query_latency_micros", &[("workload", "st")])
             .is_some());
-        let Response::MetricsText(text) = dispatch(r#"{"cmd":"metrics","format":"prom"}"#, &e)
+        let Response::MetricsText(text) = roundtrip(r#"{"cmd":"metrics","format":"prom"}"#, &e)
         else {
             panic!("expected prometheus text response");
         };
         assert!(text.contains("# TYPE relcomp_queries_total counter"));
-        let Response::Traces(traces) = dispatch(r#"{"cmd":"trace","last":5}"#, &e) else {
+        let Response::Traces(traces) = roundtrip(r#"{"cmd":"trace","last":5}"#, &e) else {
             panic!("expected trace response");
         };
         assert_eq!(traces.len(), 1);
         assert_eq!(traces[0].workload, "st");
         assert!(matches!(
-            dispatch(r#"{"cmd":"metrics","format":"xml"}"#, &e),
+            roundtrip(r#"{"cmd":"metrics","format":"xml"}"#, &e),
             Response::Error(_)
         ));
     }
 
+    /// `relcomp_queries_total{workload, outcome}` as the engine exports it.
+    fn queries_total(e: &QueryEngine, workload: &str, outcome: &str) -> u64 {
+        let labels = [("workload", workload), ("outcome", outcome)];
+        e.metrics()
+            .counters
+            .iter()
+            .find(|c| {
+                c.name == "relcomp_queries_total"
+                    && labels
+                        .iter()
+                        .all(|(k, v)| c.labels.iter().any(|(lk, lv)| lk == k && lv == v))
+            })
+            .map_or(0, |c| c.value)
+    }
+
+    fn response_micros(text: &str) -> u64 {
+        match serde_json::from_str::<Response>(text).unwrap() {
+            Response::Query(r) => r.micros,
+            Response::TopK(r) => r.micros,
+            Response::DQuery(r) => r.micros,
+            Response::Maximize(r) => r.micros,
+            other => panic!("expected a workload answer, got {other:?}"),
+        }
+    }
+
     #[test]
     fn dispatch_line_traces_wire_stages() {
+        // (workload label, answerable request, validation error,
+        // admission rejection) per workload verb.
+        let table = [
+            (
+                "st",
+                r#"{"cmd":"query","s":0,"t":2,"estimator":"auto","samples":500,"seed":1}"#,
+                r#"{"cmd":"query","s":0,"t":77}"#,
+                r#"{"cmd":"query","s":0,"t":2,"samples":5000000}"#,
+            ),
+            (
+                "topk",
+                r#"{"cmd":"topk","s":0,"k":2,"samples":500,"seed":1}"#,
+                r#"{"cmd":"topk","s":0,"k":0}"#,
+                r#"{"cmd":"topk","s":0,"samples":5000000}"#,
+            ),
+            (
+                "dquery",
+                r#"{"cmd":"dquery","s":0,"t":2,"d":2,"samples":500,"seed":1}"#,
+                r#"{"cmd":"dquery","s":77,"t":2,"d":2}"#,
+                r#"{"cmd":"dquery","s":0,"t":2,"d":2,"samples":5000000}"#,
+            ),
+            (
+                "maximize",
+                r#"{"cmd":"maximize","s":0,"t":2,"k":1,"boost":0.95,"samples":500,"seed":1}"#,
+                r#"{"cmd":"maximize","s":0,"t":2,"boost":1.5}"#,
+                r#"{"cmd":"maximize","s":0,"t":2,"candidates":100000}"#,
+            ),
+        ];
         let e = engine();
-        let (text, bye) =
-            dispatch_line(r#"{"cmd":"query","s":0,"t":2,"samples":500,"seed":1}"#, &e);
-        assert!(!bye);
-        assert!(text.contains(r#""kind":"query""#));
+        for (workload, answerable, invalid, rejected) in table {
+            let runs = [
+                (answerable, "miss"),
+                (answerable, "hit"),
+                (invalid, "error"),
+                (rejected, "rejected"),
+            ];
+            for (line, outcome) in runs {
+                let ok = matches!(outcome, "miss" | "hit");
+                let before = queries_total(&e, workload, outcome);
+                let (text, bye) = dispatch_line(line, &e);
+                assert!(!bye, "{line}");
+                assert_eq!(queries_total(&e, workload, outcome), before + 1, "{line}");
 
-        let traces = e.traces(4);
-        assert_eq!(traces.len(), 1);
-        let stages: Vec<&str> = traces[0].stages.iter().map(|s| s.stage.label()).collect();
-        assert!(stages.contains(&"parse"));
-        assert!(stages.contains(&"serialize"));
-        assert!(stages.contains(&"sample"));
+                let trace = &e.traces(1)[0];
+                assert_eq!(trace.workload, workload, "{line}");
+                assert_eq!((trace.ok, trace.cached), (ok, outcome == "hit"), "{line}");
+                let has = |stage: &str| trace.stages.iter().any(|s| s.stage.label() == stage);
+                for stage in ["parse", "plan", "serialize"] {
+                    assert!(has(stage), "{line}: no {stage} stage");
+                }
+                assert_eq!(has("sample"), outcome == "miss", "{line}");
+                if ok {
+                    // The wire latency covers every pipeline stage,
+                    // planning included.
+                    let pipeline: u64 = trace
+                        .stages
+                        .iter()
+                        .filter(|s| {
+                            matches!(
+                                s.stage.label(),
+                                "plan" | "cache_lookup" | "sample" | "convergence_check"
+                            )
+                        })
+                        .map(|s| s.nanos)
+                        .sum();
+                    let micros = response_micros(&text);
+                    assert!(
+                        (micros + 1) * 1000 >= pipeline,
+                        "{line}: {micros} us < {pipeline} ns"
+                    );
+                }
+            }
+        }
 
         // Non-query verbs serve without recording traces.
+        let traced = e.traces(64).len();
         let (text, bye) = dispatch_line(r#"{"cmd":"stats"}"#, &e);
         assert!(!bye && text.contains(r#""kind":"stats""#));
-        assert_eq!(e.traces(16).len(), 1);
+        assert_eq!(e.traces(64).len(), traced);
 
         let (text, bye) = dispatch_line(r#"{"cmd":"shutdown"}"#, &e);
         assert!(bye && text.contains(r#""kind":"bye""#));
@@ -937,7 +918,7 @@ mod tests {
         assert_eq!(before.load_micros, 0);
 
         let req = format!(r#"{{"cmd":"reload","path":"{}"}}"#, path.display());
-        assert!(matches!(dispatch(&req, &e), Response::Reload(_)));
+        assert!(matches!(roundtrip(&req, &e), Response::Reload(_)));
 
         let after = e.stats();
         let expect = if cfg!(all(unix, target_endian = "little")) {

@@ -474,6 +474,10 @@ fn shutdown_lands_under_accept_pressure() {
         });
         let joined = rx.recv_timeout(Duration::from_secs(10));
         stop.store(true, std::sync::atomic::Ordering::Release);
+        // The handle is the listener's last owner once the serve loop
+        // is gone: closing it makes a hammer stuck in `connect` on the
+        // full backlog fail fast instead of waiting out its SYN retries.
+        drop(shutdown);
         for h in hammers {
             h.join().expect("hammer thread");
         }
