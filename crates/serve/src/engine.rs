@@ -775,9 +775,9 @@ impl QueryEngine {
 
     /// Answer one reliability-maximization request: greedily pick the
     /// `k` edge upgrades (probability boosts to `boost`) that maximize
-    /// `R(s, t)` (see [`relcomp_core::maximize`]). Report-only answers
-    /// cache like every other workload; `apply` requests commit the
-    /// chosen boosts through [`QueryEngine::apply_updates`] and are
+    /// `R(s, t)` (see [`mod@relcomp_core::maximize`]). Report-only
+    /// answers cache like every other workload; `apply` requests commit
+    /// the chosen boosts through [`QueryEngine::apply_updates`] and are
     /// never cached (their answer is tied to the epoch they retired).
     pub fn execute_maximize(&self, req: &MaximizeRequest) -> Result<MaximizeResponse, String> {
         self.run_recorded(req)
