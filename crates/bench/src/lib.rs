@@ -324,12 +324,13 @@ pub mod adaptive {
         out
     }
 
-    /// One per-sample cost row of the packed-vs-scalar MC probe.
+    /// One per-sample cost row of the per-sample probe: a packed-vs-scalar
+    /// pair member, or a served BFS-Sharing row.
     #[derive(Clone, Debug, Serialize, Deserialize)]
     pub struct PerSampleRow {
-        /// Sampling path and dataset: `mc_scalar/<dataset>` (historical
-        /// one-world lazy BFS) or `mc_packed/<dataset>` (bit-packed
-        /// 64-world kernel).
+        /// Sampling path and dataset: `<workload>_scalar/<dataset>`
+        /// (historical one-world loops), `<workload>_packed/<dataset>`
+        /// (bit-packed 64-world kernel), or `bfs_served/<dataset>`.
         pub path: String,
         /// Worlds sampled across the workload.
         pub samples: usize,
@@ -381,9 +382,19 @@ pub mod adaptive {
     ///   world inside the same `d`-ball around the source, so the
     ///   64-world union traversal revisits heavily shared structure.
     ///
-    /// Per row pair, the ratio of the two `ns_per_sample` values is the
-    /// packed kernel's speedup there; [`packed_speedup`] reduces the rows
-    /// to one headline number.
+    /// One unpaired row per dataset gates the served BFS-Sharing path:
+    ///
+    /// * `bfs_served/*` — [`ParallelSampler::estimate_bfs_sharing`] at
+    ///   one thread and the paper's K = 1000 worlds per pair over the
+    ///   10-pair workload: per-shard world index drawn on first probe
+    ///   plus the shared-BFS fixpoint, exactly as a served query runs it
+    ///   (the timing probe's `BFS Sharing` row times a prebuilt index).
+    ///   No early termination makes a supercritical world cost tens of
+    ///   microseconds, hence the paper's K rather than `fixed_k`.
+    ///
+    /// Per `_scalar`/`_packed` row pair, the ratio of the two
+    /// `ns_per_sample` values is the packed kernel's speedup there;
+    /// [`packed_speedup`] reduces those pairs to one headline number.
     pub fn per_sample_probe(profile: RunProfile, seed: u64, fixed_k: usize) -> Vec<PerSampleRow> {
         let mut rows = Vec::new();
         let row = |path: String, samples: usize, wall_ms: f64| PerSampleRow {
@@ -491,6 +502,19 @@ pub mod adaptive {
                 fixed_k,
                 start.elapsed().as_secs_f64() * 1e3,
             ));
+
+            let start = std::time::Instant::now();
+            let mut samples = 0usize;
+            for (i, &(s, t)) in env.workload.pairs.iter().enumerate() {
+                samples += sampler
+                    .estimate_bfs_sharing(s, t, 1000, 0x9acced ^ i as u64)
+                    .samples;
+            }
+            rows.push(row(
+                format!("bfs_served/{slug}"),
+                samples,
+                start.elapsed().as_secs_f64() * 1e3,
+            ));
         }
         rows
     }
@@ -499,8 +523,8 @@ pub mod adaptive {
     /// the geometric mean of every `<workload>_scalar/<dataset>` over
     /// `<workload>_packed/<dataset>` ratio, so each probability regime
     /// and workload carries equal weight regardless of its absolute
-    /// per-sample cost. `None` when no pair is complete or a row is
-    /// degenerate.
+    /// per-sample cost. Unpaired rows (`bfs_served/*`) are ignored.
+    /// `None` when no pair is complete or a row is degenerate.
     pub fn packed_speedup(rows: &[PerSampleRow]) -> Option<f64> {
         let ns = |path: &str| {
             rows.iter()
@@ -874,6 +898,27 @@ mod tests {
         let c = parse_args(vec!["paper".into(), "--seed".into(), "7".into()]).unwrap();
         assert_eq!(c.profile, RunProfile::Paper);
         assert_eq!(c.seed, 7);
+    }
+
+    #[test]
+    fn packed_speedup_ignores_unpaired_rows() {
+        use adaptive::{packed_speedup, PerSampleRow};
+        let row = |path: &str, ns: f64| PerSampleRow {
+            path: path.to_string(),
+            samples: 1000,
+            wall_ms: ns * 1e-3,
+            ns_per_sample: ns,
+        };
+        let paired = vec![
+            row("mc_scalar/lastfm", 400.0),
+            row("mc_packed/lastfm", 100.0),
+        ];
+        let mut with_served = paired.clone();
+        with_served.push(row("bfs_served/lastfm", 5.0));
+        with_served.push(row("bfs_served/dblp02", 50.0));
+        assert_eq!(packed_speedup(&paired), Some(4.0));
+        assert_eq!(packed_speedup(&with_served), Some(4.0));
+        assert_eq!(packed_speedup(&with_served[2..]), None);
     }
 
     #[test]

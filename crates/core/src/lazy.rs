@@ -127,8 +127,16 @@ impl Estimator for LazyPropagation {
         mem.baseline(self.visited.resident_bytes() + self.states.len() * 16);
 
         // Per-query re-initialization (Algorithm 6 line 1): bump the epoch
-        // so node states lazily reset on first touch.
-        self.epoch = self.epoch.wrapping_add(1).max(1);
+        // so node states lazily reset on first touch. On wraparound every
+        // stamp is cleared first: a node still stamped 1 from 2^32 - 1
+        // queries ago must not read as current.
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            for st in &mut self.states {
+                st.epoch = 0;
+            }
+            self.epoch = 1;
+        }
         let epoch = self.epoch;
 
         let graph = Arc::clone(&self.graph);
@@ -340,6 +348,24 @@ mod tests {
         let est = lp.estimate(NodeId(0), NodeId(3), 100, &mut rng);
         assert!(est.aux_bytes > 0);
         assert!(lp.resident_bytes() > 0);
+    }
+
+    #[test]
+    fn epoch_wraparound_matches_a_fresh_estimator() {
+        // States stamped by the first query carry epoch 1; once the
+        // counter wraps back to 1 they must not read as current, so the
+        // wrapped query answers exactly like a fresh estimator on the
+        // same stream.
+        let g = diamond();
+        let (s, t) = (NodeId(0), NodeId(3));
+        let mut worn = LazyPropagation::corrected(Arc::clone(&g));
+        worn.estimate(s, t, 500, &mut ChaCha8Rng::seed_from_u64(4));
+        worn.epoch = u32::MAX;
+        let wrapped = worn.estimate(s, t, 500, &mut ChaCha8Rng::seed_from_u64(5));
+        let fresh =
+            LazyPropagation::corrected(g).estimate(s, t, 500, &mut ChaCha8Rng::seed_from_u64(5));
+        assert_eq!(wrapped.reliability.to_bits(), fresh.reliability.to_bits());
+        assert_eq!(worn.epoch, 1);
     }
 
     #[test]

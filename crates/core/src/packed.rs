@@ -95,8 +95,10 @@ pub fn note_scalar_samples(n: u64) {
 
 /// Process-wide `(packed, scalar)` world-sample counts since start.
 ///
-/// Packed counts grow in steps of [`WORLD_BATCH`]; scalar counts cover
-/// session tails and any sampling that bypasses the packed kernels.
+/// Packed counts cover every world drawn through the 64-world mask
+/// kernels: [`WORLD_BATCH`] per packed MC batch, plus each served
+/// BFS-Sharing shard's worlds (any count, not only whole words). Scalar
+/// counts cover session tails and any sampling that bypasses the kernels.
 pub fn sample_counts() -> (u64, u64) {
     relcomp_obs::sample_counts()
 }

@@ -12,11 +12,15 @@
 //! * Worker threads (a `std::thread::scope` pool) claim shards through an
 //!   atomic cursor. Per-shard hit counts are integers, and integer
 //!   addition is commutative, so the total — and therefore the estimate —
-//!   is bit-identical for 1, 2, or 64 threads.
+//!   is bit-identical for 1, 2, or 64 threads. A call that needs only one
+//!   worker (one configured thread, or one shard) runs its shards in
+//!   order on the calling thread instead: no spawn, same streams, same
+//!   answer.
 //!
 //! Five entry-point families cover the serving workloads: plain MC
-//! ([`ParallelSampler::estimate_mc`]), BFS-Sharing with a sharded world
-//! index ([`ParallelSampler::estimate_bfs_sharing`]), multi-target MC
+//! ([`ParallelSampler::estimate_mc`]), BFS-Sharing with a sharded,
+//! lazily drawn world index ([`ParallelSampler::estimate_bfs_sharing`]),
+//! multi-target MC
 //! ([`ParallelSampler::estimate_mc_multi`]) which amortizes possible-world
 //! sampling across queries that share a source node, top-k reliable
 //! targets ([`ParallelSampler::top_k_targets_with`]), and
@@ -32,9 +36,11 @@
 //! scalar remainder loop on the same stream). Shard `i` still owns stream
 //! `(seed, i)` exclusively, so thread-count invariance and `(seed,
 //! budget)` determinism are untouched — only the per-stream draw order
-//! changed relative to the scalar loops.
+//! changed relative to the scalar loops. BFS-Sharing shards draw their
+//! world index through the same mask kernel, one edge slice at a time on
+//! the fixpoint's first probe (`LazyWorldIndex`).
 
-use crate::bfs_sharing::BfsSharingIndex;
+use crate::bfs_sharing::LazyWorldIndex;
 use crate::estimator::{validate_query, Estimate};
 use crate::memory::MemoryTracker;
 use crate::packed::{
@@ -90,9 +96,13 @@ pub fn shard_rng(seed: u64, shard: u64) -> ChaCha8Rng {
 /// Construction is cheap (no index); the engine is `Sync` and can be
 /// shared across serving threads — each call builds its own scoped worker
 /// pool. Per-call `std::thread::scope` keeps the engine stateless and
-/// borrow-friendly at the cost of a thread spawn per worker per query
-/// (tens of microseconds, noise next to thousand-sample BFS budgets); a
-/// persistent pool is the upgrade path if profiles ever show otherwise.
+/// borrow-friendly at the cost of a thread spawn per worker per call.
+/// That cost is measurable rather than noise: with one configured
+/// thread, spawning the lone worker instead of running it inline raised
+/// a served closed-loop run's peak RSS from ~14 to ~22 MiB (`perfbench`
+/// `cold-sparse`, medians of 10 and 5 runs on a 2-core Xeon). Calls that
+/// need one worker therefore run inline on the caller's thread; a
+/// persistent pool remains the upgrade path for multi-worker calls.
 pub struct ParallelSampler {
     graph: Arc<UncertainGraph>,
     threads: usize,
@@ -145,13 +155,38 @@ impl ParallelSampler {
         self.run_shard_range(&shards, 0, shards.len(), seed, init, work)
     }
 
+    /// Workers a call over `shards` shards runs: the configured threads,
+    /// never more than there are shards, at least one.
+    fn workers_for(&self, shards: usize) -> usize {
+        self.threads.min(shards).max(1)
+    }
+
+    /// Shards per adaptive round: the budget's batch rounded up to whole
+    /// shards, at least [`MIN_ROUND_SHARDS`]. Depends only on the budget.
+    fn round_shards(budget: &SampleBudget) -> usize {
+        budget.batch().div_ceil(SHARD_SAMPLES).max(MIN_ROUND_SHARDS)
+    }
+
+    /// Workers a call under `budget` runs at most: every shard of a
+    /// fixed budget at once, or an adaptive budget's first (and largest)
+    /// round.
+    fn budget_workers(&self, budget: &SampleBudget) -> usize {
+        let shards = budget.max_samples().div_ceil(SHARD_SAMPLES);
+        if budget.is_fixed() {
+            self.workers_for(shards)
+        } else {
+            self.workers_for(Self::round_shards(budget).min(shards))
+        }
+    }
+
     /// The one shard-scheduling loop every sharded workload runs on: run
     /// `work(state, shard_index, shard_len, rng)` over the global shards
     /// `[lo, hi)` on the worker pool, then hand each worker's final
     /// `state` to `merge` (called once per exiting worker; the caller
     /// supplies its own synchronization). Shard `i` always draws from
     /// stream `(seed, i)`, so any commutative merge is deterministic
-    /// regardless of thread count.
+    /// regardless of thread count. With one worker the shards run in
+    /// order on the calling thread, one `init()` state, then `merge`.
     fn run_shard_range_fold<S, I, W, M>(
         &self,
         shards: &[(usize, usize)],
@@ -166,8 +201,17 @@ impl ParallelSampler {
         M: Fn(S) + Sync,
     {
         let (lo, hi) = (range.start, range.end);
+        let workers = self.workers_for(hi.saturating_sub(lo));
+        if workers == 1 {
+            let mut state = init();
+            for (i, &(_, len)) in shards.iter().enumerate().take(hi).skip(lo) {
+                let mut rng = shard_rng(seed, i as u64);
+                work(&mut state, i, len, &mut rng);
+            }
+            merge(state);
+            return;
+        }
         let cursor = AtomicUsize::new(lo);
-        let workers = self.threads.min(hi.saturating_sub(lo)).max(1);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
@@ -240,7 +284,7 @@ impl ParallelSampler {
         debug_assert!(!budget.is_fixed());
         let start = Instant::now();
         let shards = Self::shards(budget.max_samples());
-        let per_round = budget.batch().div_ceil(SHARD_SAMPLES).max(MIN_ROUND_SHARDS);
+        let per_round = Self::round_shards(budget);
         let mut tracker = Convergence::new(budget.confidence());
         let mut hits = 0usize;
         let mut samples = 0usize;
@@ -278,6 +322,12 @@ impl ParallelSampler {
             + BfsWorkspace::bytes_for(self.graph.num_nodes())
     }
 
+    /// Workspace bytes one worker's BFS-Sharing state holds for shards of
+    /// up to `worlds` worlds.
+    fn bfs_sharing_bytes(&self, worlds: usize) -> usize {
+        LazyWorldIndex::bytes_for(self.graph.num_nodes(), self.graph.num_edges(), worlds)
+    }
+
     /// Monte-Carlo estimate of `R(s, t)` with `k` samples under master
     /// seed `seed`, drawn through the packed 64-world kernel (shards
     /// split into packed batches plus a scalar tail on the same stream).
@@ -296,7 +346,7 @@ impl ParallelSampler {
         let mut tracker = Convergence::new(DEFAULT_CONFIDENCE);
         tracker.observe_hits(hits, k);
         let mut mem = MemoryTracker::new();
-        mem.baseline(self.threads * self.packed_mc_state_bytes());
+        mem.baseline(self.workers_for(k.div_ceil(SHARD_SAMPLES)) * self.packed_mc_state_bytes());
         finish_estimate(
             hits as f64 / k as f64,
             k,
@@ -330,7 +380,7 @@ impl ParallelSampler {
             |st, _, len, rng| packed_shard_st(graph, s, t, len, st, rng),
         );
         let mut mem = MemoryTracker::new();
-        mem.baseline(self.threads * self.packed_mc_state_bytes());
+        mem.baseline(self.budget_workers(budget) * self.packed_mc_state_bytes());
         finish_estimate(
             hits as f64 / samples as f64,
             samples,
@@ -342,30 +392,28 @@ impl ParallelSampler {
     }
 
     /// BFS-Sharing estimate of `R(s, t)`: the world budget `k` is sharded,
-    /// each shard samples its own compact bit-vector index from its own
-    /// stream and counts reached worlds with the shared-BFS fixpoint.
-    /// Statistically identical to one `k`-world index; bit-identical
-    /// across thread counts.
+    /// and each shard counts reached worlds with the shared-BFS fixpoint
+    /// over its own world index, drawn from its own stream one edge slice
+    /// at a time as the fixpoint first probes the edge
+    /// (`LazyWorldIndex`, one reused per worker). Statistically
+    /// identical to one `k`-world index; bit-identical across thread
+    /// counts.
     pub fn estimate_bfs_sharing(&self, s: NodeId, t: NodeId, k: usize, seed: u64) -> Estimate {
         validate_query(&self.graph, s, t);
         assert!(k > 0, "sample count must be positive");
         let start = Instant::now();
         let graph = &self.graph;
-        let index_bytes = AtomicUsize::new(0);
+        let worlds = k.min(SHARD_SAMPLES);
         let hits = self.run_shards(
             k,
             seed,
-            || (),
-            |_, _, len, rng| {
-                let index = BfsSharingIndex::build(graph, len, rng);
-                index_bytes.fetch_max(index.size_bytes(), Ordering::Relaxed);
-                count_reached_worlds(graph, &index, s, t, len)
-            },
+            || LazyWorldIndex::for_graph(graph, worlds),
+            |index, _, len, rng| index.count_reached(graph, s, t, len, rng),
         );
         let mut tracker = Convergence::new(DEFAULT_CONFIDENCE);
         tracker.observe_hits(hits, k);
         let mut mem = MemoryTracker::new();
-        mem.baseline(self.threads * (index_bytes.into_inner() + graph.num_nodes() * (8 + 4 + 1)));
+        mem.baseline(self.workers_for(k.div_ceil(SHARD_SAMPLES)) * self.bfs_sharing_bytes(worlds));
         finish_estimate(
             hits as f64 / k as f64,
             k,
@@ -377,8 +425,8 @@ impl ParallelSampler {
     }
 
     /// BFS-Sharing estimate under an adaptive [`SampleBudget`]: shard
-    /// groups each sample their own compact world index and count reached
-    /// worlds; convergence is checked at deterministic batch barriers.
+    /// groups each count reached worlds over their own lazily drawn world
+    /// index; convergence is checked at deterministic batch barriers.
     /// A fixed budget delegates to
     /// [`ParallelSampler::estimate_bfs_sharing`] bit for bit.
     pub fn estimate_bfs_sharing_with(
@@ -396,19 +444,15 @@ impl ParallelSampler {
         }
         validate_query(&self.graph, s, t);
         let graph = &self.graph;
-        let index_bytes = AtomicUsize::new(0);
+        let worlds = budget.max_samples().min(SHARD_SAMPLES);
         let (hits, samples, tracker, stop, start) = self.run_adaptive(
             budget,
             seed,
-            || (),
-            |_, _, len, rng| {
-                let index = BfsSharingIndex::build(graph, len, rng);
-                index_bytes.fetch_max(index.size_bytes(), Ordering::Relaxed);
-                count_reached_worlds(graph, &index, s, t, len)
-            },
+            || LazyWorldIndex::for_graph(graph, worlds),
+            |index, _, len, rng| index.count_reached(graph, s, t, len, rng),
         );
         let mut mem = MemoryTracker::new();
-        mem.baseline(self.threads * (index_bytes.into_inner() + graph.num_nodes() * (8 + 4 + 1)));
+        mem.baseline(self.budget_workers(budget) * self.bfs_sharing_bytes(worlds));
         finish_estimate(
             hits as f64 / samples as f64,
             samples,
@@ -458,9 +502,7 @@ impl ParallelSampler {
         }
 
         let shards = Self::shards(k);
-        let cursor = AtomicUsize::new(0);
-        let hit_counts: Vec<AtomicUsize> = targets.iter().map(|_| AtomicUsize::new(0)).collect();
-        if distinct == 1 {
+        let hit_counts = if distinct == 1 {
             // One distinct target node: run the exact packed s-t kernel a
             // plain `estimate_mc` with the same `(k, seed)` runs, so a
             // batch that collapses to one query answers bit-identically
@@ -472,72 +514,63 @@ impl ParallelSampler {
                 || self.packed_mc_state(),
                 |st, _, len, rng| packed_shard_st(graph, s, t, len, st, rng),
             );
-            for slot in &hit_counts {
-                slot.store(hits, Ordering::Relaxed);
-            }
+            vec![hits; targets.len()]
         } else {
-            let workers = self.threads.min(shards.len()).max(1);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut packed_ws = PackedWorkspace::for_graph(graph);
-                        let mut ws = BfsWorkspace::new(graph.num_nodes());
-                        let mut local = vec![0usize; targets.len()];
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(_, len)) = shards.get(i) else {
-                                break;
-                            };
-                            let mut rng = shard_rng(seed, i as u64);
-                            let (words, tail) = split_batch(len);
-                            for _ in 0..words {
-                                // Full 64-world fixpoint, then score every
-                                // target slot by its node's popcount (the
-                                // source's reach word is all-ones, so s as
-                                // its own target still hits every world).
-                                // Only nodes in the reached union can
-                                // score, so iterate that — not 0..n.
-                                let words_ws =
-                                    packed_sample_worlds(graph, s, &mut packed_ws, &mut rng);
-                                let reach = words_ws.reach();
-                                for &v in words_ws.reached_nodes() {
-                                    let slots = &target_slots[v.index()];
-                                    if slots.is_empty() {
-                                        continue;
-                                    }
-                                    let c = reach[v.index()].count_ones() as usize;
-                                    for &slot in slots {
-                                        local[slot] += c;
-                                    }
-                                }
+            let merged = Mutex::new(vec![0usize; targets.len()]);
+            self.run_shard_range_fold(
+                &shards,
+                0..shards.len(),
+                seed,
+                || (self.packed_mc_state(), vec![0usize; targets.len()]),
+                |(st, local), _, len, rng| {
+                    let (words, tail) = split_batch(len);
+                    for _ in 0..words {
+                        // Full 64-world fixpoint, then score every target
+                        // slot by its node's popcount (the source's reach
+                        // word is all-ones, so s as its own target still
+                        // hits every world). Only nodes in the reached
+                        // union can score, so iterate that — not 0..n.
+                        let words_ws = packed_sample_worlds(graph, s, &mut st.0, rng);
+                        let reach = words_ws.reach();
+                        for &v in words_ws.reached_nodes() {
+                            let slots = &target_slots[v.index()];
+                            if slots.is_empty() {
+                                continue;
                             }
-                            for _ in 0..tail {
-                                sample_world_multi(
-                                    graph,
-                                    s,
-                                    &target_slots,
-                                    distinct,
-                                    &mut ws,
-                                    &mut rng,
-                                    &mut local,
-                                );
+                            let c = reach[v.index()].count_ones() as usize;
+                            for &slot in slots {
+                                local[slot] += c;
                             }
-                            note_scalar_samples(tail as u64);
                         }
-                        for (slot, &h) in hit_counts.iter().zip(&local) {
-                            slot.fetch_add(h, Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-        }
+                    }
+                    for _ in 0..tail {
+                        sample_world_multi(
+                            graph,
+                            s,
+                            &target_slots,
+                            distinct,
+                            &mut st.1,
+                            rng,
+                            local,
+                        );
+                    }
+                    note_scalar_samples(tail as u64);
+                },
+                |(_, local)| {
+                    let mut shared = merged.lock().expect("hit merge poisoned");
+                    for (slot, h) in shared.iter_mut().zip(local) {
+                        *slot += h;
+                    }
+                },
+            );
+            merged.into_inner().expect("hit merge poisoned")
+        };
 
         let elapsed = start.elapsed();
-        let aux = self.threads * self.packed_mc_state_bytes() + targets.len() * 8;
+        let aux = self.workers_for(shards.len()) * self.packed_mc_state_bytes() + targets.len() * 8;
         hit_counts
             .into_iter()
-            .map(|h| {
-                let hits = h.into_inner();
+            .map(|hits| {
                 let mut tracker = Convergence::new(DEFAULT_CONFIDENCE);
                 tracker.observe_hits(hits, k);
                 Estimate {
@@ -643,7 +676,7 @@ impl ParallelSampler {
             // No stopping rule to consult: one sweep over every shard.
             shards.len()
         } else {
-            budget.batch().div_ceil(SHARD_SAMPLES).max(MIN_ROUND_SHARDS)
+            Self::round_shards(budget)
         };
         let mut hits = vec![0u64; self.graph.num_nodes()];
         let mut scratch = Vec::new();
@@ -717,7 +750,7 @@ impl ParallelSampler {
         let graph = &self.graph;
         let mut mem = MemoryTracker::new();
         mem.baseline(
-            self.threads
+            self.budget_workers(budget)
                 * (PackedWorkspace::bytes_for(graph.num_nodes(), graph.num_edges())
                     + BoundedBfsWorkspace::bytes_for(graph.num_nodes())),
         );
@@ -905,74 +938,6 @@ fn sample_world_multi(
             }
         }
     }
-}
-
-/// Count the worlds of `index` (holding `l` worlds) in which `t` is
-/// reachable from `s`, via the bit-parallel worklist fixpoint of §2.3.
-fn count_reached_worlds(
-    graph: &UncertainGraph,
-    index: &BfsSharingIndex,
-    s: NodeId,
-    t: NodeId,
-    l: usize,
-) -> usize {
-    if s == t {
-        return l;
-    }
-    let words = l.div_ceil(64);
-    let wpe = words; // the index was built for exactly `l` worlds
-    debug_assert_eq!(index.num_worlds(), l);
-    let n = graph.num_nodes();
-    let mut node_bits = vec![0u64; n * wpe];
-    let mut live = vec![false; n];
-    let last_mask: u64 = if l % 64 == 0 {
-        !0
-    } else {
-        (1u64 << (l % 64)) - 1
-    };
-    {
-        let base = s.index() * wpe;
-        for w in 0..words {
-            node_bits[base + w] = if w + 1 == words { last_mask } else { !0 };
-        }
-        live[s.index()] = true;
-    }
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(s);
-    let mut in_queue = vec![false; n];
-    in_queue[s.index()] = true;
-    while let Some(v) = queue.pop_front() {
-        in_queue[v.index()] = false;
-        let v_base = v.index() * wpe;
-        for (e, w) in graph.out_edges(v) {
-            let w_base = w.index() * wpe;
-            let edge_words = index.edge_words(e);
-            let mut changed = false;
-            for (i, &edge_word) in edge_words.iter().enumerate().take(words) {
-                let add = node_bits[v_base + i] & edge_word;
-                let cur = node_bits[w_base + i];
-                if cur | add != cur {
-                    node_bits[w_base + i] = cur | add;
-                    changed = true;
-                }
-            }
-            if changed {
-                live[w.index()] = true;
-                if !in_queue[w.index()] {
-                    in_queue[w.index()] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    if !live[t.index()] {
-        return 0;
-    }
-    let t_base = t.index() * wpe;
-    node_bits[t_base..t_base + words]
-        .iter()
-        .map(|w| w.count_ones() as usize)
-        .sum()
 }
 
 #[cfg(test)]
@@ -1246,6 +1211,37 @@ mod tests {
             assert_eq!(ad.samples, adaptive_baseline.samples);
             assert_eq!(ad.stop_reason, adaptive_baseline.stop_reason);
         }
+    }
+
+    #[test]
+    fn single_worker_calls_run_inline_in_shard_order() {
+        // One configured thread, or a range of one shard, needs one
+        // worker: the shards run on the calling thread, in order, with
+        // one state. Two workers over several shards spawn.
+        let g = diamond();
+        let shards = ParallelSampler::shards(4 * SHARD_SAMPLES);
+        let caller = std::thread::current().id();
+        let run = |threads: usize, range: std::ops::Range<usize>| {
+            let seen = Mutex::new(Vec::new());
+            let states = AtomicUsize::new(0);
+            ParallelSampler::new(Arc::clone(&g), threads).run_shard_range_fold(
+                &shards,
+                range,
+                1,
+                || states.fetch_add(1, Ordering::Relaxed),
+                |_, i, _, _| seen.lock().unwrap().push((i, std::thread::current().id())),
+                |_| {},
+            );
+            (seen.into_inner().unwrap(), states.into_inner())
+        };
+        let (seen, states) = run(1, 0..shards.len());
+        assert_eq!(states, 1);
+        assert_eq!(seen, (0..4).map(|i| (i, caller)).collect::<Vec<_>>());
+        let (seen, states) = run(8, 2..3);
+        assert_eq!((seen, states), (vec![(2, caller)], 1));
+        let (seen, states) = run(2, 0..shards.len());
+        assert_eq!((seen.len(), states), (4, 2));
+        assert!(seen.iter().all(|&(_, id)| id != caller));
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! Property tests for the packed 64-world sampling layer: sub-word fixed
 //! budgets are bit-identical to scalar MC, word-sized and adaptive
-//! budgets agree statistically, and the two mask-drawing strategies
-//! (geometric skipping vs dense fill) draw the same distribution.
+//! budgets agree statistically, the two mask-drawing strategies
+//! (geometric skipping vs dense fill) draw the same distribution, and
+//! BFS-Sharing's world index, drawn through the same mask kernel, keeps
+//! its slices inside `L` worlds and its served answers thread-invariant.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use relcomp_core::bfs_sharing::BfsSharingIndex;
 use relcomp_core::exact::exact_reliability;
 use relcomp_core::mc::McSampling;
 use relcomp_core::packed::{dense_mask, geometric_mask, PackedMcSampling};
 use relcomp_core::session::SampleBudget;
-use relcomp_core::Estimator;
-use relcomp_ugraph::{GraphBuilder, NodeId, UncertainGraph};
+use relcomp_core::{Estimator, ParallelSampler};
+use relcomp_ugraph::{EdgeId, EdgeUpdate, GraphBuilder, NodeId, UncertainGraph};
 use std::sync::Arc;
 
 /// Strategy: a random small digraph as (n, edge list) with valid probs.
@@ -101,6 +104,127 @@ proptest! {
             (est.reliability - exact).abs() <= 3.0 * hw + 0.02,
             "packed {} vs exact {} (half-width {hw})", est.reliability, exact,
         );
+    }
+}
+
+/// World budgets for BFS-Sharing: a quarter below one 64-world word, half
+/// in `64..1200` (mostly not multiples of 64), and a quarter in
+/// `64..limit`, so a `limit` past 2048 reaches a second adaptive round.
+fn world_budget(limit: usize) -> impl Strategy<Value = usize> {
+    (0usize..4).prop_flat_map(move |arm| match arm {
+        0 => 1..64,
+        1 | 2 => 64..1200,
+        _ => 64..limit,
+    })
+}
+
+/// Every slice of `index` holds at most `l` worlds and no bit at or above
+/// `l`.
+fn slices_within_l(index: &BfsSharingIndex, m: usize) -> Result<(), proptest::TestCaseError> {
+    let l = index.num_worlds();
+    for e in 0..m {
+        let words = index.edge_words(EdgeId::from_index(e));
+        prop_assert_eq!(words.len(), l.div_ceil(64));
+        let ones: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+        prop_assert!(ones <= l, "edge {} has {} of {} worlds", e, ones, l);
+        if l % 64 != 0 {
+            prop_assert_eq!(words[words.len() - 1] >> (l % 64), 0, "edge {} past l", e);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Served BFS-Sharing under a fixed budget — sub-word, not a multiple
+    /// of 64, one or several shards — answers bit-identically on 1
+    /// (inline), 2 and 8 (spawned) worker threads, and stays within five
+    /// worst-case standard deviations (2.5 / sqrt(k)) of the exact
+    /// reliability.
+    #[test]
+    fn served_bfs_sharing_fixed_is_thread_invariant_and_near_exact(
+        (n, edges) in small_digraph(),
+        seed in 0u64..500,
+        k in world_budget(1200),
+    ) {
+        let g = Arc::new(build(n, &edges));
+        let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
+        let exact = exact_reliability(&g, s, t);
+        let base = ParallelSampler::new(Arc::clone(&g), 1).estimate_bfs_sharing(s, t, k, seed);
+        prop_assert_eq!(base.samples, k);
+        for threads in [2usize, 8] {
+            let est = ParallelSampler::new(Arc::clone(&g), threads)
+                .estimate_bfs_sharing(s, t, k, seed);
+            prop_assert_eq!(est.reliability.to_bits(), base.reliability.to_bits());
+            prop_assert_eq!(est.samples, k);
+        }
+        prop_assert!(
+            (base.reliability - exact).abs() <= 2.5 / (k as f64).sqrt(),
+            "served {} vs exact {} at k = {k}", base.reliability, exact,
+        );
+    }
+
+    /// Served BFS-Sharing under an adaptive budget: the same invariance
+    /// (estimate, samples, stop reason) across 1, 2 and 8 threads, and
+    /// the same five-sigma bound at the samples actually drawn. Caps run
+    /// past one 2048-world round so the barrier loop is exercised too.
+    #[test]
+    fn served_bfs_sharing_adaptive_is_thread_invariant_and_near_exact(
+        (n, edges) in small_digraph(),
+        seed in 0u64..500,
+        cap in world_budget(6000),
+        eps in 0.05f64..0.4,
+    ) {
+        let g = Arc::new(build(n, &edges));
+        let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
+        let exact = exact_reliability(&g, s, t);
+        let budget = SampleBudget::adaptive(eps, cap);
+        let base = ParallelSampler::new(Arc::clone(&g), 1)
+            .estimate_bfs_sharing_with(s, t, &budget, seed);
+        prop_assert!(base.samples > 0 && base.samples <= cap);
+        for threads in [2usize, 8] {
+            let est = ParallelSampler::new(Arc::clone(&g), threads)
+                .estimate_bfs_sharing_with(s, t, &budget, seed);
+            prop_assert_eq!(est.reliability.to_bits(), base.reliability.to_bits());
+            prop_assert_eq!(est.samples, base.samples);
+            prop_assert_eq!(est.stop_reason, base.stop_reason);
+        }
+        prop_assert!(
+            (base.reliability - exact).abs() <= 2.5 / (base.samples as f64).sqrt(),
+            "served {} vs exact {} at {} samples", base.reliability, exact, base.samples,
+        );
+    }
+
+    /// The offline index draws through the same slice drawer: after a
+    /// full build and after an incremental re-draw, every slice holds at
+    /// most `l` worlds (none at or above `l`), and a `p = 1` edge holds
+    /// exactly `l`.
+    #[test]
+    fn offline_index_slices_stay_within_l(
+        (n, edges) in small_digraph(),
+        seed in 0u64..500,
+        l in world_budget(1200),
+        pick in 0usize..1000,
+    ) {
+        let mut edges = edges;
+        edges.push((0, 1, 1.0)); // OR-combined with any duplicate: still p = 1
+        let g = build(n, &edges);
+        let sure = g.find_edge(NodeId(0), NodeId(1)).expect("p = 1 edge");
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut index = BfsSharingIndex::build(&g, l, &mut rng);
+        slices_within_l(&index, g.num_edges())?;
+        let ones = |index: &BfsSharingIndex, e: EdgeId| -> usize {
+            index.edge_words(e).iter().map(|w| w.count_ones() as usize).sum()
+        };
+        prop_assert_eq!(ones(&index, sure), l);
+
+        let e = EdgeId::from_index(pick % g.num_edges());
+        let updated = g.with_updated_probs(&[EdgeUpdate::new(e, 1.0).unwrap()]);
+        index.resample_edges(&updated, &[e], &mut rng);
+        slices_within_l(&index, g.num_edges())?;
+        prop_assert_eq!(ones(&index, e), l);
+        prop_assert_eq!(ones(&index, sure), l);
     }
 }
 
