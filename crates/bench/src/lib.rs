@@ -102,6 +102,7 @@ pub fn repo_root() -> PathBuf {
 pub mod adaptive {
     use rand::RngCore;
     use relcomp_core::mc::McSampling;
+    use relcomp_core::recursive::RecursiveStratified;
     use relcomp_core::{
         Estimator, EstimatorKind, MaximizeOptions, PackedMcSampling, ParallelSampler, SampleBudget,
         StopReason,
@@ -325,12 +326,13 @@ pub mod adaptive {
     }
 
     /// One per-sample cost row of the per-sample probe: a packed-vs-scalar
-    /// pair member, or a served BFS-Sharing row.
+    /// pair member, a served BFS-Sharing row, or an RSS row.
     #[derive(Clone, Debug, Serialize, Deserialize)]
     pub struct PerSampleRow {
         /// Sampling path and dataset: `<workload>_scalar/<dataset>`
         /// (historical one-world loops), `<workload>_packed/<dataset>`
-        /// (bit-packed 64-world kernel), or `bfs_served/<dataset>`.
+        /// (bit-packed 64-world kernel), `bfs_served/<dataset>`, or
+        /// `rss/<dataset>`.
         pub path: String,
         /// Worlds sampled across the workload.
         pub samples: usize,
@@ -382,7 +384,8 @@ pub mod adaptive {
     ///   world inside the same `d`-ball around the source, so the
     ///   64-world union traversal revisits heavily shared structure.
     ///
-    /// One unpaired row per dataset gates the served BFS-Sharing path:
+    /// Two unpaired rows per dataset gate the served BFS-Sharing path and
+    /// the recursive stratified estimator:
     ///
     /// * `bfs_served/*` — [`ParallelSampler::estimate_bfs_sharing`] at
     ///   one thread and the paper's K = 1000 worlds per pair over the
@@ -391,6 +394,11 @@ pub mod adaptive {
     ///   (the timing probe's `BFS Sharing` row times a prebuilt index).
     ///   No early termination makes a supercritical world cost tens of
     ///   microseconds, hence the paper's K rather than `fixed_k`.
+    /// * `rss/*` — [`RecursiveStratified`] with the paper's defaults
+    ///   (threshold 5, r = 50) at K = 1000 over the 10-pair workload, as a
+    ///   served RSS query runs it. Its cost is the recursion (edge
+    ///   selection, cut checks, stratum fixes), not the worlds, so the
+    ///   row reads as time per query: `ns_per_sample` / 1000 is ms/query.
     ///
     /// Per `_scalar`/`_packed` row pair, the ratio of the two
     /// `ns_per_sample` values is the packed kernel's speedup there;
@@ -407,22 +415,24 @@ pub mod adaptive {
             let mut env = ExperimentEnv::prepare(dataset, profile, 2, seed);
             env.workload.pairs.truncate(10);
             let slug = dataset.short_name();
-            let run_st = |path: String, est: &mut dyn Estimator| {
+            let run_st = |path: String, est: &mut dyn Estimator, k: usize| {
                 let mut rng = env.rng(0x9acced);
                 let start = std::time::Instant::now();
                 let mut samples = 0usize;
                 for &(s, t) in &env.workload.pairs {
-                    samples += est.estimate(s, t, fixed_k, &mut rng).samples;
+                    samples += est.estimate(s, t, k, &mut rng).samples;
                 }
                 row(path, samples, start.elapsed().as_secs_f64() * 1e3)
             };
             rows.push(run_st(
                 format!("mc_scalar/{slug}"),
                 &mut McSampling::new(Arc::clone(&env.graph)),
+                fixed_k,
             ));
             rows.push(run_st(
                 format!("mc_packed/{slug}"),
                 &mut PackedMcSampling::new(Arc::clone(&env.graph)),
+                fixed_k,
             ));
 
             let budget = SampleBudget::fixed(fixed_k.max(256));
@@ -515,6 +525,12 @@ pub mod adaptive {
                 samples,
                 start.elapsed().as_secs_f64() * 1e3,
             ));
+
+            rows.push(run_st(
+                format!("rss/{slug}"),
+                &mut RecursiveStratified::new(Arc::clone(&env.graph)),
+                1000,
+            ));
         }
         rows
     }
@@ -523,7 +539,7 @@ pub mod adaptive {
     /// the geometric mean of every `<workload>_scalar/<dataset>` over
     /// `<workload>_packed/<dataset>` ratio, so each probability regime
     /// and workload carries equal weight regardless of its absolute
-    /// per-sample cost. Unpaired rows (`bfs_served/*`) are ignored.
+    /// per-sample cost. Unpaired rows (`bfs_served/*`, `rss/*`) are ignored.
     /// `None` when no pair is complete or a row is degenerate.
     pub fn packed_speedup(rows: &[PerSampleRow]) -> Option<f64> {
         let ns = |path: &str| {
@@ -916,6 +932,7 @@ mod tests {
         let mut with_served = paired.clone();
         with_served.push(row("bfs_served/lastfm", 5.0));
         with_served.push(row("bfs_served/dblp02", 50.0));
+        with_served.push(row("rss/lastfm", 5000.0));
         assert_eq!(packed_speedup(&paired), Some(4.0));
         assert_eq!(packed_speedup(&with_served), Some(4.0));
         assert_eq!(packed_speedup(&with_served[2..]), None);

@@ -7,9 +7,9 @@
 //! reduces estimator variance below plain MC.
 //!
 //! The shared [`state::RecState`] tracks the inclusion/exclusion overlay
-//! with O(1) undo, the set of nodes reached from `s` through included
-//! edges, and the conditional MC fallback used below the sample-size
-//! threshold.
+//! with a LIFO undo log, the set of nodes reached from `s` through
+//! included edges, a cached s→t witness path for the cut check, and the
+//! conditional MC fallback used below the sample-size threshold.
 
 pub mod rhh;
 pub mod rss;

@@ -74,13 +74,13 @@ impl RecursiveSampling {
             let k1 = ((k as f64 * p) as usize).clamp(1, k - 1);
             let k2 = k - k1;
 
-            let undo = st.include(e);
+            st.include(e);
             let r1 = self.recurse(st, k1, rng, mem);
-            st.undo(undo);
+            st.undo();
 
-            let undo = st.exclude(e);
+            st.exclude(e);
             let r2 = self.recurse(st, k2, rng, mem);
-            st.undo(undo);
+            st.undo();
 
             p * r1 + (1.0 - p) * r2
         })();

@@ -78,13 +78,15 @@ impl RecursiveStratified {
             if st.t_reached() {
                 return 1.0;
             }
+            // Leaf before cut: under a cut the conditional MC returns
+            // exactly 0 on its own, so only internal nodes pay the check.
+            if k < self.threshold || st.undetermined_count() < self.r {
+                return st.mc_conditional(k.max(1), rng);
+            }
             // Prune branches whose exclusions already cut off t — the
             // "simplify graph" effect of Alg. 5 line 12.
             if !st.t_possibly_reachable() {
                 return 0.0;
-            }
-            if k < self.threshold || st.undetermined_count() < self.r {
-                return st.mc_conditional(k.max(1), rng);
             }
             let selected = st.select_edges_bfs(self.r);
             if selected.is_empty() {
@@ -94,28 +96,10 @@ impl RecursiveStratified {
             }
 
             let mut estimate = 0.0;
-            // Stratum 0: all selected edges absent.
-            // Stratum i (1-based): e_1..e_{i-1} absent, e_i present.
-            for i in 0..=selected.len() {
-                let (pi, fixes) = stratum(st, &selected, i);
-                if pi <= 0.0 {
-                    continue;
-                }
+            walk_strata(st, &selected, |st, pi| {
                 let ki = ((k as f64 * pi).round() as usize).max(1);
-                let mut undos = Vec::with_capacity(fixes.len());
-                for &(e, present) in &fixes {
-                    undos.push(if present {
-                        st.include(e)
-                    } else {
-                        st.exclude(e)
-                    });
-                }
-                let mu = self.recurse(st, ki, rng, mem);
-                for undo in undos.into_iter().rev() {
-                    st.undo(undo);
-                }
-                estimate += pi * mu;
-            }
+                estimate += pi * self.recurse(st, ki, rng, mem);
+            });
             estimate
         })();
 
@@ -124,25 +108,44 @@ impl RecursiveStratified {
     }
 }
 
-/// Stratum `i`'s probability (Eq. 10) and the edge fixes it implies.
-fn stratum(st: &RecState<'_>, selected: &[EdgeId], i: usize) -> (f64, Vec<(EdgeId, bool)>) {
-    let mut pi = 1.0;
-    let mut fixes = Vec::new();
-    if i == 0 {
+/// Visit the strata of Table 1 in order `0, 1 .. r`, calling
+/// `visit(st, pi_i)` with `st` fixed to stratum `i` and `pi_i` its
+/// probability (Eq. 10); strata with `pi_i = 0` are skipped.
+///
+/// * stratum `0` — every selected edge absent;
+/// * stratum `i` — `e_1 .. e_{i-1}` absent, `e_i` present.
+///
+/// Stratum `i + 1` is stratum `i` with `e_i` flipped to absent and
+/// `e_{i+1}` made present, so the walk keeps the exclusions on `st`'s undo
+/// log and `pi` as a running prefix product: O(r) fixes per call, and
+/// the same products, bit for bit, as computing each stratum afresh.
+fn walk_strata(
+    st: &mut RecState<'_>,
+    selected: &[EdgeId],
+    mut visit: impl FnMut(&mut RecState<'_>, f64),
+) {
+    let base = st.depth();
+    let pi0 = selected.iter().fold(1.0, |pi, &e| pi * (1.0 - st.prob(e)));
+    if pi0 > 0.0 {
         for &e in selected {
-            pi *= 1.0 - st.prob(e);
-            fixes.push((e, false));
+            st.exclude(e);
         }
-    } else {
-        for &e in &selected[..i - 1] {
-            pi *= 1.0 - st.prob(e);
-            fixes.push((e, false));
-        }
-        let e = selected[i - 1];
-        pi *= st.prob(e);
-        fixes.push((e, true));
+        visit(st, pi0);
+        st.undo_to(base);
     }
-    (pi, fixes)
+    let mut prefix = 1.0;
+    for &e in selected {
+        let p = st.prob(e);
+        let pi = prefix * p;
+        if pi > 0.0 {
+            st.include(e);
+            visit(st, pi);
+            st.undo();
+        }
+        st.exclude(e);
+        prefix *= 1.0 - p;
+    }
+    st.undo_to(base);
 }
 
 impl Estimator for RecursiveStratified {
@@ -216,6 +219,7 @@ impl Estimator for RecursiveStratified {
 mod tests {
     use super::*;
     use crate::exact::exact_reliability;
+    use crate::recursive::state::EdgeStatus;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use relcomp_ugraph::GraphBuilder;
@@ -229,31 +233,46 @@ mod tests {
         Arc::new(b.build())
     }
 
+    /// Every stratum `walk_strata` visits: its probability and the status
+    /// of each selected edge while it is visited.
+    fn strata(st: &mut RecState<'_>, selected: &[EdgeId]) -> Vec<(f64, Vec<EdgeStatus>)> {
+        let mut out = Vec::new();
+        walk_strata(st, selected, |st, pi| {
+            out.push((pi, selected.iter().map(|&e| st.status(e)).collect()));
+        });
+        out
+    }
+
     #[test]
     fn stratum_probabilities_partition_to_one() {
         let g = diamond();
-        let st = RecState::new(&g, NodeId(0), NodeId(3));
+        let mut st = RecState::new(&g, NodeId(0), NodeId(3));
         let selected: Vec<EdgeId> = g.edges().map(|(e, _, _, _)| e).collect();
-        let total: f64 = (0..=selected.len())
-            .map(|i| stratum(&st, &selected, i).0)
-            .sum();
+        let strata = strata(&mut st, &selected);
+        assert_eq!(strata.len(), selected.len() + 1);
+        let total: f64 = strata.iter().map(|(pi, _)| pi).sum();
         assert!((total - 1.0).abs() < 1e-12, "total {total}");
     }
 
     #[test]
     fn stratum_design_matches_table1() {
+        use EdgeStatus::{Excluded, Included, Undetermined};
         let g = diamond();
-        let st = RecState::new(&g, NodeId(0), NodeId(3));
+        let mut st = RecState::new(&g, NodeId(0), NodeId(3));
         let selected: Vec<EdgeId> = g.edges().map(|(e, _, _, _)| e).collect();
+        let p: Vec<f64> = selected.iter().map(|&e| st.prob(e)).collect();
+        let strata = strata(&mut st, &selected);
         // Stratum 0: every selected edge fixed absent.
-        let (_, fixes0) = stratum(&st, &selected, 0);
-        assert!(fixes0.iter().all(|&(_, present)| !present));
-        assert_eq!(fixes0.len(), 4);
+        let (pi0, fixes0) = &strata[0];
+        assert_eq!(fixes0, &[Excluded; 4]);
+        assert_eq!(*pi0, p.iter().fold(1.0, |pi, p| pi * (1.0 - p)));
         // Stratum 2: e1 absent, e2 present, the rest (e3, e4) untouched.
-        let (_, fixes2) = stratum(&st, &selected, 2);
-        assert_eq!(fixes2.len(), 2);
-        assert_eq!(fixes2[0], (selected[0], false));
-        assert_eq!(fixes2[1], (selected[1], true));
+        let (pi2, fixes2) = &strata[2];
+        assert_eq!(fixes2, &[Excluded, Included, Undetermined, Undetermined]);
+        assert_eq!(*pi2, (1.0 - p[0]) * p[1]);
+        // The walk leaves no fix behind.
+        assert_eq!(st.depth(), 0);
+        assert_eq!(st.undetermined_count(), 4);
     }
 
     #[test]

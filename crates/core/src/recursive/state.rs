@@ -4,10 +4,18 @@
 //! present, `E2` = edges forced absent, everything else undetermined
 //! (§2.4). Instead of materializing a simplified graph per recursive call
 //! (as the reference C++ implementation does), we keep one status overlay
-//! with an undo log — semantically identical, cheaper. Memory accounting
-//! still *models* the reference design (a simplified-graph instance per
-//! live recursion frame) so that Fig. 12's memory ordering is reproduced;
-//! see `memory_model_bytes`.
+//! with an internal LIFO undo log — semantically identical, cheaper.
+//! Memory accounting still *models* the reference design (a
+//! simplified-graph instance per live recursion frame) so that Fig. 12's
+//! memory ordering is reproduced; see `memory_model_bytes`.
+//!
+//! The cut check (`t_possibly_reachable`) caches a *witness*: the s→t
+//! path over non-excluded edges its last successful BFS found, held as
+//! parent edges plus a per-edge flag. Only `exclude` can break a witness
+//! (and only by excluding a flagged edge); `include` and `undo` merely
+//! remove exclusions. While the witness holds, the check answers without
+//! a BFS, so a recursion re-proves reachability only after it cuts the
+//! cached path.
 
 use crate::sampler::coin;
 use rand::RngCore;
@@ -26,7 +34,7 @@ pub enum EdgeStatus {
 }
 
 /// Undo record for one `include`/`exclude` operation.
-pub struct Undo {
+struct Undo {
     edge: EdgeId,
     prev: EdgeStatus,
     /// Number of nodes appended to the reached stack by this op.
@@ -45,7 +53,15 @@ pub struct RecState<'g> {
     reached_mem: Vec<bool>,
     /// Count of undetermined edges (for the memory model).
     undetermined: usize,
+    /// Undo records of the live fixes, most recent last.
+    log: Vec<Undo>,
     ws: BfsWorkspace,
+    /// BFS parent edge per node, written only by the cut check's BFS; while
+    /// `witness_valid`, the chain from `t` back to `s` is the witness.
+    parent: Vec<EdgeId>,
+    /// Per-edge flag: the edge lies on the cached witness.
+    on_witness: Vec<bool>,
+    witness_valid: bool,
 }
 
 impl<'g> RecState<'g> {
@@ -62,7 +78,11 @@ impl<'g> RecState<'g> {
             reached: vec![s],
             reached_mem,
             undetermined: graph.num_edges(),
+            log: Vec::new(),
             ws: BfsWorkspace::new(n),
+            parent: vec![EdgeId(0); n],
+            on_witness: vec![false; graph.num_edges()],
+            witness_valid: false,
         }
     }
 
@@ -85,8 +105,14 @@ impl<'g> RecState<'g> {
         self.undetermined
     }
 
+    /// Number of live fixes; pass it to [`RecState::undo_to`] to revert
+    /// every fix made after this point.
+    pub fn depth(&self) -> usize {
+        self.log.len()
+    }
+
     /// Force edge `e` present and extend the reached closure.
-    pub fn include(&mut self, e: EdgeId) -> Undo {
+    pub fn include(&mut self, e: EdgeId) {
         let prev = self.status[e.index()];
         debug_assert_eq!(prev, EdgeStatus::Undetermined, "double-fixing edge {e}");
         self.status[e.index()] = EdgeStatus::Included;
@@ -117,30 +143,34 @@ impl<'g> RecState<'g> {
             }
             added = self.reached.len() - start;
         }
-        Undo {
+        self.log.push(Undo {
             edge: e,
             prev,
             added_reached: added,
-        }
+        });
     }
 
-    /// Force edge `e` absent.
-    pub fn exclude(&mut self, e: EdgeId) -> Undo {
+    /// Force edge `e` absent, dropping the cached witness if `e` is on it.
+    pub fn exclude(&mut self, e: EdgeId) {
         let prev = self.status[e.index()];
         debug_assert_eq!(prev, EdgeStatus::Undetermined, "double-fixing edge {e}");
         self.status[e.index()] = EdgeStatus::Excluded;
         if prev == EdgeStatus::Undetermined {
             self.undetermined -= 1;
         }
-        Undo {
+        if self.on_witness[e.index()] {
+            self.flag_witness(false);
+        }
+        self.log.push(Undo {
             edge: e,
             prev,
             added_reached: 0,
-        }
+        });
     }
 
-    /// Revert one `include`/`exclude` (must be applied LIFO).
-    pub fn undo(&mut self, undo: Undo) {
+    /// Revert the most recent `include`/`exclude`.
+    pub fn undo(&mut self) {
+        let undo = self.log.pop().expect("undo without a live fix");
         let cur = self.status[undo.edge.index()];
         self.status[undo.edge.index()] = undo.prev;
         if cur != EdgeStatus::Undetermined && undo.prev == EdgeStatus::Undetermined {
@@ -149,6 +179,13 @@ impl<'g> RecState<'g> {
         for _ in 0..undo.added_reached {
             let v = self.reached.pop().expect("undo imbalance");
             self.reached_mem[v.index()] = false;
+        }
+    }
+
+    /// Revert fixes until [`RecState::depth`] is `depth`.
+    pub fn undo_to(&mut self, depth: usize) {
+        while self.log.len() > depth {
+            self.undo();
         }
     }
 
@@ -199,13 +236,44 @@ impl<'g> RecState<'g> {
     }
 
     /// Is `t` reachable from `s` through non-excluded edges? `false` means
-    /// `E2` already contains an s-t cut (Alg. 4 line 6).
+    /// `E2` already contains an s-t cut (Alg. 4 line 6). Answers from the
+    /// cached witness when it holds; otherwise runs a BFS and, on success,
+    /// caches the s→t path it found.
     pub fn t_possibly_reachable(&mut self) -> bool {
-        let status = &self.status;
         let (graph, s, t) = (self.graph, self.s, self.t);
-        bfs_reaches(graph, s, t, &mut self.ws, |e| {
-            status[e.index()] != EdgeStatus::Excluded
-        })
+        if self.witness_valid || s == t {
+            return true;
+        }
+        self.ws.reset();
+        self.ws.visited.insert(s);
+        self.ws.queue.push_back(s);
+        while let Some(v) = self.ws.queue.pop_front() {
+            for (e, w) in graph.out_edges(v) {
+                if self.status[e.index()] == EdgeStatus::Excluded || !self.ws.visited.insert(w) {
+                    continue;
+                }
+                self.parent[w.index()] = e;
+                if w == t {
+                    self.flag_witness(true);
+                    return true;
+                }
+                self.ws.queue.push_back(w);
+            }
+        }
+        false
+    }
+
+    /// Cache (`true`) or forget (`false`) the witness: set the flag of
+    /// every edge on the parent chain from `t` back to `s`, which is the
+    /// witness from the BFS that found it until the next BFS runs.
+    fn flag_witness(&mut self, on: bool) {
+        let mut v = self.t;
+        while v != self.s {
+            let e = self.parent[v.index()];
+            self.on_witness[e.index()] = on;
+            v = self.graph.source(e);
+        }
+        self.witness_valid = on;
     }
 
     /// Conditional MC fallback (Alg. 4 lines 1-2 / Alg. 5 lines 3-7):
@@ -238,12 +306,15 @@ impl<'g> RecState<'g> {
         self.undetermined * 12 + self.graph.num_nodes() * 4
     }
 
-    /// Fixed per-query overhead: status overlay + reached structures.
+    /// Fixed per-query overhead: status overlay, reached structures and
+    /// the witness cache's parent and flag arrays.
     pub fn base_bytes(&self) -> usize {
         self.status.len()
             + self.reached_mem.len()
             + self.reached.capacity() * 4
             + self.ws.resident_bytes()
+            + self.parent.len() * std::mem::size_of::<EdgeId>()
+            + self.on_witness.len()
     }
 
     /// The query's probability accessor (convenience for the estimators).
@@ -255,7 +326,8 @@ impl<'g> RecState<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relcomp_ugraph::GraphBuilder;
+    use proptest::prelude::*;
+    use relcomp_ugraph::{DuplicatePolicy, GraphBuilder};
 
     fn diamond() -> UncertainGraph {
         let mut b = GraphBuilder::new(4);
@@ -275,13 +347,13 @@ mod tests {
         let g = diamond();
         let mut st = RecState::new(&g, NodeId(0), NodeId(3));
         assert!(!st.t_reached());
-        let u1 = st.include(edge(&g, 0, 1));
+        st.include(edge(&g, 0, 1));
         assert!(!st.t_reached());
-        let u2 = st.include(edge(&g, 1, 3));
+        st.include(edge(&g, 1, 3));
         assert!(st.t_reached());
-        st.undo(u2);
+        st.undo();
         assert!(!st.t_reached());
-        st.undo(u1);
+        st.undo();
         assert_eq!(st.undetermined_count(), 4);
     }
 
@@ -291,9 +363,9 @@ mod tests {
         // must cascade through to 3.
         let g = diamond();
         let mut st = RecState::new(&g, NodeId(0), NodeId(3));
-        let _u1 = st.include(edge(&g, 1, 3));
+        st.include(edge(&g, 1, 3));
         assert!(!st.t_reached());
-        let _u2 = st.include(edge(&g, 0, 1));
+        st.include(edge(&g, 0, 1));
         assert!(st.t_reached());
     }
 
@@ -302,9 +374,9 @@ mod tests {
         let g = diamond();
         let mut st = RecState::new(&g, NodeId(0), NodeId(3));
         assert!(st.t_possibly_reachable());
-        let _a = st.exclude(edge(&g, 0, 1));
+        st.exclude(edge(&g, 0, 1));
         assert!(st.t_possibly_reachable());
-        let _b = st.exclude(edge(&g, 0, 2));
+        st.exclude(edge(&g, 0, 2));
         assert!(!st.t_possibly_reachable());
     }
 
@@ -315,7 +387,7 @@ mod tests {
         // Initially only s is reached; first undetermined out-edge of 0.
         let first = st.select_edge_dfs().unwrap();
         assert_eq!(g.source(first), NodeId(0));
-        let _u = st.include(edge(&g, 0, 1));
+        st.include(edge(&g, 0, 1));
         // Node 1 is most recent: its out-edge 1 -> 3 must be preferred.
         let next = st.select_edge_dfs().unwrap();
         assert_eq!(next, edge(&g, 1, 3));
@@ -325,8 +397,8 @@ mod tests {
     fn dfs_selection_none_when_frontier_exhausted() {
         let g = diamond();
         let mut st = RecState::new(&g, NodeId(0), NodeId(3));
-        let _a = st.exclude(edge(&g, 0, 1));
-        let _b = st.exclude(edge(&g, 0, 2));
+        st.exclude(edge(&g, 0, 1));
+        st.exclude(edge(&g, 0, 2));
         assert!(st.select_edge_dfs().is_none());
     }
 
@@ -347,8 +419,8 @@ mod tests {
     fn mc_conditional_respects_forced_statuses() {
         let g = diamond();
         let mut st = RecState::new(&g, NodeId(0), NodeId(3));
-        let _a = st.include(edge(&g, 0, 1));
-        let _b = st.include(edge(&g, 1, 3));
+        st.include(edge(&g, 0, 1));
+        st.include(edge(&g, 1, 3));
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         // Path fully included: every sample hits.
         assert_eq!(st.mc_conditional(50, &mut rng), 1.0);
@@ -359,8 +431,104 @@ mod tests {
         let g = diamond();
         let mut st = RecState::new(&g, NodeId(0), NodeId(3));
         let before = st.memory_model_bytes();
-        let _a = st.exclude(edge(&g, 0, 1));
+        st.exclude(edge(&g, 0, 1));
         assert!(st.memory_model_bytes() < before);
         assert!(st.base_bytes() > 0);
+    }
+
+    /// The cached witness as edges from `t` back to `s`, if one is held.
+    fn witness_path(st: &RecState<'_>) -> Option<Vec<EdgeId>> {
+        st.witness_valid.then(|| {
+            let mut path = Vec::new();
+            let mut v = st.t;
+            while v != st.s {
+                let e = st.parent[v.index()];
+                path.push(e);
+                v = st.graph.source(e);
+            }
+            path
+        })
+    }
+
+    #[test]
+    fn witness_survives_off_path_exclusion_and_include() {
+        let g = diamond();
+        let mut st = RecState::new(&g, NodeId(0), NodeId(3));
+        assert!(st.t_possibly_reachable());
+        let path = witness_path(&st).unwrap();
+        assert_eq!(path.len(), 2);
+        let off = g.edges().map(|(e, _, _, _)| e).find(|e| !path.contains(e));
+        st.exclude(off.unwrap());
+        st.include(path[0]);
+        assert_eq!(witness_path(&st).as_deref(), Some(&path[..]));
+        st.exclude(path[1]);
+        assert!(witness_path(&st).is_none());
+        assert!(st.on_witness.iter().all(|&f| !f));
+        st.undo_to(0);
+        assert_eq!(st.undetermined_count(), 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Under random LIFO include/exclude/undo sequences, the cached cut
+        /// check always agrees with a fresh BFS over non-excluded edges,
+        /// and a cached witness is an s→t path of non-excluded, flagged
+        /// edges (and the only flagged ones).
+        #[test]
+        fn witness_cache_matches_fresh_bfs(
+            (n, edges, ops) in (2usize..8).prop_flat_map(|n| {
+                let edge = (0..n as u32, 0..n as u32, 0.05f64..1.0);
+                (
+                    Just(n),
+                    collection::vec(edge, 0..16),
+                    collection::vec((0u32..3, 0usize..64), 0..48),
+                )
+            })
+        ) {
+            let mut b = GraphBuilder::new(n).duplicate_policy(DuplicatePolicy::KeepFirst);
+            for &(u, v, p) in &edges {
+                if u != v {
+                    b.add_edge(NodeId(u), NodeId(v), p).unwrap();
+                }
+            }
+            let g = b.build();
+            let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
+            let mut st = RecState::new(&g, s, t);
+            let mut ws = BfsWorkspace::new(n);
+            for &(kind, pick) in &ops {
+                let free: Vec<EdgeId> = g
+                    .edges()
+                    .map(|(e, _, _, _)| e)
+                    .filter(|&e| st.status(e) == EdgeStatus::Undetermined)
+                    .collect();
+                match kind {
+                    0 if !free.is_empty() => st.include(free[pick % free.len()]),
+                    1 if !free.is_empty() => st.exclude(free[pick % free.len()]),
+                    _ if st.depth() > 0 => st.undo(),
+                    _ => {}
+                }
+                let fresh = bfs_reaches(&g, s, t, &mut ws, |e| {
+                    st.status(e) != EdgeStatus::Excluded
+                });
+                prop_assert_eq!(st.t_possibly_reachable(), fresh);
+                if let Some(path) = witness_path(&st) {
+                    prop_assert!(fresh);
+                    for &e in &path {
+                        prop_assert!(st.status(e) != EdgeStatus::Excluded, "excluded {e}");
+                        prop_assert!(st.on_witness[e.index()], "unflagged {e}");
+                    }
+                    let flagged = st.on_witness.iter().filter(|&&f| f).count();
+                    prop_assert_eq!(flagged, path.len());
+                    prop_assert_eq!(g.target(path[0]), t);
+                    for w in path.windows(2) {
+                        prop_assert_eq!(g.source(w[0]), g.target(w[1]));
+                    }
+                } else {
+                    prop_assert!(!fresh);
+                    prop_assert!(st.on_witness.iter().all(|&f| !f));
+                }
+            }
+        }
     }
 }

@@ -77,6 +77,36 @@ proptest! {
             "mc {} vs exact {exact}", est.reliability);
     }
 
+    /// RSS and RHH stay unbiased through their strata, cut checks and
+    /// leaves. With threshold 2 and r = 2, RSS splits into strata down to
+    /// budgets of 2 (the r = 50 agreement suite never recurses on graphs
+    /// this small), and RHH splits down to the same floor. A run's
+    /// variance is at most about plain MC's at equal K, 0.25 / K, so the
+    /// mean of 20 runs at K = 200 has SD <= 0.5 / sqrt(4000) ≈ 0.0079;
+    /// the bound 0.05 is over 6 of those.
+    #[test]
+    fn recursive_estimators_match_exact(
+        (n, edges) in small_digraph(),
+        seed in 0u64..1000,
+    ) {
+        let g = Arc::new(build(n, &edges));
+        prop_assume!(g.num_edges() <= 18);
+        let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
+        let exact = exact_reliability(&g, s, t);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rss = RecursiveStratified::with_params(Arc::clone(&g), 2, 2);
+        let mut rhh = RecursiveSampling::with_threshold(Arc::clone(&g), 2);
+        for est in [&mut rss as &mut dyn Estimator, &mut rhh] {
+            let reps = 20;
+            let mean = (0..reps)
+                .map(|_| est.estimate(s, t, 200, &mut rng).reliability)
+                .sum::<f64>()
+                / reps as f64;
+            prop_assert!((mean - exact).abs() < 0.05,
+                "{} mean {mean} vs exact {exact}", est.name());
+        }
+    }
+
     /// ProbTree extraction is lossless: exact reliability of the query
     /// graph equals exact reliability of the original (w = 2 claim).
     #[test]
