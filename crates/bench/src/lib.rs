@@ -326,13 +326,13 @@ pub mod adaptive {
     }
 
     /// One per-sample cost row of the per-sample probe: a packed-vs-scalar
-    /// pair member, a served BFS-Sharing row, or an RSS row.
+    /// pair member, a served BFS-Sharing or MC row, or an RSS row.
     #[derive(Clone, Debug, Serialize, Deserialize)]
     pub struct PerSampleRow {
         /// Sampling path and dataset: `<workload>_scalar/<dataset>`
         /// (historical one-world loops), `<workload>_packed/<dataset>`
-        /// (bit-packed 64-world kernel), `bfs_served/<dataset>`, or
-        /// `rss/<dataset>`.
+        /// (bit-packed 64-world kernel), `bfs_served/<dataset>`,
+        /// `mc_served/<dataset>`, or `rss/<dataset>`.
         pub path: String,
         /// Worlds sampled across the workload.
         pub samples: usize,
@@ -384,8 +384,8 @@ pub mod adaptive {
     ///   world inside the same `d`-ball around the source, so the
     ///   64-world union traversal revisits heavily shared structure.
     ///
-    /// Two unpaired rows per dataset gate the served BFS-Sharing path and
-    /// the recursive stratified estimator:
+    /// Three unpaired rows per dataset gate the served BFS-Sharing and MC
+    /// paths and the recursive stratified estimator:
     ///
     /// * `bfs_served/*` — [`ParallelSampler::estimate_bfs_sharing`] at
     ///   one thread and the paper's K = 1000 worlds per pair over the
@@ -394,6 +394,10 @@ pub mod adaptive {
     ///   (the timing probe's `BFS Sharing` row times a prebuilt index).
     ///   No early termination makes a supercritical world cost tens of
     ///   microseconds, hence the paper's K rather than `fixed_k`.
+    /// * `mc_served/*` — [`ParallelSampler::estimate_mc`] at one thread
+    ///   and K = 1000 over the 10-pair workload, as a served MC query
+    ///   runs it (`mc_packed/*` times [`PackedMcSampling`], whose shards
+    ///   and tails differ).
     /// * `rss/*` — [`RecursiveStratified`] with the paper's defaults
     ///   (threshold 5, r = 50) at K = 1000 over the 10-pair workload, as a
     ///   served RSS query runs it. Its cost is the recursion (edge
@@ -526,6 +530,17 @@ pub mod adaptive {
                 start.elapsed().as_secs_f64() * 1e3,
             ));
 
+            let start = std::time::Instant::now();
+            let mut samples = 0usize;
+            for (i, &(s, t)) in env.workload.pairs.iter().enumerate() {
+                samples += sampler.estimate_mc(s, t, 1000, 0x9acced ^ i as u64).samples;
+            }
+            rows.push(row(
+                format!("mc_served/{slug}"),
+                samples,
+                start.elapsed().as_secs_f64() * 1e3,
+            ));
+
             rows.push(run_st(
                 format!("rss/{slug}"),
                 &mut RecursiveStratified::new(Arc::clone(&env.graph)),
@@ -539,7 +554,8 @@ pub mod adaptive {
     /// the geometric mean of every `<workload>_scalar/<dataset>` over
     /// `<workload>_packed/<dataset>` ratio, so each probability regime
     /// and workload carries equal weight regardless of its absolute
-    /// per-sample cost. Unpaired rows (`bfs_served/*`, `rss/*`) are ignored.
+    /// per-sample cost. Unpaired rows (`bfs_served/*`, `mc_served/*`,
+    /// `rss/*`) are ignored.
     /// `None` when no pair is complete or a row is degenerate.
     pub fn packed_speedup(rows: &[PerSampleRow]) -> Option<f64> {
         let ns = |path: &str| {

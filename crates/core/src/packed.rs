@@ -30,7 +30,18 @@
 //! touched edge. On graphs near the percolation threshold (mean offspring
 //! ≈ 1, e.g. `p = 1/out_degree` assignments) this matters a lot: the 64
 //! worlds overlap little, and drawing full words would cost *more*
-//! randomness than 64 scalar samples.
+//! randomness than 64 scalar samples. That is the **lazy** strategy.
+//!
+//! Supercritical graphs (mean offspring ≥ [`DENSE_OFFSPRING_THRESHOLD`],
+//! see [`dense_strategy`]) take the **dense** strategy instead: every
+//! sampled world holds a giant component, so a batch touches most edges
+//! anyway. There up to [`LANES`] 64-world lanes share one fixed-point
+//! sweep ([`relcomp_ugraph::traversal::lane_reach`]) that pays each
+//! visit's adjacency walk and bookkeeping once for all lanes. An edge's
+//! lane masks are drawn whole on its first touch, the lanes' SplitMix64
+//! chains interleaved, and each lane's mask comes from a stream keyed by
+//! `(lane seed, edge)` — so it does not depend on the order in which the
+//! sweep touches edges.
 //!
 //! In-batch mask randomness comes from a [`SplitMix64`] stream seeded
 //! with one draw of the session's primary RNG per batch, so the primary
@@ -47,6 +58,16 @@
 //! remaining samples) run the tail through the historical scalar loop on
 //! the *same* stream — so a fixed budget below 64 samples is bit-identical
 //! to [`McSampling`](crate::mc::McSampling).
+//!
+//! A dense lane pass consumes one `next_u64` per lane (the lane seed), the
+//! same as the batches it replaces. Lane `j`'s mask for edge `e` is
+//! [`sample_mask`] on a [`SplitMix64`] keyed by `(seed_j, e)`, a pure
+//! function of those two values: an `L`-lane pass equals `L` one-lane
+//! passes bit for bit, and a one-lane pass is the dense strategy's
+//! 64-world batch. A pass may end in a partial lane (fewer than 64 live
+//! worlds) that still consumes one `next_u64`; the served
+//! [`ParallelSampler`](crate::parallel::ParallelSampler) uses one for a
+//! shard's remainder, while [`PackedMcSampling`] keeps its scalar tail.
 
 use crate::estimator::{validate_query, Estimate, Estimator, UpdateOutcome};
 use crate::memory::MemoryTracker;
@@ -54,8 +75,8 @@ use crate::sampler::coin;
 use crate::session::{EstimationSession, SampleBudget};
 use rand::{Rng, RngCore};
 use relcomp_ugraph::traversal::{
-    bfs_reaches, word_reach_all, word_reach_all_sweep, word_reach_within, word_reach_worlds,
-    word_reach_worlds_sweep, BfsWorkspace, WordBfsWorkspace, WORLD_WORD_BITS,
+    bfs_reaches, lane_reach, word_reach_all, word_reach_within, word_reach_worlds, BfsWorkspace,
+    LaneBfsWorkspace, WordBfsWorkspace, WORLD_WORD_BITS,
 };
 use relcomp_ugraph::{EdgeId, EdgeUpdate, NodeId, UncertainGraph};
 use std::sync::Arc;
@@ -110,6 +131,14 @@ pub fn split_batch(n: usize) -> (usize, usize) {
     (n / WORLD_BATCH, n % WORLD_BATCH)
 }
 
+/// `p` as a 64-bit fixed-point fraction (saturating; exact for dyadic
+/// `p`): the threshold every bitwise and per-bit Bernoulli draw compares
+/// uniform words against.
+#[inline]
+fn fixed_point(p: f64) -> u64 {
+    (p * (u64::MAX as f64 + 1.0)) as u64
+}
+
 /// One 64-world existence mask via the dense bit-compare fill: bit `b` is
 /// set with probability `p` (to within fixed-point `2^-64` resolution),
 /// independently across bits. Exactly equivalent to comparing 64
@@ -121,8 +150,7 @@ pub fn dense_mask<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
     if p >= 1.0 {
         return !0;
     }
-    // p as a 64-bit fixed-point fraction (saturating; exact for dyadic p).
-    let p_fixed = (p * (u64::MAX as f64 + 1.0)) as u64;
+    let p_fixed = fixed_point(p);
     let mut undecided = !0u64;
     let mut mask = 0u64;
     for j in (0..64).rev() {
@@ -291,37 +319,6 @@ impl MaskCache {
         self.touched.clear();
     }
 
-    /// The edge's full 64-world existence mask, drawing every undecided
-    /// bit now — the dense-batch strategy for supercritical graphs, where
-    /// the fixed-point sweep revisits each reached edge a handful of times
-    /// and candidate-set bookkeeping costs more than it saves. The first
-    /// touch settles the whole word with one [`sample_mask`] call; later
-    /// touches replay it from the slot. Edges the sweep never scans are
-    /// never drawn, which matters on directed graphs whose worlds reach a
-    /// fraction of the nodes. Shares `decided`/`touched` bookkeeping with
-    /// [`MaskCache::probe`], so the two can serve the same cache across
-    /// batches.
-    #[inline]
-    pub fn probe_full<R: Rng + ?Sized>(
-        &mut self,
-        e: EdgeId,
-        graph: &UncertainGraph,
-        rng: &mut R,
-    ) -> u64 {
-        let slot = &mut self.slots[e.index()];
-        if slot.decided == 0 {
-            self.touched.push(e);
-            slot.mask = sample_mask(rng, graph.prob(e).value());
-            slot.decided = !0;
-        } else if slot.decided != !0 {
-            // A lazy probe partially decided this edge earlier in the
-            // batch (mixed-strategy use); settle the remainder once.
-            slot.mask |= sample_mask(rng, graph.prob(e).value()) & !slot.decided;
-            slot.decided = !0;
-        }
-        slot.mask
-    }
-
     /// The edge's existence mask restricted to the candidate worlds
     /// `cand`, drawing any not-yet-decided candidate bits now. Decided
     /// bits replay their earlier outcome, so probes compose into one
@@ -338,7 +335,7 @@ impl MaskCache {
                 // Branchless Bernoulli(p) per candidate bit: set the bit
                 // when a fresh uniform word falls below fixed-point p —
                 // the same accept rule the dense fill resolves bitwise.
-                let p_fixed = (p * (u64::MAX as f64 + 1.0)) as u64;
+                let p_fixed = fixed_point(p);
                 let mut drawn = 0u64;
                 let mut bits = undecided;
                 while bits != 0 {
@@ -365,78 +362,219 @@ impl MaskCache {
 }
 
 /// Mean percolation offspring number (sum of edge probabilities over node
-/// count) at or above which [`PackedWorkspace::for_graph`] picks the dense
-/// batch strategy. Above ~1 a sampled world has a giant component, batches
-/// touch most edges, and the upfront fill + CSR sweep beats lazy probing;
+/// count) at or above which [`dense_strategy`] picks the dense batch
+/// strategy. Above ~1 a sampled world has a giant component, batches
+/// touch most edges, and full-word draws + a CSR sweep beat lazy probing;
 /// well below 1 worlds are shards and lazy probing skips most of the graph.
 pub const DENSE_OFFSPRING_THRESHOLD: f64 = 1.25;
 
-/// Reusable state for packed sampling over one graph: the word-parallel
-/// BFS workspace plus the edge-mask cache, and the batch strategy chosen
-/// for the graph.
+/// Whether `graph` takes the dense batch strategy: its mean offspring
+/// number is at least [`DENSE_OFFSPRING_THRESHOLD`]. A pure function of
+/// the graph — never of batch history — so estimates stay deterministic
+/// per seed and [`ParallelSampler`](crate::parallel::ParallelSampler)
+/// results stay bit-identical across thread counts. O(m).
+pub fn dense_strategy(graph: &UncertainGraph) -> bool {
+    let offspring: f64 =
+        graph.edges().map(|(_, _, _, p)| p.value()).sum::<f64>() / graph.num_nodes().max(1) as f64;
+    offspring >= DENSE_OFFSPRING_THRESHOLD
+}
+
+/// 64-world lanes per dense pass: one
+/// [`SHARD_SAMPLES`](crate::parallel::SHARD_SAMPLES)-world parallel shard
+/// runs as a single lane sweep.
+pub const LANES: usize = crate::parallel::SHARD_SAMPLES / WORLD_BATCH;
+
+/// Odd multiplier that spreads edge ids across SplitMix64 states.
+const EDGE_KEY: u64 = 0xD1B5_4A32_D192_ED03;
+
+/// The stream a lane seeded with `seed` draws edge `e`'s mask from. Keyed
+/// by `(seed, e)` alone, so a mask never depends on which edges a pass
+/// touched before it.
+#[inline]
+fn edge_stream(seed: u64, e: EdgeId) -> SplitMix64 {
+    SplitMix64::new(seed ^ (e.index() as u64).wrapping_mul(EDGE_KEY))
+}
+
+/// Edge `e`'s existence masks in the first `lanes` lanes of a dense pass:
+/// lane `j` is [`sample_mask`] of probability `p` on
+/// `edge_stream(seeds[j], e)`, bit for bit. Dense fills run the lanes'
+/// SplitMix64 chains side by side, one bit-compare round for every lane
+/// at once; a lane that has settled keeps drawing but no longer changes,
+/// exactly as [`dense_mask`] would have stopped. Lanes at or past `lanes`
+/// stay zero.
+fn lane_masks(seeds: &[u64; LANES], lanes: usize, e: EdgeId, p: f64) -> [u64; LANES] {
+    let mut out = [0u64; LANES];
+    if p <= 0.0 {
+        return out;
+    }
+    if p >= 1.0 {
+        out[..lanes].fill(!0);
+        return out;
+    }
+    let mut rngs: [SplitMix64; LANES] = std::array::from_fn(|j| edge_stream(seeds[j], e));
+    if p <= GEOMETRIC_THRESHOLD {
+        for (mask, rng) in out.iter_mut().zip(&mut rngs).take(lanes) {
+            *mask = geometric_mask(rng, p);
+        }
+        return out;
+    }
+    let p_fixed = fixed_point(p);
+    let mut undecided: [u64; LANES] = std::array::from_fn(|j| if j < lanes { !0 } else { 0 });
+    for b in (0..64).rev() {
+        let sel = ((p_fixed >> b) & 1).wrapping_neg();
+        let mut open = 0u64;
+        for j in 0..LANES {
+            let r = rngs[j].next_u64();
+            out[j] |= undecided[j] & !r & sel;
+            undecided[j] &= r ^ !sel;
+            open |= undecided[j];
+        }
+        if open == 0 {
+            break;
+        }
+    }
+    out
+}
+
+/// Dense-strategy state: the lane sweep's per-node reach lanes, plus each
+/// edge's lane masks for the current pass, drawn on first touch.
 #[derive(Clone, Debug)]
-pub struct PackedWorkspace {
+struct DenseLanes {
+    sweep: LaneBfsWorkspace<LANES>,
+    masks: Vec<[u64; LANES]>,
+    /// One bit per edge, set once the edge's masks are drawn this pass.
+    drawn: Vec<u64>,
+}
+
+impl DenseLanes {
+    fn new(n: usize, m: usize) -> Self {
+        DenseLanes {
+            sweep: LaneBfsWorkspace::new(n),
+            masks: vec![[0; LANES]; m],
+            drawn: vec![0; m.div_ceil(64)],
+        }
+    }
+
+    fn bytes_for(n: usize, m: usize) -> usize {
+        LaneBfsWorkspace::<LANES>::bytes_for(n) + m * LANES * 8 + m.div_ceil(64) * 8
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.sweep.resident_bytes() + (self.masks.len() * LANES + self.drawn.len()) * 8
+    }
+}
+
+/// Lazy-strategy state: the frontier walks' word workspace and the
+/// partial edge-mask cache.
+#[derive(Clone, Debug)]
+struct LazyWalk {
     words: WordBfsWorkspace,
     masks: MaskCache,
-    dense: bool,
+}
+
+impl LazyWalk {
+    fn new(n: usize, m: usize) -> Self {
+        LazyWalk {
+            words: WordBfsWorkspace::new(n),
+            masks: MaskCache::new(m),
+        }
+    }
+
+    fn bytes_for(n: usize, m: usize) -> usize {
+        WordBfsWorkspace::bytes_for(n) + m * 16
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.words.resident_bytes() + self.masks.resident_bytes()
+    }
+}
+
+/// Reusable state for packed sampling over one graph, in the batch
+/// strategy chosen for it: the lazy frontier walks' state, or the dense
+/// strategy's lane arrays.
+#[derive(Clone, Debug)]
+pub struct PackedWorkspace {
+    n: usize,
+    m: usize,
+    /// Built up front in the lazy strategy; in the dense one only if a
+    /// lazy walk ([`packed_sample_worlds`], [`packed_reach_within`]) runs.
+    lazy: Option<LazyWalk>,
+    /// Present exactly in the dense strategy.
+    lanes: Option<DenseLanes>,
 }
 
 impl PackedWorkspace {
     /// Workspace for a graph with `n` nodes and `m` edges, using the lazy
     /// (sparse-regime) batch strategy.
     pub fn new(n: usize, m: usize) -> Self {
+        Self::with_strategy(n, m, false)
+    }
+
+    /// Workspace for a graph with `n` nodes and `m` edges, using the dense
+    /// batch strategy when `dense` holds (see [`dense_strategy`]).
+    pub fn with_strategy(n: usize, m: usize, dense: bool) -> Self {
         PackedWorkspace {
-            words: WordBfsWorkspace::new(n),
-            masks: MaskCache::new(m),
-            dense: false,
+            n,
+            m,
+            lazy: (!dense).then(|| LazyWalk::new(n, m)),
+            lanes: dense.then(|| DenseLanes::new(n, m)),
         }
     }
 
-    /// Workspace sized for `graph`, choosing the batch strategy from the
-    /// graph's mean offspring number (≥ [`DENSE_OFFSPRING_THRESHOLD`] goes
-    /// dense). The choice is a pure function of the graph — never of batch
-    /// history — so estimates stay deterministic per seed and
-    /// [`ParallelSampler`](crate::parallel::ParallelSampler) results stay
-    /// bit-identical across thread counts. Both strategies draw each
-    /// edge's existence from the same per-edge Bernoulli, so only speed
-    /// (and which equally-distributed worlds a given seed yields)
-    /// differs.
+    /// Workspace sized for `graph`, with the batch strategy
+    /// [`dense_strategy`] picks for it. Both strategies draw each edge's
+    /// existence from the same per-edge Bernoulli, so only speed (and
+    /// which equally-distributed worlds a given seed yields) differs.
     pub fn for_graph(graph: &UncertainGraph) -> Self {
-        let mut ws = PackedWorkspace::new(graph.num_nodes(), graph.num_edges());
-        ws.retune(graph);
-        ws
+        Self::with_strategy(graph.num_nodes(), graph.num_edges(), dense_strategy(graph))
     }
 
     /// Re-pick the batch strategy for `graph` (same node and edge
     /// counts), e.g. after live probability updates shift the offspring
     /// number across the threshold. O(m).
     pub fn retune(&mut self, graph: &UncertainGraph) {
-        let offspring: f64 = graph.edges().map(|(_, _, _, p)| p.value()).sum::<f64>()
-            / graph.num_nodes().max(1) as f64;
-        self.dense = offspring >= DENSE_OFFSPRING_THRESHOLD;
+        self.set_dense(dense_strategy(graph));
     }
 
-    /// Whether this workspace uses the dense (full-word draws + fixed-point
-    /// sweep) batch strategy for full-reachability batches.
+    fn set_dense(&mut self, dense: bool) {
+        if dense != self.dense_mode() {
+            *self = Self::with_strategy(self.n, self.m, dense);
+        }
+    }
+
+    /// Whether this workspace uses the dense (lane sweep) batch strategy
+    /// for s-t and full-reachability batches.
     pub fn dense_mode(&self) -> bool {
-        self.dense
+        self.lanes.is_some()
+    }
+
+    fn lazy_walk(&mut self) -> &mut LazyWalk {
+        let (n, m) = (self.n, self.m);
+        self.lazy.get_or_insert_with(|| LazyWalk::new(n, m))
     }
 
     /// Approximate resident bytes (for memory accounting).
     pub fn resident_bytes(&self) -> usize {
-        self.words.resident_bytes() + self.masks.resident_bytes()
+        self.lazy.as_ref().map_or(0, LazyWalk::resident_bytes)
+            + self.lanes.as_ref().map_or(0, DenseLanes::resident_bytes)
     }
 
-    /// Resident bytes a fresh workspace would hold, without allocating one.
-    pub fn bytes_for(n: usize, m: usize) -> usize {
-        WordBfsWorkspace::bytes_for(n) + m * 16
+    /// Resident bytes a fresh workspace in the given strategy would hold,
+    /// without allocating one.
+    pub fn bytes_for(n: usize, m: usize, dense: bool) -> usize {
+        if dense {
+            DenseLanes::bytes_for(n, m)
+        } else {
+            LazyWalk::bytes_for(n, m)
+        }
     }
 }
 
 /// Sample one packed batch of 64 worlds and count those in which `t` is
 /// reachable from `s`. Returns the hit count in `0..=64`. Consumes
 /// exactly one `next_u64` of `rng` (the batch's [`SplitMix64`] seed) in
-/// either batch strategy.
+/// either batch strategy; in the dense one the batch is a one-lane
+/// [`packed_lanes_st`] pass.
 pub fn packed_reach_worlds<R: Rng + ?Sized>(
     graph: &UncertainGraph,
     s: NodeId,
@@ -444,24 +582,132 @@ pub fn packed_reach_worlds<R: Rng + ?Sized>(
     ws: &mut PackedWorkspace,
     rng: &mut R,
 ) -> u32 {
-    let PackedWorkspace {
-        words,
-        masks,
-        dense,
-    } = ws;
+    if ws.dense_mode() {
+        return packed_lanes_st(graph, s, t, WORLD_BATCH, ws, rng)[0].count_ones();
+    }
+    let LazyWalk { words, masks } = ws.lazy_walk();
     let mut mask_rng = SplitMix64::new(rng.next_u64());
     masks.begin_batch();
-    let reached = if *dense {
-        word_reach_worlds_sweep(graph, s, t, words, |e| {
-            masks.probe_full(e, graph, &mut mask_rng)
-        })
-    } else {
-        word_reach_worlds(graph, s, t, words, |e, cand| {
-            masks.probe(e, graph.prob(e).value(), cand, &mut mask_rng)
-        })
-    };
+    let reached = word_reach_worlds(graph, s, t, words, |e, cand| {
+        masks.probe(e, graph.prob(e).value(), cand, &mut mask_rng)
+    });
     note_packed_batch();
     reached.count_ones()
+}
+
+/// Hits over `words` whole 64-world batches, consuming one `next_u64` of
+/// `rng` per batch: lane passes of up to [`LANES`] batches each in the
+/// dense strategy, one [`packed_reach_worlds`] walk per batch in the lazy
+/// one. Lane masks are keyed by lane seed and edge, so how the batches
+/// group into passes changes no world.
+pub fn packed_reach_batches<R: Rng + ?Sized>(
+    graph: &UncertainGraph,
+    s: NodeId,
+    t: NodeId,
+    words: usize,
+    ws: &mut PackedWorkspace,
+    rng: &mut R,
+) -> usize {
+    if !ws.dense_mode() {
+        return (0..words)
+            .map(|_| packed_reach_worlds(graph, s, t, ws, rng) as usize)
+            .sum();
+    }
+    (0..words)
+        .step_by(LANES)
+        .map(|done| {
+            let lanes = (words - done).min(LANES);
+            lane_worlds(&packed_lanes_st(graph, s, t, lanes * WORLD_BATCH, ws, rng))
+        })
+        .sum()
+}
+
+/// Number of worlds set across a pass's lanes.
+pub fn lane_worlds(lanes: &[u64; LANES]) -> usize {
+    lanes.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// One dense pass over `worlds` fresh worlds (`1..=LANES × 64`): worlds
+/// `64 j..64 j + 64` form lane `j`, whose seed is the `j`-th `next_u64` of
+/// `rng`, and a `worlds % 64` remainder forms a partial last lane whose
+/// live word holds only its low bits. Lane `j`'s mask for edge `e` is a
+/// pure function of `(seed_j, e)`, so a pass equals one one-lane pass per
+/// lane bit for bit. Panics unless `ws` is in the dense strategy.
+fn lane_pass<'a, R: Rng + ?Sized>(
+    graph: &UncertainGraph,
+    s: NodeId,
+    t: Option<NodeId>,
+    worlds: usize,
+    ws: &'a mut PackedWorkspace,
+    rng: &mut R,
+) -> &'a LaneBfsWorkspace<LANES> {
+    assert!(
+        (1..=LANES * WORLD_BATCH).contains(&worlds),
+        "a lane pass covers 1..={} worlds, not {worlds}",
+        LANES * WORLD_BATCH
+    );
+    let DenseLanes {
+        sweep,
+        masks,
+        drawn,
+    } = ws
+        .lanes
+        .as_mut()
+        .expect("lane passes need a dense-strategy workspace");
+    let lanes = worlds.div_ceil(WORLD_BATCH);
+    let mut seeds = [0u64; LANES];
+    let mut live = [0u64; LANES];
+    for j in 0..lanes {
+        seeds[j] = rng.next_u64();
+        live[j] = !0;
+    }
+    if worlds % WORLD_BATCH != 0 {
+        live[lanes - 1] = (1u64 << (worlds % WORLD_BATCH)) - 1;
+    }
+    drawn.fill(0);
+    lane_reach(graph, s, t, live, sweep, |e| {
+        let (i, bit) = (e.index() / 64, 1u64 << (e.index() % 64));
+        if drawn[i] & bit == 0 {
+            drawn[i] |= bit;
+            masks[e.index()] = lane_masks(&seeds, lanes, e, graph.prob(e).value());
+        }
+        masks[e.index()]
+    });
+    relcomp_obs::note_packed_samples(worlds as u64);
+    sweep
+}
+
+/// Sample `worlds` fresh worlds (`1..=LANES × 64`) in one dense lane pass
+/// and return `t`'s reach lanes: bit `b` of lane `j` is set when `t` is
+/// reachable from `s` in world `64 j + b`, and bits past `worlds` are
+/// zero. Consumes `worlds.div_ceil(64)` `next_u64`s of `rng`, one lane
+/// seed each. Worlds that reach `t` stop propagating, and the sweep stops
+/// once every world has. Panics unless `ws` is in the dense strategy.
+pub fn packed_lanes_st<R: Rng + ?Sized>(
+    graph: &UncertainGraph,
+    s: NodeId,
+    t: NodeId,
+    worlds: usize,
+    ws: &mut PackedWorkspace,
+    rng: &mut R,
+) -> [u64; LANES] {
+    lane_pass(graph, s, Some(t), worlds, ws, rng).reach()[t.index()]
+}
+
+/// Sample `worlds` fresh worlds (`1..=LANES × 64`) in one dense lane pass
+/// and compute full reachability from `s` in each: the returned
+/// workspace's `reach()` lanes and `reached_nodes()` union back top-k and
+/// multi-target scoring. Same stream use as [`packed_lanes_st`]; the
+/// source holds exactly the pass's worlds. Panics unless `ws` is in the
+/// dense strategy.
+pub fn packed_lanes_all<'a, R: Rng + ?Sized>(
+    graph: &UncertainGraph,
+    s: NodeId,
+    worlds: usize,
+    ws: &'a mut PackedWorkspace,
+    rng: &mut R,
+) -> &'a LaneBfsWorkspace<LANES> {
+    lane_pass(graph, s, None, worlds, ws, rng)
 }
 
 /// Sample one packed batch of 64 worlds and compute full reachability from
@@ -469,29 +715,20 @@ pub fn packed_reach_worlds<R: Rng + ?Sized>(
 /// (bit `b` of `[v]` set when `v` is reachable in world `b`) and
 /// `reached_nodes()` union back multi-target and top-k sampling — scoring
 /// iterates the reached union, not all `n` nodes. Consumes exactly one
-/// `next_u64` of `rng`.
+/// `next_u64` of `rng`. Always probes lazily, whatever the workspace's
+/// strategy; dense-strategy callers use [`packed_lanes_all`].
 pub fn packed_sample_worlds<'a, R: Rng + ?Sized>(
     graph: &UncertainGraph,
     s: NodeId,
     ws: &'a mut PackedWorkspace,
     rng: &mut R,
 ) -> &'a WordBfsWorkspace {
-    let PackedWorkspace {
-        words,
-        masks,
-        dense,
-    } = ws;
+    let LazyWalk { words, masks } = ws.lazy_walk();
     let mut mask_rng = SplitMix64::new(rng.next_u64());
     masks.begin_batch();
-    if *dense {
-        word_reach_all_sweep(graph, s, words, |e| {
-            masks.probe_full(e, graph, &mut mask_rng)
-        });
-    } else {
-        word_reach_all(graph, s, words, |e, cand| {
-            masks.probe(e, graph.prob(e).value(), cand, &mut mask_rng)
-        });
-    }
+    word_reach_all(graph, s, words, |e, cand| {
+        masks.probe(e, graph.prob(e).value(), cand, &mut mask_rng)
+    });
     note_packed_batch();
     words
 }
@@ -509,7 +746,7 @@ pub fn packed_reach_within<R: Rng + ?Sized>(
     ws: &mut PackedWorkspace,
     rng: &mut R,
 ) -> u32 {
-    let PackedWorkspace { words, masks, .. } = ws;
+    let LazyWalk { words, masks } = ws.lazy_walk();
     masks.begin_batch();
     let mut mask_rng = SplitMix64::new(rng.next_u64());
     let reached = word_reach_within(graph, s, t, d, words, |e, cand| {
@@ -525,6 +762,8 @@ pub fn packed_reach_within<R: Rng + ?Sized>(
 /// Each session batch splits into `batch / 64` packed words plus a scalar
 /// tail of `batch % 64` historical lazy-BFS samples from the same RNG
 /// stream; adaptive stopping is checked at batch (hence word) boundaries.
+/// On dense-strategy graphs the words run as lane passes of up to
+/// [`LANES`] words each (see [`packed_reach_batches`]).
 /// For fixed budgets below 64 samples the packed path never engages, and
 /// the result is bit-identical to [`McSampling`](crate::mc::McSampling).
 pub struct PackedMcSampling {
@@ -574,10 +813,7 @@ impl Estimator for PackedMcSampling {
                 break;
             }
             let (words, tail) = split_batch(n);
-            let mut batch_hits = 0usize;
-            for _ in 0..words {
-                batch_hits += packed_reach_worlds(graph, s, t, &mut self.ws, rng) as usize;
-            }
+            let mut batch_hits = packed_reach_batches(graph, s, t, words, &mut self.ws, rng);
             for _ in 0..tail {
                 if bfs_reaches(graph, s, t, &mut self.scalar_ws, |e| {
                     coin(rng, graph.prob(e).value())
@@ -849,7 +1085,8 @@ mod tests {
         let exact = exact_reliability(&g, NodeId(0), NodeId(3));
         for dense in [false, true] {
             let mut ws = PackedWorkspace::for_graph(&g);
-            ws.dense = dense;
+            ws.set_dense(dense);
+            assert_eq!(ws.dense_mode(), dense);
             let mut rng = ChaCha8Rng::seed_from_u64(14);
             let batches = 1500u32;
             let hits: u32 = (0..batches)
@@ -882,27 +1119,61 @@ mod tests {
     }
 
     #[test]
-    fn probe_full_replays_and_resets_like_probe() {
-        // Full-word draws must share batch semantics with lazy probes:
-        // replay within a batch, compose with partial probes, and clear
-        // on begin_batch so stale bits never leak into the next batch.
+    fn lane_masks_are_keyed_sample_masks() {
+        // Every lane's mask is sample_mask on its own (seed, edge) stream,
+        // whatever the probability regime, and lanes past the pass stay
+        // empty.
+        let seeds = [11u64, 22, 33, 44];
+        for (i, &p) in [0.0, 0.01, 0.3, 0.97, 1.0].iter().enumerate() {
+            let e = EdgeId(i as u32 * 7);
+            for lanes in 1..=LANES {
+                let got = lane_masks(&seeds, lanes, e, p);
+                for (j, &mask) in got.iter().enumerate() {
+                    let want = if j < lanes {
+                        sample_mask(&mut edge_stream(seeds[j], e), p)
+                    } else {
+                        0
+                    };
+                    assert_eq!(mask, want, "p={p} lanes={lanes} lane {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_passes_reset_their_masks() {
+        // The p = 1 edge fills every live world in each pass; a pass
+        // never replays the previous pass's masks, so two passes on one
+        // workspace equal two passes on fresh workspaces.
         let g = dense_diamond();
-        let mut cache = MaskCache::new(g.num_edges());
+        let mut ws = PackedWorkspace::for_graph(&g);
         let mut rng = ChaCha8Rng::seed_from_u64(16);
-        let full = cache.probe_full(EdgeId(6), &g, &mut rng);
-        assert_eq!(full, !0, "p=1.0 edge must fill every world");
-        assert_eq!(cache.probe_full(EdgeId(6), &g, &mut rng), full);
-        // A lazy probe after a full draw replays the same bits.
-        assert_eq!(cache.probe(EdgeId(6), 1.0, 0xff, &mut rng), full & 0xff);
-        // A full draw after a partial lazy probe keeps the decided bits.
-        let part = cache.probe(EdgeId(0), g.prob(EdgeId(0)).value(), 0xf, &mut rng);
-        let whole = cache.probe_full(EdgeId(0), &g, &mut rng);
-        assert_eq!(whole & 0xf, part);
-        assert_eq!(cache.probe_full(EdgeId(0), &g, &mut rng), whole);
-        cache.begin_batch();
-        // After the reset the p=1.0 edge redraws (still all-ones), and a
-        // p=0 lazy probe of a previously full edge sees nothing stale.
-        assert_eq!(cache.probe(EdgeId(6), 0.0, !0, &mut rng), 0);
+        let first = packed_lanes_st(&g, NodeId(3), NodeId(0), 100, &mut ws, &mut rng);
+        assert_eq!(first, [!0, (1 << 36) - 1, 0, 0]);
+        let second = packed_lanes_st(&g, NodeId(0), NodeId(3), 256, &mut ws, &mut rng);
+        let mut fresh_rng = ChaCha8Rng::seed_from_u64(16);
+        let mut fresh = PackedWorkspace::for_graph(&g);
+        packed_lanes_st(&g, NodeId(3), NodeId(0), 100, &mut fresh, &mut fresh_rng);
+        let mut fresh = PackedWorkspace::for_graph(&g);
+        let again = packed_lanes_st(&g, NodeId(0), NodeId(3), 256, &mut fresh, &mut fresh_rng);
+        assert_eq!(second, again);
+    }
+
+    #[test]
+    fn dense_workspace_counts_its_lanes() {
+        let g = dense_diamond();
+        let (n, m) = (g.num_nodes(), g.num_edges());
+        let mut ws = PackedWorkspace::for_graph(&g);
+        assert_eq!(
+            PackedWorkspace::bytes_for(n, m, true),
+            DenseLanes::bytes_for(n, m)
+        );
+        assert!(ws.resident_bytes() >= DenseLanes::bytes_for(n, m));
+        assert!(ws.resident_bytes() < DenseLanes::bytes_for(n, m) + LazyWalk::bytes_for(n, m));
+        // A lazy walk on a dense workspace builds the lazy state on demand.
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        packed_sample_worlds(&g, NodeId(0), &mut ws, &mut rng);
+        assert!(ws.resident_bytes() >= DenseLanes::bytes_for(n, m) + LazyWalk::bytes_for(n, m));
     }
 
     #[test]

@@ -31,12 +31,15 @@
 //! invariant too.
 //!
 //! The MC-family entry points draw their worlds through the bit-packed
-//! kernel of [`crate::packed`]: each [`SHARD_SAMPLES`]-sample shard runs
-//! as `SHARD_SAMPLES / 64` packed 64-world batches (the tail shard adds a
-//! scalar remainder loop on the same stream). Shard `i` still owns stream
-//! `(seed, i)` exclusively, so thread-count invariance and `(seed,
-//! budget)` determinism are untouched — only the per-stream draw order
-//! changed relative to the scalar loops. BFS-Sharing shards draw their
+//! kernel of [`crate::packed`]. On a dense-strategy graph
+//! ([`dense_strategy`]) each shard of up to [`SHARD_SAMPLES`] samples is
+//! **one** lane pass of `len.div_ceil(64)` 64-world lanes, a remainder
+//! below 64 forming a partial last lane, so no shard runs scalar worlds.
+//! On a lazy-strategy graph a shard runs `len / 64` packed 64-world
+//! batches plus a scalar tail of `len % 64` worlds on the same stream.
+//! Shard `i` still owns stream `(seed, i)` exclusively, so thread-count
+//! invariance and `(seed, budget)` determinism are untouched — only the
+//! per-stream draw order changed relative to the scalar loops. BFS-Sharing shards draw their
 //! world index through the same mask kernel, one edge slice at a time on
 //! the fixpoint's first probe (`LazyWorldIndex`).
 
@@ -44,8 +47,8 @@ use crate::bfs_sharing::LazyWorldIndex;
 use crate::estimator::{validate_query, Estimate};
 use crate::memory::MemoryTracker;
 use crate::packed::{
-    note_scalar_samples, packed_reach_within, packed_reach_worlds, packed_sample_worlds,
-    split_batch, PackedWorkspace,
+    dense_strategy, lane_worlds, note_scalar_samples, packed_lanes_all, packed_lanes_st,
+    packed_reach_batches, packed_reach_within, packed_sample_worlds, split_batch, PackedWorkspace,
 };
 use crate::sampler::coin;
 use crate::session::{finish_estimate, Convergence, SampleBudget, StopReason, DEFAULT_CONFIDENCE};
@@ -106,6 +109,8 @@ pub fn shard_rng(seed: u64, shard: u64) -> ChaCha8Rng {
 pub struct ParallelSampler {
     graph: Arc<UncertainGraph>,
     threads: usize,
+    /// The graph's packed batch strategy ([`dense_strategy`]), picked once.
+    dense: bool,
 }
 
 impl ParallelSampler {
@@ -113,6 +118,7 @@ impl ParallelSampler {
     /// least 1).
     pub fn new(graph: Arc<UncertainGraph>, threads: usize) -> Self {
         ParallelSampler {
+            dense: dense_strategy(&graph),
             graph,
             threads: threads.max(1),
         }
@@ -306,19 +312,21 @@ impl ParallelSampler {
         (hits, samples, tracker, stop, start)
     }
 
+    /// Per-worker packed workspace in the graph's batch strategy.
+    fn packed_ws(&self) -> PackedWorkspace {
+        PackedWorkspace::with_strategy(self.graph.num_nodes(), self.graph.num_edges(), self.dense)
+    }
+
     /// Per-worker reusable state for the packed MC shard kernel: the
-    /// packed 64-world workspace plus a scalar workspace for tails.
+    /// packed workspace plus a scalar workspace for lazy-strategy tails.
     fn packed_mc_state(&self) -> (PackedWorkspace, BfsWorkspace) {
-        (
-            PackedWorkspace::for_graph(&self.graph),
-            BfsWorkspace::new(self.graph.num_nodes()),
-        )
+        (self.packed_ws(), BfsWorkspace::new(self.graph.num_nodes()))
     }
 
     /// Workspace bytes one worker's packed MC state holds (for memory
     /// accounting without allocating).
     fn packed_mc_state_bytes(&self) -> usize {
-        PackedWorkspace::bytes_for(self.graph.num_nodes(), self.graph.num_edges())
+        PackedWorkspace::bytes_for(self.graph.num_nodes(), self.graph.num_edges(), self.dense)
             + BfsWorkspace::bytes_for(self.graph.num_nodes())
     }
 
@@ -329,8 +337,9 @@ impl ParallelSampler {
     }
 
     /// Monte-Carlo estimate of `R(s, t)` with `k` samples under master
-    /// seed `seed`, drawn through the packed 64-world kernel (shards
-    /// split into packed batches plus a scalar tail on the same stream).
+    /// seed `seed`, drawn through the packed kernel (one lane pass per
+    /// shard on dense-strategy graphs; packed batches plus a scalar tail
+    /// on the same stream otherwise).
     /// Bit-identical across thread counts.
     pub fn estimate_mc(&self, s: NodeId, t: NodeId, k: usize, seed: u64) -> Estimate {
         validate_query(&self.graph, s, t);
@@ -523,24 +532,22 @@ impl ParallelSampler {
                 seed,
                 || (self.packed_mc_state(), vec![0usize; targets.len()]),
                 |(st, local), _, len, rng| {
+                    // Full-reach fixpoint, then score every target by
+                    // the worlds its node was reached in (the source
+                    // holds every world, so s as its own target still
+                    // hits them all; unreached nodes hold zero).
+                    if st.0.dense_mode() {
+                        let lanes = packed_lanes_all(graph, s, len, &mut st.0, rng);
+                        for (h, &t) in local.iter_mut().zip(targets) {
+                            *h += lanes.worlds_reaching(t) as usize;
+                        }
+                        return;
+                    }
                     let (words, tail) = split_batch(len);
                     for _ in 0..words {
-                        // Full 64-world fixpoint, then score every target
-                        // slot by its node's popcount (the source's reach
-                        // word is all-ones, so s as its own target still
-                        // hits every world). Only nodes in the reached
-                        // union can score, so iterate that — not 0..n.
-                        let words_ws = packed_sample_worlds(graph, s, &mut st.0, rng);
-                        let reach = words_ws.reach();
-                        for &v in words_ws.reached_nodes() {
-                            let slots = &target_slots[v.index()];
-                            if slots.is_empty() {
-                                continue;
-                            }
-                            let c = reach[v.index()].count_ones() as usize;
-                            for &slot in slots {
-                                local[slot] += c;
-                            }
+                        let reach = packed_sample_worlds(graph, s, &mut st.0, rng).reach();
+                        for (h, &t) in local.iter_mut().zip(targets) {
+                            *h += reach[t.index()].count_ones() as usize;
                         }
                     }
                     for _ in 0..tail {
@@ -606,21 +613,24 @@ impl ParallelSampler {
             shards,
             lo..hi,
             seed,
-            || {
-                (
-                    PackedWorkspace::for_graph(graph),
-                    BfsWorkspace::new(n),
-                    vec![0u64; n],
-                )
-            },
+            || (self.packed_ws(), BfsWorkspace::new(n), vec![0u64; n]),
             |st: &mut (PackedWorkspace, BfsWorkspace, Vec<u64>), _, len, rng| {
+                // The source holds every world by construction; skip it
+                // to match the scalar loop, which never credits s. Only
+                // the reached union can have nonzero words.
+                if st.0.dense_mode() {
+                    let lanes = packed_lanes_all(graph, s, len, &mut st.0, rng);
+                    for &v in lanes.reached_nodes() {
+                        if v != s {
+                            st.2[v.index()] += u64::from(lanes.worlds_reaching(v));
+                        }
+                    }
+                    return;
+                }
                 let (words, tail) = split_batch(len);
                 for _ in 0..words {
                     let words_ws = packed_sample_worlds(graph, s, &mut st.0, rng);
                     let reach = words_ws.reach();
-                    // The source's word is all-ones by construction; skip
-                    // it to match the scalar loop, which never credits s.
-                    // Only the reached union can have nonzero words.
                     for &v in words_ws.reached_nodes() {
                         if v != s {
                             st.2[v.index()] += u64::from(reach[v.index()].count_ones());
@@ -751,7 +761,7 @@ impl ParallelSampler {
         let mut mem = MemoryTracker::new();
         mem.baseline(
             self.budget_workers(budget)
-                * (PackedWorkspace::bytes_for(graph.num_nodes(), graph.num_edges())
+                * (PackedWorkspace::bytes_for(graph.num_nodes(), graph.num_edges(), false)
                     + BoundedBfsWorkspace::bytes_for(graph.num_nodes())),
         );
         if s == t {
@@ -786,9 +796,10 @@ impl ParallelSampler {
             note_scalar_samples(tail as u64);
             h
         };
+        // `packed_reach_within` always probes lazily: no lane arrays.
         let init = || {
             (
-                PackedWorkspace::for_graph(graph),
+                PackedWorkspace::new(graph.num_nodes(), graph.num_edges()),
                 BoundedBfsWorkspace::new(graph.num_nodes()),
             )
         };
@@ -844,7 +855,8 @@ fn reconfide(est: Estimate, budget: &SampleBudget) -> Estimate {
     crate::session::restate_bernoulli_confidence(est, budget.confidence())
 }
 
-/// Run `len` s-t MC samples of one shard's stream: `len / 64` packed
+/// Run `len` s-t MC samples of one shard's stream: one lane pass over
+/// all `len` worlds in the dense strategy; otherwise `len / 64` packed
 /// 64-world batches followed by a scalar lazy-BFS tail on the same
 /// stream. The per-shard unit every packed MC entry point shares —
 /// `estimate_mc`, adaptive MC, and the collapsed (single-distinct-target)
@@ -857,11 +869,11 @@ fn packed_shard_st(
     st: &mut (PackedWorkspace, BfsWorkspace),
     rng: &mut ChaCha8Rng,
 ) -> usize {
-    let (words, tail) = split_batch(len);
-    let mut h = 0usize;
-    for _ in 0..words {
-        h += packed_reach_worlds(graph, s, t, &mut st.0, rng) as usize;
+    if st.0.dense_mode() {
+        return lane_worlds(&packed_lanes_st(graph, s, t, len, &mut st.0, rng));
     }
+    let (words, tail) = split_batch(len);
+    let mut h = packed_reach_batches(graph, s, t, words, &mut st.0, rng);
     for _ in 0..tail {
         if bfs_reaches(graph, s, t, &mut st.1, |e| coin(rng, graph.prob(e).value())) {
             h += 1;
@@ -975,6 +987,160 @@ mod tests {
                 "{threads} threads diverged from 1 thread"
             );
             assert_eq!(est.samples, k);
+        }
+    }
+
+    /// A supercritical graph (Σp/n ≈ 1.29) that takes the dense lane
+    /// strategy, with one p ≤ 0.02 edge on the geometric mask path.
+    fn dense_graph() -> Arc<UncertainGraph> {
+        let mut b = GraphBuilder::new(6);
+        for (u, v, p) in [
+            (0, 1, 0.8),
+            (0, 2, 0.7),
+            (1, 3, 0.6),
+            (2, 3, 0.5),
+            (1, 2, 0.9),
+            (2, 1, 0.4),
+            (3, 4, 0.7),
+            (3, 5, 0.6),
+            (4, 5, 0.8),
+            (5, 0, 0.7),
+            (4, 1, 0.6),
+            (2, 4, 0.4),
+            (0, 5, 0.015),
+        ] {
+            b.add_edge(NodeId(u), NodeId(v), p).unwrap();
+        }
+        let g = Arc::new(b.build());
+        assert!(dense_strategy(&g));
+        g
+    }
+
+    /// Budget with a partial last lane: shards of 256, 256, 256 and 17.
+    const DENSE_K: usize = 3 * SHARD_SAMPLES + 17;
+
+    /// Assert `run(threads)` gives the same bits on 1, 2 and 8 threads.
+    fn assert_thread_invariant(run: impl Fn(usize) -> Vec<u64>) {
+        let baseline = run(1);
+        for threads in [2, 8] {
+            assert_eq!(run(threads), baseline, "{threads} threads diverged from 1");
+        }
+    }
+
+    #[test]
+    fn dense_mc_is_thread_invariant() {
+        let g = dense_graph();
+        assert_thread_invariant(|threads| {
+            let est = ParallelSampler::new(Arc::clone(&g), threads).estimate_mc(
+                NodeId(0),
+                NodeId(4),
+                DENSE_K,
+                42,
+            );
+            assert_eq!(est.samples, DENSE_K);
+            vec![est.reliability.to_bits()]
+        });
+    }
+
+    #[test]
+    fn dense_adaptive_mc_is_thread_invariant() {
+        // A cap of DENSE_K stops at the cap, after the partial lane; the
+        // larger cap converges at a later round barrier.
+        let g = dense_graph();
+        for cap in [DENSE_K, 40 * SHARD_SAMPLES + 17] {
+            let budget = SampleBudget::adaptive(0.02, cap);
+            assert_thread_invariant(|threads| {
+                let est = ParallelSampler::new(Arc::clone(&g), threads).estimate_mc_with(
+                    NodeId(0),
+                    NodeId(4),
+                    &budget,
+                    43,
+                );
+                if cap == DENSE_K {
+                    assert_eq!(est.stop_reason, StopReason::MaxSamples);
+                }
+                vec![
+                    est.reliability.to_bits(),
+                    est.samples as u64,
+                    est.stop_reason as u64,
+                ]
+            });
+        }
+    }
+
+    #[test]
+    fn dense_topk_is_thread_invariant() {
+        let g = dense_graph();
+        assert_thread_invariant(|threads| {
+            let got = ParallelSampler::new(Arc::clone(&g), threads).top_k_targets(
+                NodeId(0),
+                4,
+                DENSE_K,
+                11,
+            );
+            assert_eq!(got.samples, DENSE_K);
+            got.scores
+                .iter()
+                .flat_map(|sc| [u64::from(sc.node.0), sc.reliability.to_bits()])
+                .collect()
+        });
+    }
+
+    #[test]
+    fn dense_multi_target_is_thread_invariant() {
+        let g = dense_graph();
+        let targets = [NodeId(1), NodeId(4), NodeId(5), NodeId(0), NodeId(4)];
+        assert_thread_invariant(|threads| {
+            ParallelSampler::new(Arc::clone(&g), threads)
+                .estimate_mc_multi(NodeId(0), &targets, DENSE_K, 5)
+                .iter()
+                .map(|e| e.reliability.to_bits())
+                .collect()
+        });
+    }
+
+    #[test]
+    fn dense_estimates_land_near_exact() {
+        // K not a multiple of 64, so every call ends in a partial lane.
+        // 2.5 / sqrt(K) is five Bernoulli standard deviations at the
+        // worst-case variance p = 1/2.
+        let g = dense_graph();
+        let k = 15 * SHARD_SAMPLES + 33;
+        let tol = 2.5 / (k as f64).sqrt();
+        let sampler = ParallelSampler::new(Arc::clone(&g), 2);
+        let s = NodeId(0);
+        let exact: Vec<f64> = (0..6)
+            .map(|v| exact_reliability(&g, s, NodeId(v)))
+            .collect();
+        let near = |what: &str, v: usize, got: f64| {
+            assert!(
+                (got - exact[v]).abs() <= tol,
+                "{what} for node {v}: {got} vs exact {}",
+                exact[v]
+            );
+        };
+        for v in 1..6 {
+            near(
+                "estimate_mc",
+                v,
+                sampler.estimate_mc(s, NodeId(v as u32), k, 21).reliability,
+            );
+            let fixed = SampleBudget::fixed(k);
+            let with = sampler.estimate_mc_with(s, NodeId(v as u32), &fixed, 22);
+            near("estimate_mc_with", v, with.reliability);
+        }
+        let targets: Vec<NodeId> = (0..6).map(NodeId).collect();
+        for (v, est) in sampler
+            .estimate_mc_multi(s, &targets, k, 23)
+            .iter()
+            .enumerate()
+        {
+            near("estimate_mc_multi", v, est.reliability);
+        }
+        let top = sampler.top_k_targets(s, 5, k, 24);
+        assert_eq!(top.scores.len(), 5);
+        for sc in &top.scores {
+            near("top_k_targets", sc.node.index(), sc.reliability);
         }
     }
 

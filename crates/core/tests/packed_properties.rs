@@ -1,9 +1,10 @@
 //! Property tests for the packed 64-world sampling layer: sub-word fixed
 //! budgets are bit-identical to scalar MC, word-sized and adaptive
-//! budgets agree statistically, the two mask-drawing strategies
-//! (geometric skipping vs dense fill) draw the same distribution, and
-//! BFS-Sharing's world index, drawn through the same mask kernel, keeps
-//! its slices inside `L` worlds and its served answers thread-invariant.
+//! budgets agree statistically, a dense multi-lane pass equals one-lane
+//! passes bit for bit, the two mask-drawing strategies (geometric
+//! skipping vs dense fill) draw the same distribution, and BFS-Sharing's
+//! world index, drawn through the same mask kernel, keeps its slices
+//! inside `L` worlds and its served answers thread-invariant.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -11,7 +12,10 @@ use rand_chacha::ChaCha8Rng;
 use relcomp_core::bfs_sharing::BfsSharingIndex;
 use relcomp_core::exact::exact_reliability;
 use relcomp_core::mc::McSampling;
-use relcomp_core::packed::{dense_mask, geometric_mask, PackedMcSampling};
+use relcomp_core::packed::{
+    dense_mask, dense_strategy, geometric_mask, packed_lanes_all, packed_lanes_st,
+    PackedMcSampling, PackedWorkspace, LANES,
+};
 use relcomp_core::session::SampleBudget;
 use relcomp_core::{Estimator, ParallelSampler};
 use relcomp_ugraph::{EdgeId, EdgeUpdate, GraphBuilder, NodeId, UncertainGraph};
@@ -104,6 +108,83 @@ proptest! {
             (est.reliability - exact).abs() <= 3.0 * hw + 0.02,
             "packed {} vs exact {} (half-width {hw})", est.reliability, exact,
         );
+    }
+}
+
+/// Strategy: a random digraph dense enough for the lane sweep as
+/// (n, edge list). Two to five edges per node, 80% with p in `0.3..1.0`
+/// and 20% at or below 0.02 (the geometric mask path); cases
+/// whose mean offspring still falls short are discarded by the test.
+fn dense_digraph() -> impl Strategy<Value = (usize, Vec<(u32, u32, f64)>)> {
+    (4usize..10).prop_flat_map(|n| {
+        let p = (0.0f64..1.0).prop_map(|u| {
+            if u < 0.2 {
+                0.001 + u * 0.095
+            } else {
+                0.3 + (u - 0.2) * 0.875
+            }
+        });
+        let edge = (0..n as u32, 0..n as u32, p);
+        (Just(n), proptest::collection::vec(edge, 2 * n..5 * n))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A dense pass over `L` lanes (the last one partial) must equal `L`
+    /// one-lane passes drawn from the same stream, bit for bit: lane `j`
+    /// takes the `j`-th lane seed and keys every edge mask by it, so
+    /// neither the other lanes nor the sweep order can move a world. The
+    /// s-t pass is compared on `t`'s lanes, the all-reach pass on every
+    /// node's. With `s == t` the target holds exactly the live worlds:
+    /// `tail` of them in the partial lane, not 64.
+    #[test]
+    fn lane_pass_equals_one_lane_passes(
+        (n, edges) in dense_digraph(),
+        seed in 0u64..500,
+        full in 0usize..LANES,
+        tail in 1usize..64,
+        same in 0u8..2,
+    ) {
+        let g = build(n, &edges);
+        prop_assume!(dense_strategy(&g));
+        let s = NodeId(0);
+        let same = same == 1;
+        let t = if same { s } else { NodeId((n - 1) as u32) };
+        let worlds = full * 64 + tail;
+        let lanes = full + 1;
+        let lane_len = |j: usize| if j == full { tail } else { 64 };
+
+        let mut ws = PackedWorkspace::for_graph(&g);
+        let mut one = PackedWorkspace::for_graph(&g);
+        let wide = packed_lanes_st(&g, s, t, worlds, &mut ws, &mut ChaCha8Rng::seed_from_u64(seed));
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for (j, len) in (0..lanes).map(lane_len).enumerate() {
+            let single = packed_lanes_st(&g, s, t, len, &mut one, &mut rng);
+            prop_assert_eq!(single[0], wide[j], "s-t lane {}", j);
+            prop_assert!(single[1..].iter().all(|&w| w == 0));
+        }
+        prop_assert!(wide[lanes..].iter().all(|&w| w == 0));
+        prop_assert_eq!(wide[full] >> tail, 0, "bits past the partial lane");
+        if same {
+            prop_assert_eq!(wide[full].count_ones() as usize, tail);
+            let hits: u32 = wide.iter().map(|w| w.count_ones()).sum();
+            prop_assert_eq!(hits as usize, worlds);
+        }
+
+        let wide: Vec<[u64; LANES]> =
+            packed_lanes_all(&g, s, worlds, &mut ws, &mut ChaCha8Rng::seed_from_u64(seed))
+                .reach()
+                .to_vec();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for (j, len) in (0..lanes).map(lane_len).enumerate() {
+            let single = packed_lanes_all(&g, s, len, &mut one, &mut rng);
+            for (v, reach) in single.reach().iter().enumerate() {
+                prop_assert_eq!(reach[0], wide[v][j], "node {} lane {}", v, j);
+            }
+        }
+        prop_assert_eq!(wide[0][full].count_ones() as usize, tail);
     }
 }
 

@@ -257,13 +257,6 @@ pub struct WordBfsWorkspace {
     next_word: Vec<u64>,
     frontier: Vec<NodeId>,
     next: Vec<NodeId>,
-    // One bit per node, set while the node's reach word has grown since
-    // the node was last scanned by a sweep walk. Sweeps scan only dirty
-    // nodes (in id order, word-at-a-time), so each node is rescanned once
-    // per actual change instead of once per sweep — the fixed point costs
-    // O(sum of per-node changes × degree), not O(sweeps × m).
-    // Invariant between traversals: all-zero.
-    dirty: Vec<u64>,
 }
 
 impl WordBfsWorkspace {
@@ -276,7 +269,6 @@ impl WordBfsWorkspace {
             next_word: vec![0; n],
             frontier: Vec::new(),
             next: Vec::new(),
-            dirty: vec![0; n.div_ceil(64)],
         }
     }
 
@@ -299,7 +291,6 @@ impl WordBfsWorkspace {
     /// Approximate resident bytes (for memory accounting).
     pub fn resident_bytes(&self) -> usize {
         self.reach.len() * 8 * 3
-            + self.dirty.len() * 8
             + (self.touched.capacity() + self.frontier.capacity() + self.next.capacity())
                 * std::mem::size_of::<NodeId>()
     }
@@ -307,12 +298,11 @@ impl WordBfsWorkspace {
     /// Resident bytes a fresh workspace for `n` nodes would hold, without
     /// allocating one (memory accounting on hot paths).
     pub fn bytes_for(n: usize) -> usize {
-        n * 3 * std::mem::size_of::<u64>() + n.div_ceil(64) * 8
+        n * 3 * std::mem::size_of::<u64>()
     }
 
     /// Clear the previous traversal's reach words (O(union)) and seed the
-    /// source. Frontier state is set up by the frontier-driven walks; the
-    /// sweep walks need only the reach words.
+    /// source.
     fn begin(&mut self, s: NodeId) {
         for &v in &self.touched {
             self.reach[v.index()] = 0;
@@ -535,51 +525,132 @@ where
     ws.reach[t.index()]
 }
 
-/// Bit-packed s-t reachability over 64 sampled worlds via fixed-point
-/// sweeps over a dirty-node bitset, for *dense* batches where the reached
-/// union approaches the whole graph (supercritical edge probabilities).
+/// Reusable workspace for multi-lane packed sweeps: each node carries `L`
+/// reach words (*lanes*) of [`WORLD_WORD_BITS`] worlds each, so one
+/// traversal settles up to `L × 64` sampled worlds. Bit `b` of lane `j`
+/// belongs to world `64 j + b`.
 ///
-/// A node is *dirty* while its reach word has grown since the node's
+/// Resetting between passes is O(union), as for [`WordBfsWorkspace`]: the
+/// next traversal clears exactly the nodes the previous one reached.
+#[derive(Clone, Debug)]
+pub struct LaneBfsWorkspace<const L: usize> {
+    reach: Vec<[u64; L]>,
+    /// Nodes with a nonzero reach lane, deduplicated, discovery order
+    /// (source first).
+    touched: Vec<NodeId>,
+    // One bit per node, set while the node's reach lanes have grown since
+    // the node was last scanned. Sweeps scan only dirty nodes (in id
+    // order, word-at-a-time), so each node is rescanned once per actual
+    // change instead of once per sweep — the fixed point costs
+    // O(sum of per-node changes × degree), not O(sweeps × m).
+    // Invariant between traversals: all-zero.
+    dirty: Vec<u64>,
+}
+
+impl<const L: usize> LaneBfsWorkspace<L> {
+    /// Workspace for a graph with `n` nodes.
+    pub fn new(n: usize) -> Self {
+        LaneBfsWorkspace {
+            reach: vec![[0; L]; n],
+            touched: Vec::new(),
+            dirty: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Per-node reach lanes of the most recent traversal: bit `b` of
+    /// `reach()[v][j]` is set when node `v` was reached in world
+    /// `64 j + b`. Unreached nodes hold zero.
+    pub fn reach(&self) -> &[[u64; L]] {
+        &self.reach
+    }
+
+    /// Number of worlds in which `v` was reached by the most recent
+    /// traversal.
+    pub fn worlds_reaching(&self, v: NodeId) -> u32 {
+        self.reach[v.index()].iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Nodes reached in at least one world by the most recent traversal,
+    /// deduplicated, in discovery order with the source first.
+    pub fn reached_nodes(&self) -> &[NodeId] {
+        &self.touched
+    }
+
+    /// Approximate resident bytes (for memory accounting).
+    pub fn resident_bytes(&self) -> usize {
+        Self::bytes_for(self.reach.len()) + self.touched.capacity() * std::mem::size_of::<NodeId>()
+    }
+
+    /// Resident bytes a fresh workspace for `n` nodes would hold, without
+    /// allocating one.
+    pub fn bytes_for(n: usize) -> usize {
+        n * L * std::mem::size_of::<u64>() + n.div_ceil(64) * 8
+    }
+}
+
+#[inline(always)]
+fn lanes_nonzero<const L: usize>(a: &[u64; L]) -> bool {
+    a.iter().fold(0, |acc, &w| acc | w) != 0
+}
+
+/// Multi-lane packed reachability from `s` by fixed-point sweeps over a
+/// dirty-node bitset — the dense-batch traversal for supercritical graphs,
+/// where every sampled world holds a giant component and the reached
+/// union approaches the whole graph.
+///
+/// `live[j]` holds the worlds lane `j` samples (`0` for an unused lane,
+/// the low bits for a partial one); the source starts reached in exactly
+/// those worlds. A node is *dirty* while its lanes have grown since its
 /// out-edges were last scanned. Each sweep walks the dirty bitset in id
-/// order — sequential, prefetch-friendly — and ORs `reach[v] & mask(e)`
-/// into each out-neighbor, marking changed neighbors dirty; the walk ends
-/// when a sweep leaves nothing dirty. Rescans are therefore proportional
-/// to how often a node's reach actually changes (a few level arrivals),
-/// not to the total sweep count, with none of the frontier-respread and
-/// cache-miss overhead that makes [`word_reach_worlds`]
-/// quadratic-feeling on supercritical graphs.
+/// order and ORs `reach[v] & mask(e)` into each out-neighbor, marking
+/// changed neighbors dirty; the walk ends when a sweep leaves nothing
+/// dirty. A visit pays its adjacency walk, index math, dirty bit and
+/// branch once for all `L` lanes.
 ///
-/// `edge_mask(e)` returns the edge's 64-world existence mask — callers
-/// draw all masks up front (no candidate set: a dense batch touches
-/// nearly every edge anyway). Worlds whose target is already reached are
-/// pruned from propagation, and the walk stops once all 64 converge.
-/// Returns the reach word of `t`.
-pub fn word_reach_worlds_sweep<F>(
+/// `edge_mask(e)` returns the edge's `L` lane existence masks. It is
+/// called only for edges that could still carry a new world to their
+/// head, so masks must be a pure function of the edge within one pass:
+/// the traversal order then decides nothing but which masks get asked
+/// for.
+///
+/// With `t = Some(target)`, worlds that already reach the target drop out
+/// of propagation (per lane, `live & !reach[t]`), and the walk stops once
+/// every live world has reached it; the target's lanes are then exact and
+/// other nodes' lanes may be partial. With `t = None` every node's lanes
+/// are exact. Results land in [`LaneBfsWorkspace::reach`] and
+/// [`LaneBfsWorkspace::reached_nodes`].
+pub fn lane_reach<const L: usize, F>(
     graph: &UncertainGraph,
     s: NodeId,
-    t: NodeId,
-    ws: &mut WordBfsWorkspace,
+    t: Option<NodeId>,
+    live: [u64; L],
+    ws: &mut LaneBfsWorkspace<L>,
     mut edge_mask: F,
-) -> u64
-where
-    F: FnMut(crate::ids::EdgeId) -> u64,
+) where
+    F: FnMut(crate::ids::EdgeId) -> [u64; L],
 {
-    if s == t {
-        return !0;
-    }
-    ws.begin(s);
-    let ti = t.index();
-    let WordBfsWorkspace {
+    let LaneBfsWorkspace {
         reach,
         touched,
         dirty,
-        ..
     } = ws;
+    for &v in touched.iter() {
+        reach[v.index()] = [0; L];
+    }
+    touched.clear();
+    if !lanes_nonzero(&live) {
+        return;
+    }
+    reach[s.index()] = live;
+    touched.push(s);
     dirty[s.index() / 64] = 1 << (s.index() % 64);
     let mut any = true;
     while any {
-        let active = !reach[ti];
-        if active == 0 {
+        let active: [u64; L] = match t {
+            Some(t) => std::array::from_fn(|j| live[j] & !reach[t.index()][j]),
+            None => live,
+        };
+        if !lanes_nonzero(&active) {
             break;
         }
         any = false;
@@ -592,18 +663,23 @@ where
             while bits != 0 {
                 let vi = wi * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let rv = reach[vi] & active;
-                if rv == 0 {
+                let rv: [u64; L] = std::array::from_fn(|j| reach[vi][j] & active[j]);
+                if !lanes_nonzero(&rv) {
                     continue;
                 }
                 for (e, w) in graph.out_edges(NodeId(vi as u32)) {
                     let old = reach[w.index()];
-                    let add = rv & !old & edge_mask(e);
-                    if add != 0 {
-                        if old == 0 {
+                    let cand: [u64; L] = std::array::from_fn(|j| rv[j] & !old[j]);
+                    if !lanes_nonzero(&cand) {
+                        continue;
+                    }
+                    let mask = edge_mask(e);
+                    let add: [u64; L] = std::array::from_fn(|j| cand[j] & mask[j]);
+                    if lanes_nonzero(&add) {
+                        if !lanes_nonzero(&old) {
                             touched.push(w);
                         }
-                        reach[w.index()] = old | add;
+                        reach[w.index()] = std::array::from_fn(|j| old[j] | add[j]);
                         dirty[w.index() / 64] |= 1 << (w.index() % 64);
                         any = true;
                     }
@@ -614,58 +690,6 @@ where
     // Early close can leave dirty bits behind; restore the all-zero
     // invariant (the bitset is n/8 bytes — a trivial memset).
     dirty.fill(0);
-    reach[ti]
-}
-
-/// Bit-packed full reachability over 64 sampled worlds via fixed-point
-/// dirty-bitset sweeps — the dense-batch analogue of [`word_reach_all`],
-/// with the same cost model and `edge_mask` contract as
-/// [`word_reach_worlds_sweep`]. Results land in
-/// [`WordBfsWorkspace::reach`] / [`WordBfsWorkspace::reached_nodes`].
-pub fn word_reach_all_sweep<F>(
-    graph: &UncertainGraph,
-    s: NodeId,
-    ws: &mut WordBfsWorkspace,
-    mut edge_mask: F,
-) where
-    F: FnMut(crate::ids::EdgeId) -> u64,
-{
-    ws.begin(s);
-    let WordBfsWorkspace {
-        reach,
-        touched,
-        dirty,
-        ..
-    } = ws;
-    dirty[s.index() / 64] = 1 << (s.index() % 64);
-    let mut any = true;
-    while any {
-        any = false;
-        for wi in 0..dirty.len() {
-            let mut bits = dirty[wi];
-            if bits == 0 {
-                continue;
-            }
-            dirty[wi] = 0;
-            while bits != 0 {
-                let vi = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let rv = reach[vi];
-                for (e, w) in graph.out_edges(NodeId(vi as u32)) {
-                    let old = reach[w.index()];
-                    let add = rv & !old & edge_mask(e);
-                    if add != 0 {
-                        if old == 0 {
-                            touched.push(w);
-                        }
-                        reach[w.index()] = old | add;
-                        dirty[w.index() / 64] |= 1 << (w.index() % 64);
-                        any = true;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Hop distances from `s` over *all* edges (ignoring probabilities), up to
@@ -942,8 +966,8 @@ mod tests {
     #[test]
     fn sweep_matches_frontier_walk_on_deterministic_masks() {
         // Same per-edge world masks through both traversal strategies
-        // must yield identical reach words (the closures are pure, so
-        // probe order cannot matter).
+        // must yield identical reach words, lane by lane (the closures
+        // are pure, so probe order cannot matter).
         let mut b = GraphBuilder::new(5);
         b.add_edge(NodeId(0), NodeId(1), 0.5).unwrap();
         b.add_edge(NodeId(1), NodeId(2), 0.5).unwrap();
@@ -951,17 +975,27 @@ mod tests {
         b.add_edge(NodeId(3), NodeId(2), 0.5).unwrap();
         b.add_edge(NodeId(2), NodeId(4), 0.5).unwrap();
         let g = b.build();
-        let mask = |e: crate::ids::EdgeId| 0x5a5a_5a5a_0f0f_3c3cu64.rotate_left(e.index() as u32);
-        let mut a = WordBfsWorkspace::new(5);
+        let mask = |e: crate::ids::EdgeId, j: usize| {
+            0x5a5a_5a5a_0f0f_3c3cu64.rotate_left((e.index() + 11 * j) as u32)
+        };
+        let lanes = |e| [mask(e, 0), mask(e, 1)];
+        let mut a = LaneBfsWorkspace::<2>::new(5);
         let mut bfs = WordBfsWorkspace::new(5);
-        let st_sweep = word_reach_worlds_sweep(&g, NodeId(0), NodeId(4), &mut a, mask);
-        let st_front =
-            word_reach_worlds(&g, NodeId(0), NodeId(4), &mut bfs, |e, cand| mask(e) & cand);
-        assert_eq!(st_sweep, st_front);
-        word_reach_all_sweep(&g, NodeId(0), &mut a, mask);
-        word_reach_all(&g, NodeId(0), &mut bfs, |e, cand| mask(e) & cand);
-        assert_eq!(a.reach(), bfs.reach());
-        assert_eq!(a.reached_nodes().len(), bfs.reached_nodes().len());
+        lane_reach(&g, NodeId(0), Some(NodeId(4)), [!0; 2], &mut a, lanes);
+        let st_sweep = a.reach()[4];
+        lane_reach(&g, NodeId(0), None, [!0; 2], &mut a, lanes);
+        let mut union = std::collections::BTreeSet::new();
+        for j in 0..2 {
+            let st_front = word_reach_worlds(&g, NodeId(0), NodeId(4), &mut bfs, |e, cand| {
+                mask(e, j) & cand
+            });
+            assert_eq!(st_sweep[j], st_front);
+            word_reach_all(&g, NodeId(0), &mut bfs, |e, cand| mask(e, j) & cand);
+            let lane: Vec<u64> = a.reach().iter().map(|r| r[j]).collect();
+            assert_eq!(lane, bfs.reach());
+            union.extend(bfs.reached_nodes().iter().copied());
+        }
+        assert_eq!(a.reached_nodes().len(), union.len());
     }
 
     #[test]
@@ -974,27 +1008,43 @@ mod tests {
         b.add_edge(NodeId(2), NodeId(1), 0.5).unwrap();
         b.add_edge(NodeId(1), NodeId(0), 0.5).unwrap();
         let g = b.build();
-        let mut ws = WordBfsWorkspace::new(4);
-        assert_eq!(
-            word_reach_worlds_sweep(&g, NodeId(3), NodeId(0), &mut ws, |_| !0),
-            !0
-        );
-        word_reach_all_sweep(&g, NodeId(3), &mut ws, |_| !0);
-        assert_eq!(ws.reach(), &[!0u64, !0, !0, !0]);
+        let mut ws = LaneBfsWorkspace::<2>::new(4);
+        lane_reach(&g, NodeId(3), Some(NodeId(0)), [!0; 2], &mut ws, |_| {
+            [!0; 2]
+        });
+        assert_eq!(ws.reach()[0], [!0; 2]);
+        lane_reach(&g, NodeId(3), None, [!0; 2], &mut ws, |_| [!0; 2]);
+        assert_eq!(ws.reach(), &[[!0u64; 2]; 4]);
     }
 
     #[test]
     fn sweep_reuse_clears_only_touched_words() {
         let g = chain(4);
-        let mut ws = WordBfsWorkspace::new(4);
-        word_reach_all_sweep(&g, NodeId(0), &mut ws, |_| !0);
-        assert_eq!(ws.reach()[3], !0);
-        word_reach_all_sweep(&g, NodeId(2), &mut ws, |_| !0);
-        assert_eq!(ws.reach()[0], 0);
-        assert_eq!(ws.reach()[1], 0);
-        assert_eq!(ws.reach()[2], !0);
-        assert_eq!(ws.reach()[3], !0);
+        let mut ws = LaneBfsWorkspace::<2>::new(4);
+        lane_reach(&g, NodeId(0), None, [!0; 2], &mut ws, |_| [!0; 2]);
+        assert_eq!(ws.reach()[3], [!0; 2]);
+        lane_reach(&g, NodeId(2), None, [!0; 2], &mut ws, |_| [!0; 2]);
+        assert_eq!(ws.reach()[0], [0; 2]);
+        assert_eq!(ws.reach()[1], [0; 2]);
+        assert_eq!(ws.reach()[2], [!0; 2]);
+        assert_eq!(ws.reach()[3], [!0; 2]);
         assert_eq!(ws.reached_nodes().len(), 2);
+    }
+
+    #[test]
+    fn sweep_reaches_only_live_worlds() {
+        // A partial second lane and an unused third: the source, and
+        // everything it reaches, holds exactly the live worlds. With
+        // s == t the target is reached in every live world and no other.
+        let g = chain(4);
+        let live = [!0, 0x1_ffff, 0];
+        let mut ws = LaneBfsWorkspace::<3>::new(4);
+        lane_reach(&g, NodeId(0), None, live, &mut ws, |_| [!0; 3]);
+        assert_eq!(ws.reach()[3], live);
+        assert_eq!(ws.worlds_reaching(NodeId(3)), 64 + 17);
+        lane_reach(&g, NodeId(1), Some(NodeId(1)), live, &mut ws, |_| [!0; 3]);
+        assert_eq!(ws.reach()[1], live);
+        assert_eq!(ws.reached_nodes(), &[NodeId(1)]);
     }
 
     #[test]
