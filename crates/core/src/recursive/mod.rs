@@ -8,8 +8,8 @@
 //!
 //! The shared [`state::RecState`] tracks the inclusion/exclusion overlay
 //! with a LIFO undo log, the set of nodes reached from `s` through
-//! included edges, a cached s→t witness path for the cut check, and the
-//! conditional MC fallback used below the sample-size threshold.
+//! included edges, the cut check, and the conditional MC fallback used
+//! below the sample-size threshold.
 
 pub mod rhh;
 pub mod rss;

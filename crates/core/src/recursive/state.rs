@@ -8,14 +8,6 @@
 //! Memory accounting still *models* the reference design (a
 //! simplified-graph instance per live recursion frame) so that Fig. 12's
 //! memory ordering is reproduced; see `memory_model_bytes`.
-//!
-//! The cut check (`t_possibly_reachable`) caches a *witness*: the s→t
-//! path over non-excluded edges its last successful BFS found, held as
-//! parent edges plus a per-edge flag. Only `exclude` can break a witness
-//! (and only by excluding a flagged edge); `include` and `undo` merely
-//! remove exclusions. While the witness holds, the check answers without
-//! a BFS, so a recursion re-proves reachability only after it cuts the
-//! cached path.
 
 use crate::sampler::coin;
 use rand::RngCore;
@@ -56,12 +48,6 @@ pub struct RecState<'g> {
     /// Undo records of the live fixes, most recent last.
     log: Vec<Undo>,
     ws: BfsWorkspace,
-    /// BFS parent edge per node, written only by the cut check's BFS; while
-    /// `witness_valid`, the chain from `t` back to `s` is the witness.
-    parent: Vec<EdgeId>,
-    /// Per-edge flag: the edge lies on the cached witness.
-    on_witness: Vec<bool>,
-    witness_valid: bool,
 }
 
 impl<'g> RecState<'g> {
@@ -80,9 +66,6 @@ impl<'g> RecState<'g> {
             undetermined: graph.num_edges(),
             log: Vec::new(),
             ws: BfsWorkspace::new(n),
-            parent: vec![EdgeId(0); n],
-            on_witness: vec![false; graph.num_edges()],
-            witness_valid: false,
         }
     }
 
@@ -150,16 +133,13 @@ impl<'g> RecState<'g> {
         });
     }
 
-    /// Force edge `e` absent, dropping the cached witness if `e` is on it.
+    /// Force edge `e` absent.
     pub fn exclude(&mut self, e: EdgeId) {
         let prev = self.status[e.index()];
         debug_assert_eq!(prev, EdgeStatus::Undetermined, "double-fixing edge {e}");
         self.status[e.index()] = EdgeStatus::Excluded;
         if prev == EdgeStatus::Undetermined {
             self.undetermined -= 1;
-        }
-        if self.on_witness[e.index()] {
-            self.flag_witness(false);
         }
         self.log.push(Undo {
             edge: e,
@@ -236,44 +216,12 @@ impl<'g> RecState<'g> {
     }
 
     /// Is `t` reachable from `s` through non-excluded edges? `false` means
-    /// `E2` already contains an s-t cut (Alg. 4 line 6). Answers from the
-    /// cached witness when it holds; otherwise runs a BFS and, on success,
-    /// caches the s→t path it found.
+    /// `E2` already contains an s-t cut (Alg. 4 line 6).
     pub fn t_possibly_reachable(&mut self) -> bool {
-        let (graph, s, t) = (self.graph, self.s, self.t);
-        if self.witness_valid || s == t {
-            return true;
-        }
-        self.ws.reset();
-        self.ws.visited.insert(s);
-        self.ws.queue.push_back(s);
-        while let Some(v) = self.ws.queue.pop_front() {
-            for (e, w) in graph.out_edges(v) {
-                if self.status[e.index()] == EdgeStatus::Excluded || !self.ws.visited.insert(w) {
-                    continue;
-                }
-                self.parent[w.index()] = e;
-                if w == t {
-                    self.flag_witness(true);
-                    return true;
-                }
-                self.ws.queue.push_back(w);
-            }
-        }
-        false
-    }
-
-    /// Cache (`true`) or forget (`false`) the witness: set the flag of
-    /// every edge on the parent chain from `t` back to `s`, which is the
-    /// witness from the BFS that found it until the next BFS runs.
-    fn flag_witness(&mut self, on: bool) {
-        let mut v = self.t;
-        while v != self.s {
-            let e = self.parent[v.index()];
-            self.on_witness[e.index()] = on;
-            v = self.graph.source(e);
-        }
-        self.witness_valid = on;
+        let status = &self.status;
+        bfs_reaches(self.graph, self.s, self.t, &mut self.ws, |e| {
+            status[e.index()] != EdgeStatus::Excluded
+        })
     }
 
     /// Conditional MC fallback (Alg. 4 lines 1-2 / Alg. 5 lines 3-7):
@@ -306,15 +254,12 @@ impl<'g> RecState<'g> {
         self.undetermined * 12 + self.graph.num_nodes() * 4
     }
 
-    /// Fixed per-query overhead: status overlay, reached structures and
-    /// the witness cache's parent and flag arrays.
+    /// Fixed per-query overhead: status overlay and reached structures.
     pub fn base_bytes(&self) -> usize {
         self.status.len()
             + self.reached_mem.len()
             + self.reached.capacity() * 4
             + self.ws.resident_bytes()
-            + self.parent.len() * std::mem::size_of::<EdgeId>()
-            + self.on_witness.len()
     }
 
     /// The query's probability accessor (convenience for the estimators).
@@ -436,45 +381,11 @@ mod tests {
         assert!(st.base_bytes() > 0);
     }
 
-    /// The cached witness as edges from `t` back to `s`, if one is held.
-    fn witness_path(st: &RecState<'_>) -> Option<Vec<EdgeId>> {
-        st.witness_valid.then(|| {
-            let mut path = Vec::new();
-            let mut v = st.t;
-            while v != st.s {
-                let e = st.parent[v.index()];
-                path.push(e);
-                v = st.graph.source(e);
-            }
-            path
-        })
-    }
-
-    #[test]
-    fn witness_survives_off_path_exclusion_and_include() {
-        let g = diamond();
-        let mut st = RecState::new(&g, NodeId(0), NodeId(3));
-        assert!(st.t_possibly_reachable());
-        let path = witness_path(&st).unwrap();
-        assert_eq!(path.len(), 2);
-        let off = g.edges().map(|(e, _, _, _)| e).find(|e| !path.contains(e));
-        st.exclude(off.unwrap());
-        st.include(path[0]);
-        assert_eq!(witness_path(&st).as_deref(), Some(&path[..]));
-        st.exclude(path[1]);
-        assert!(witness_path(&st).is_none());
-        assert!(st.on_witness.iter().all(|&f| !f));
-        st.undo_to(0);
-        assert_eq!(st.undetermined_count(), 4);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Under random LIFO include/exclude/undo sequences, the cached cut
-        /// check always agrees with a fresh BFS over non-excluded edges,
-        /// and a cached witness is an s→t path of non-excluded, flagged
-        /// edges (and the only flagged ones).
+        /// Under random LIFO include/exclude/undo sequences, the cut check
+        /// always agrees with a fresh BFS over non-excluded edges.
         #[test]
         fn witness_cache_matches_fresh_bfs(
             (n, edges, ops) in (2usize..8).prop_flat_map(|n| {
@@ -512,22 +423,6 @@ mod tests {
                     st.status(e) != EdgeStatus::Excluded
                 });
                 prop_assert_eq!(st.t_possibly_reachable(), fresh);
-                if let Some(path) = witness_path(&st) {
-                    prop_assert!(fresh);
-                    for &e in &path {
-                        prop_assert!(st.status(e) != EdgeStatus::Excluded, "excluded {e}");
-                        prop_assert!(st.on_witness[e.index()], "unflagged {e}");
-                    }
-                    let flagged = st.on_witness.iter().filter(|&&f| f).count();
-                    prop_assert_eq!(flagged, path.len());
-                    prop_assert_eq!(g.target(path[0]), t);
-                    for w in path.windows(2) {
-                        prop_assert_eq!(g.source(w[0]), g.target(w[1]));
-                    }
-                } else {
-                    prop_assert!(!fresh);
-                    prop_assert!(st.on_witness.iter().all(|&f| !f));
-                }
             }
         }
     }

@@ -173,9 +173,10 @@
 //! {"ok":false,"error":"unknown estimator `mcmc`"}
 //! ```
 //!
-//! Serialization is hand-written against the shim `serde::Value` model
-//! because requests have optional fields and data-carrying variants,
-//! which the vendored derive deliberately does not cover.
+//! Every request and response body is a derived struct: optional fields
+//! are left out of the wire when `None`, and a missing or `null` field
+//! reads as `None`. Only [`Request`] and [`Response`] are written by hand,
+//! to add the `cmd` / `ok`+`kind` tag around those bodies.
 
 use relcomp_obs::{MetricsSnapshot, QueryTrace};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -184,7 +185,8 @@ use serde::{DeError, Deserialize, Serialize, Value};
 pub const DEFAULT_PORT: u16 = 7117;
 
 /// One s-t reliability query as sent on the wire.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "query")]
 pub struct QueryRequest {
     /// Source node id.
     pub s: u32,
@@ -192,21 +194,27 @@ pub struct QueryRequest {
     pub t: u32,
     /// Estimator name (`mc`, `probtree`, ... or `auto`); `None` = server
     /// default.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub estimator: Option<String>,
     /// Sample budget `K` — the exact count for fixed queries, the cap
     /// when `eps`/`time_budget_ms` make the query adaptive; `None` =
     /// server default.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub samples: Option<usize>,
     /// Master seed; `None` = server default. Part of the cache key.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
     /// Relative half-width target: stop sampling once the CI half-width
     /// drops below `eps * estimate`. `None` = fixed-budget query.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub eps: Option<f64>,
     /// Confidence level for the half-width target; `None` = server
     /// default (0.95).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub confidence: Option<f64>,
     /// Wall-time cap in milliseconds; sampling stops at the first batch
     /// barrier past it. `None` = no time cap.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub time_budget_ms: Option<u64>,
 }
 
@@ -232,22 +240,29 @@ impl QueryRequest {
 }
 
 /// One top-k reliability search as sent on the wire (`cmd":"topk"`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "topk")]
 pub struct TopKRequest {
     /// Source node id.
     pub s: u32,
     /// How many targets to return; `None` = server default.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub k: Option<usize>,
     /// Sample budget (exact count for fixed queries, cap when adaptive);
     /// `None` = server default.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub samples: Option<usize>,
     /// Master seed; `None` = server default. Part of the cache key.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
     /// Relative half-width target for the boundary (k-th ranked) score.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub eps: Option<f64>,
     /// Confidence level for the half-width target.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub confidence: Option<f64>,
     /// Wall-time cap in milliseconds.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub time_budget_ms: Option<u64>,
 }
 
@@ -268,7 +283,8 @@ impl TopKRequest {
 
 /// One distance-constrained reliability query `R_d(s, t)` as sent on the
 /// wire (`cmd":"dquery"`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "dquery")]
 pub struct DistanceQueryRequest {
     /// Source node id.
     pub s: u32,
@@ -278,14 +294,19 @@ pub struct DistanceQueryRequest {
     pub d: usize,
     /// Sample budget (exact count for fixed queries, cap when adaptive);
     /// `None` = server default.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub samples: Option<usize>,
     /// Master seed; `None` = server default. Part of the cache key.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
     /// Relative half-width target.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub eps: Option<f64>,
     /// Confidence level for the half-width target.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub confidence: Option<f64>,
     /// Wall-time cap in milliseconds.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub time_budget_ms: Option<u64>,
 }
 
@@ -308,33 +329,43 @@ impl DistanceQueryRequest {
 /// One reliability-maximization request as sent on the wire
 /// (`"cmd":"maximize"`): greedily pick `k` edge upgrades (probability
 /// boosts to `boost`) maximizing `R(s, t)`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "maximize")]
 pub struct MaximizeRequest {
     /// Source node id.
     pub s: u32,
     /// Target node id.
     pub t: u32,
     /// Upgrades to pick; `None` = server default (1).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub k: Option<usize>,
     /// Probability chosen edges are boosted to, in `(0, 1]`; `None` = 1.0.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub boost: Option<f64>,
     /// Candidate-pool cap (edges ranked by upgrade headroom); `None` =
     /// server default.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub candidates: Option<usize>,
     /// Commit the chosen upgrades through the live update path (bumps
     /// the graph epoch) instead of only reporting them.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub apply: bool,
     /// Per-evaluation sample budget (exact count for fixed, cap when
     /// adaptive); `None` = server default.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub samples: Option<usize>,
     /// Master seed; `None` = server default. Part of the cache key.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
     /// Relative half-width target for each evaluation.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub eps: Option<f64>,
     /// Confidence level for the half-width target.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub confidence: Option<f64>,
     /// Wall-time cap in milliseconds per evaluation (breaks
     /// thread-count determinism).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub time_budget_ms: Option<u64>,
 }
 
@@ -359,7 +390,8 @@ impl MaximizeRequest {
 
 /// One edge-probability update as sent on the wire: the existing edge
 /// `s -> t` gets existence probability `prob` in the next epoch.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename = "update")]
 pub struct EdgeProbUpdate {
     /// Source node of the edge to update.
     pub s: u32,
@@ -452,7 +484,7 @@ pub enum MetricsFormat {
 }
 
 /// Successful answer to one query.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct QueryResponse {
     /// Echoed source node.
     pub s: u32,
@@ -474,14 +506,16 @@ pub struct QueryResponse {
     pub stop_reason: String,
     /// Achieved CI half-width (Wilson for sampling estimators); absent
     /// when the run had no replication to measure spread from.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub half_width: Option<f64>,
     /// Estimated variance of the reported reliability; absent when
     /// unmeasurable.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub variance: Option<f64>,
 }
 
 /// One ranked target inside a [`TopKResponse`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TargetEntry {
     /// Target node id.
     pub node: u32,
@@ -490,7 +524,7 @@ pub struct TargetEntry {
 }
 
 /// Successful answer to one top-k search.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TopKResponse {
     /// Echoed source node.
     pub s: u32,
@@ -509,11 +543,12 @@ pub struct TopKResponse {
     pub stop_reason: String,
     /// Wilson CI half-width of the boundary (k-th ranked) score; absent
     /// when unmeasurable.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub half_width: Option<f64>,
 }
 
 /// Successful answer to one distance-constrained query.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DistanceQueryResponse {
     /// Echoed source node.
     pub s: u32,
@@ -532,13 +567,15 @@ pub struct DistanceQueryResponse {
     /// Why sampling stopped.
     pub stop_reason: String,
     /// Achieved CI half-width; absent when unmeasurable.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub half_width: Option<f64>,
     /// Estimated variance of the reported reliability.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub variance: Option<f64>,
 }
 
 /// One upgrade a [`MaximizeResponse`] picked, in greedy order.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct UpgradeRow {
     /// Source node of the upgraded edge.
     pub s: u32,
@@ -555,7 +592,7 @@ pub struct UpgradeRow {
 }
 
 /// Successful answer to one reliability maximization.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MaximizeResponse {
     /// Echoed source node.
     pub s: u32,
@@ -584,12 +621,13 @@ pub struct MaximizeResponse {
     pub cached: bool,
     /// The epoch the upgrades were committed at when the request set
     /// `apply`; absent for report-only runs.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub applied_epoch: Option<u64>,
 }
 
 /// How one resident estimator survived an epoch swap (part of
 /// [`UpdateResponse`]).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MigratedResident {
     /// Display name of the estimator (e.g. `"ProbTree"`).
     pub estimator: String,
@@ -602,7 +640,7 @@ pub struct MigratedResident {
 }
 
 /// Successful answer to [`Request::Update`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct UpdateResponse {
     /// The new graph epoch (all cache keys now miss until recomputed).
     pub epoch: u64,
@@ -613,7 +651,7 @@ pub struct UpdateResponse {
 }
 
 /// Successful answer to [`Request::Reload`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ReloadResponse {
     /// The new graph epoch.
     pub epoch: u64,
@@ -624,7 +662,7 @@ pub struct ReloadResponse {
 }
 
 /// Successful answer to [`Request::LoadGraph`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LoadResponse {
     /// Tenant name the graph is now resident under.
     pub name: String,
@@ -646,7 +684,7 @@ pub struct LoadResponse {
 }
 
 /// Successful answer to [`Request::UseGraph`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct UseResponse {
     /// Tenant this connection now targets.
     pub name: String,
@@ -659,7 +697,7 @@ pub struct UseResponse {
 }
 
 /// Server / cache counters returned by [`Request::Stats`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StatsResponse {
     /// Queries answered (cache hits included, rejected excluded).
     pub queries: u64,
@@ -718,19 +756,20 @@ impl StatsResponse {
 }
 
 /// One counter or gauge sample inside a [`MetricsReport`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricRow {
     /// Metric family name (e.g. `relcomp_queries_total`).
     pub name: String,
     /// Label pairs identifying this sample within the family, in stable
     /// order (serialized as a JSON object).
+    #[serde(with = "labels")]
     pub labels: Vec<(String, String)>,
     /// Current value.
     pub value: u64,
 }
 
 /// One cumulative histogram bucket inside a [`HistogramRow`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BucketRow {
     /// Inclusive upper bound of the bucket.
     pub le: u64,
@@ -739,11 +778,12 @@ pub struct BucketRow {
 }
 
 /// One latency histogram inside a [`MetricsReport`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HistogramRow {
     /// Metric family name (e.g. `relcomp_query_latency_micros`).
     pub name: String,
     /// Label pairs identifying this series within the family.
+    #[serde(with = "labels")]
     pub labels: Vec<(String, String)>,
     /// Exact number of observations.
     pub count: u64,
@@ -762,7 +802,7 @@ pub struct HistogramRow {
 }
 
 /// The full metrics registry returned by [`Request::Metrics`] in JSON form.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsReport {
     /// Queries answered (hits + misses across all workloads) — repeated at
     /// the top level so smoke checks can grep one scalar.
@@ -853,7 +893,7 @@ impl MetricsReport {
 }
 
 /// One timed stage inside a [`TraceRow`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StageRow {
     /// Stage label: `parse`, `admission`, `cache_lookup`, `plan`,
     /// `sample`, `convergence_check`, or `serialize`.
@@ -863,7 +903,7 @@ pub struct StageRow {
 }
 
 /// One per-query stage breakdown returned by [`Request::Trace`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceRow {
     /// Workload label (`st` / `topk` / `dquery`), or `"?"` if the query
     /// failed before classification.
@@ -948,1034 +988,185 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------
-// Value-tree (de)serialization
+// Value-tree (de)serialization: the structs above derive their fields;
+// `Request` and `Response` add the `cmd` / `ok`+`kind` tag around them.
 // ---------------------------------------------------------------------
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
+/// Label pairs as a JSON object whose keys keep insertion order (a map
+/// type would sort or hash them).
+mod labels {
+    use serde::{DeError, Deserialize, Value};
 
-fn lookup<'v>(fields: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .filter(|v| !matches!(v, Value::Null))
-}
-
-fn required<'v>(
-    fields: &'v [(String, Value)],
-    name: &str,
-    context: &str,
-) -> Result<&'v Value, DeError> {
-    lookup(fields, name)
-        .ok_or_else(|| DeError::custom(format!("missing field `{name}` in {context}")))
-}
-
-fn de<T: Deserialize>(v: &Value) -> Result<T, DeError> {
-    T::from_value(v)
-}
-
-impl Serialize for QueryRequest {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("s".to_owned(), self.s.to_value()),
-            ("t".to_owned(), self.t.to_value()),
-        ];
-        if let Some(e) = &self.estimator {
-            fields.push(("estimator".to_owned(), e.to_value()));
-        }
-        push_budget_fields(
-            &mut fields,
-            self.samples,
-            self.seed,
-            self.eps,
-            self.confidence,
-            self.time_budget_ms,
-        );
-        Value::Object(fields)
+    pub fn serialize(labels: &[(String, String)]) -> Value {
+        Value::Object(
+            labels
+                .iter()
+                .map(|(k, v)| (k.clone(), Value::String(v.clone())))
+                .collect(),
+        )
     }
-}
 
-impl Deserialize for QueryRequest {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
+    pub fn deserialize(value: &Value) -> Result<Vec<(String, String)>, DeError> {
         let fields = value
             .as_object()
-            .ok_or_else(|| DeError::expected("object", "query", value))?;
-        Ok(QueryRequest {
-            s: de(required(fields, "s", "query")?)?,
-            t: de(required(fields, "t", "query")?)?,
-            estimator: lookup(fields, "estimator").map(de).transpose()?,
-            samples: lookup(fields, "samples").map(de).transpose()?,
-            seed: lookup(fields, "seed").map(de).transpose()?,
-            eps: lookup(fields, "eps").map(de).transpose()?,
-            confidence: lookup(fields, "confidence").map(de).transpose()?,
-            time_budget_ms: lookup(fields, "time_budget_ms").map(de).transpose()?,
-        })
+            .ok_or_else(|| DeError::expected("object", "labels", value))?;
+        fields
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), String::from_value(v)?)))
+            .collect()
     }
 }
 
-/// Append the shared adaptive-budget fields (present-only serialization).
-fn push_budget_fields(
-    fields: &mut Vec<(String, Value)>,
-    samples: Option<usize>,
-    seed: Option<u64>,
-    eps: Option<f64>,
-    confidence: Option<f64>,
-    time_budget_ms: Option<u64>,
-) {
-    if let Some(k) = samples {
-        fields.push(("samples".to_owned(), k.to_value()));
-    }
-    if let Some(seed) = seed {
-        fields.push(("seed".to_owned(), seed.to_value()));
-    }
-    if let Some(eps) = eps {
-        fields.push(("eps".to_owned(), eps.to_value()));
-    }
-    if let Some(c) = confidence {
-        fields.push(("confidence".to_owned(), c.to_value()));
-    }
-    if let Some(ms) = time_budget_ms {
-        fields.push(("time_budget_ms".to_owned(), ms.to_value()));
+fn entry(name: &str, value: impl Serialize) -> (String, Value) {
+    (name.to_owned(), value.to_value())
+}
+
+/// The fields of a derived body; every protocol struct is an object.
+fn fields_of(body: &impl Serialize) -> Vec<(String, Value)> {
+    match body.to_value() {
+        Value::Object(fields) => fields,
+        _ => Vec::new(),
     }
 }
 
-impl Serialize for TopKRequest {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("s".to_owned(), self.s.to_value())];
-        if let Some(k) = self.k {
-            fields.push(("k".to_owned(), k.to_value()));
-        }
-        push_budget_fields(
-            &mut fields,
-            self.samples,
-            self.seed,
-            self.eps,
-            self.confidence,
-            self.time_budget_ms,
-        );
-        Value::Object(fields)
-    }
+/// One object: the `tag` entries, then the `body` fields.
+fn tagged(mut tag: Vec<(String, Value)>, body: Vec<(String, Value)>) -> Value {
+    tag.extend(body);
+    Value::Object(tag)
 }
 
-impl Deserialize for TopKRequest {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "topk", value))?;
-        Ok(TopKRequest {
-            s: de(required(fields, "s", "topk")?)?,
-            k: lookup(fields, "k").map(de).transpose()?,
-            samples: lookup(fields, "samples").map(de).transpose()?,
-            seed: lookup(fields, "seed").map(de).transpose()?,
-            eps: lookup(fields, "eps").map(de).transpose()?,
-            confidence: lookup(fields, "confidence").map(de).transpose()?,
-            time_budget_ms: lookup(fields, "time_budget_ms").map(de).transpose()?,
-        })
-    }
+/// `{"ok":true,"kind":<kind>, ...body}`.
+fn ok_kind(kind: &str, body: Vec<(String, Value)>) -> Value {
+    tagged(vec![entry("ok", true), entry("kind", kind)], body)
 }
 
-impl Serialize for DistanceQueryRequest {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("s".to_owned(), self.s.to_value()),
-            ("t".to_owned(), self.t.to_value()),
-            ("d".to_owned(), self.d.to_value()),
-        ];
-        push_budget_fields(
-            &mut fields,
-            self.samples,
-            self.seed,
-            self.eps,
-            self.confidence,
-            self.time_budget_ms,
-        );
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for DistanceQueryRequest {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "dquery", value))?;
-        Ok(DistanceQueryRequest {
-            s: de(required(fields, "s", "dquery")?)?,
-            t: de(required(fields, "t", "dquery")?)?,
-            d: de(required(fields, "d", "dquery")?)?,
-            samples: lookup(fields, "samples").map(de).transpose()?,
-            seed: lookup(fields, "seed").map(de).transpose()?,
-            eps: lookup(fields, "eps").map(de).transpose()?,
-            confidence: lookup(fields, "confidence").map(de).transpose()?,
-            time_budget_ms: lookup(fields, "time_budget_ms").map(de).transpose()?,
-        })
-    }
-}
-
-impl Serialize for MaximizeRequest {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("s".to_owned(), self.s.to_value()),
-            ("t".to_owned(), self.t.to_value()),
-        ];
-        if let Some(k) = self.k {
-            fields.push(("k".to_owned(), k.to_value()));
-        }
-        if let Some(b) = self.boost {
-            fields.push(("boost".to_owned(), b.to_value()));
-        }
-        if let Some(c) = self.candidates {
-            fields.push(("candidates".to_owned(), c.to_value()));
-        }
-        if self.apply {
-            fields.push(("apply".to_owned(), true.to_value()));
-        }
-        push_budget_fields(
-            &mut fields,
-            self.samples,
-            self.seed,
-            self.eps,
-            self.confidence,
-            self.time_budget_ms,
-        );
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for MaximizeRequest {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "maximize", value))?;
-        Ok(MaximizeRequest {
-            s: de(required(fields, "s", "maximize")?)?,
-            t: de(required(fields, "t", "maximize")?)?,
-            k: lookup(fields, "k").map(de).transpose()?,
-            boost: lookup(fields, "boost").map(de).transpose()?,
-            candidates: lookup(fields, "candidates").map(de).transpose()?,
-            apply: lookup(fields, "apply")
-                .map(de)
-                .transpose()?
-                .unwrap_or(false),
-            samples: lookup(fields, "samples").map(de).transpose()?,
-            seed: lookup(fields, "seed").map(de).transpose()?,
-            eps: lookup(fields, "eps").map(de).transpose()?,
-            confidence: lookup(fields, "confidence").map(de).transpose()?,
-            time_budget_ms: lookup(fields, "time_budget_ms").map(de).transpose()?,
-        })
-    }
-}
-
-impl Serialize for EdgeProbUpdate {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("s", self.s.to_value()),
-            ("t", self.t.to_value()),
-            ("prob", self.prob.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for EdgeProbUpdate {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "update", value))?;
-        Ok(EdgeProbUpdate {
-            s: de(required(fields, "s", "update")?)?,
-            t: de(required(fields, "t", "update")?)?,
-            prob: de(required(fields, "prob", "update")?)?,
-        })
-    }
+fn error_value(error: &str) -> Value {
+    Value::Object(vec![entry("ok", false), entry("error", error)])
 }
 
 impl Serialize for Request {
     fn to_value(&self) -> Value {
-        match self {
-            Request::Ping => obj(vec![("cmd", "ping".to_value())]),
-            Request::Query(q) => {
-                let mut fields = vec![("cmd".to_owned(), "query".to_value())];
-                if let Value::Object(rest) = q.to_value() {
-                    fields.extend(rest);
-                }
-                Value::Object(fields)
-            }
-            Request::TopK(q) => {
-                let mut fields = vec![("cmd".to_owned(), "topk".to_value())];
-                if let Value::Object(rest) = q.to_value() {
-                    fields.extend(rest);
-                }
-                Value::Object(fields)
-            }
-            Request::DQuery(q) => {
-                let mut fields = vec![("cmd".to_owned(), "dquery".to_value())];
-                if let Value::Object(rest) = q.to_value() {
-                    fields.extend(rest);
-                }
-                Value::Object(fields)
-            }
-            Request::Maximize(q) => {
-                let mut fields = vec![("cmd".to_owned(), "maximize".to_value())];
-                if let Value::Object(rest) = q.to_value() {
-                    fields.extend(rest);
-                }
-                Value::Object(fields)
-            }
-            Request::Batch(queries) => obj(vec![
-                ("cmd", "batch".to_value()),
-                ("queries", queries.to_value()),
-            ]),
-            Request::Update(updates) => obj(vec![
-                ("cmd", "update".to_value()),
-                ("updates", updates.to_value()),
-            ]),
-            Request::Reload { path } => {
-                let mut fields = vec![("cmd", "reload".to_value())];
-                if let Some(p) = path {
-                    fields.push(("path", p.to_value()));
-                }
-                obj(fields)
-            }
+        let (cmd, body) = match self {
+            Request::Ping => ("ping", vec![]),
+            Request::Query(q) => ("query", fields_of(q)),
+            Request::TopK(q) => ("topk", fields_of(q)),
+            Request::DQuery(q) => ("dquery", fields_of(q)),
+            Request::Maximize(q) => ("maximize", fields_of(q)),
+            Request::Batch(queries) => ("batch", vec![entry("queries", queries)]),
+            Request::Update(updates) => ("update", vec![entry("updates", updates)]),
+            Request::Reload { path } => ("reload", path.iter().map(|p| entry("path", p)).collect()),
             Request::LoadGraph { name, path, quota } => {
-                let mut fields = vec![
-                    ("cmd", "load".to_value()),
-                    ("name", name.to_value()),
-                    ("path", path.to_value()),
-                ];
-                if let Some(q) = quota {
-                    fields.push(("quota", q.to_value()));
-                }
-                obj(fields)
+                let mut fields = vec![entry("name", name), entry("path", path)];
+                fields.extend(quota.map(|q| entry("quota", q)));
+                ("load", fields)
             }
-            Request::UnloadGraph { name } => obj(vec![
-                ("cmd", "unload".to_value()),
-                ("name", name.to_value()),
-            ]),
-            Request::UseGraph { name } => {
-                obj(vec![("cmd", "use".to_value()), ("name", name.to_value())])
-            }
-            Request::Stats => obj(vec![("cmd", "stats".to_value())]),
+            Request::UnloadGraph { name } => ("unload", vec![entry("name", name)]),
+            Request::UseGraph { name } => ("use", vec![entry("name", name)]),
+            Request::Stats => ("stats", vec![]),
             Request::Metrics { format } => {
-                let mut fields = vec![("cmd", "metrics".to_value())];
-                if *format == MetricsFormat::Prom {
-                    fields.push(("format", "prom".to_value()));
-                }
-                obj(fields)
+                let prom = (*format == MetricsFormat::Prom).then(|| entry("format", "prom"));
+                ("metrics", prom.into_iter().collect())
             }
-            Request::Trace { n } => {
-                let mut fields = vec![("cmd", "trace".to_value())];
-                if let Some(n) = n {
-                    fields.push(("last", n.to_value()));
-                }
-                obj(fields)
-            }
-            Request::Shutdown => obj(vec![("cmd", "shutdown".to_value())]),
-        }
+            Request::Trace { n } => ("trace", n.iter().map(|n| entry("last", n)).collect()),
+            Request::Shutdown => ("shutdown", vec![]),
+        };
+        tagged(vec![entry("cmd", cmd)], body)
     }
 }
 
 impl Deserialize for Request {
     fn from_value(value: &Value) -> Result<Self, DeError> {
+        fn required<T: Deserialize>(
+            fields: &[(String, Value)],
+            name: &str,
+            cmd: &str,
+        ) -> Result<T, DeError> {
+            T::from_value(serde::get_field(fields, name, cmd)?)
+        }
+        fn optional<T: Deserialize>(
+            fields: &[(String, Value)],
+            name: &str,
+        ) -> Result<Option<T>, DeError> {
+            serde::find_field(fields, name)
+                .map(T::from_value)
+                .transpose()
+        }
         let fields = value
             .as_object()
             .ok_or_else(|| DeError::expected("object", "request", value))?;
-        let cmd: String = de(required(fields, "cmd", "request")?)?;
-        match cmd.as_str() {
-            "ping" => Ok(Request::Ping),
-            "query" => Ok(Request::Query(QueryRequest::from_value(value)?)),
-            "topk" => Ok(Request::TopK(TopKRequest::from_value(value)?)),
-            "dquery" => Ok(Request::DQuery(DistanceQueryRequest::from_value(value)?)),
-            "maximize" => Ok(Request::Maximize(MaximizeRequest::from_value(value)?)),
-            "batch" => Ok(Request::Batch(de(required(fields, "queries", "batch")?)?)),
-            "update" => Ok(Request::Update(de(required(fields, "updates", "update")?)?)),
-            "reload" => Ok(Request::Reload {
-                path: lookup(fields, "path").map(de).transpose()?,
-            }),
-            "load" => Ok(Request::LoadGraph {
-                name: de(required(fields, "name", "load")?)?,
-                path: de(required(fields, "path", "load")?)?,
-                quota: lookup(fields, "quota").map(de).transpose()?,
-            }),
-            "unload" => Ok(Request::UnloadGraph {
-                name: de(required(fields, "name", "unload")?)?,
-            }),
-            "use" => Ok(Request::UseGraph {
-                name: de(required(fields, "name", "use")?)?,
-            }),
-            "stats" => Ok(Request::Stats),
-            "metrics" => {
-                let format = match lookup(fields, "format") {
-                    None => MetricsFormat::Json,
-                    Some(v) => {
-                        let name: String = de(v)?;
-                        match name.as_str() {
-                            "json" => MetricsFormat::Json,
-                            "prom" => MetricsFormat::Prom,
-                            other => {
-                                return Err(DeError::custom(format!(
-                                    "unknown metrics format `{other}` (expected `json` or `prom`)"
-                                )))
-                            }
-                        }
+        let cmd: String = required(fields, "cmd", "request")?;
+        Ok(match cmd.as_str() {
+            "ping" => Request::Ping,
+            "query" => Request::Query(QueryRequest::from_value(value)?),
+            "topk" => Request::TopK(TopKRequest::from_value(value)?),
+            "dquery" => Request::DQuery(DistanceQueryRequest::from_value(value)?),
+            "maximize" => Request::Maximize(MaximizeRequest::from_value(value)?),
+            "batch" => Request::Batch(required(fields, "queries", "batch")?),
+            "update" => Request::Update(required(fields, "updates", "update")?),
+            "reload" => Request::Reload {
+                path: optional(fields, "path")?,
+            },
+            "load" => Request::LoadGraph {
+                name: required(fields, "name", "load")?,
+                path: required(fields, "path", "load")?,
+                quota: optional(fields, "quota")?,
+            },
+            "unload" => Request::UnloadGraph {
+                name: required(fields, "name", "unload")?,
+            },
+            "use" => Request::UseGraph {
+                name: required(fields, "name", "use")?,
+            },
+            "stats" => Request::Stats,
+            "metrics" => Request::Metrics {
+                format: match optional::<String>(fields, "format")?.as_deref() {
+                    None | Some("json") => MetricsFormat::Json,
+                    Some("prom") => MetricsFormat::Prom,
+                    Some(other) => {
+                        return Err(DeError::custom(format!(
+                            "unknown metrics format `{other}` (expected `json` or `prom`)"
+                        )))
                     }
-                };
-                Ok(Request::Metrics { format })
-            }
-            "trace" => Ok(Request::Trace {
-                n: lookup(fields, "last").map(de).transpose()?,
-            }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(DeError::custom(format!("unknown cmd `{other}`"))),
-        }
-    }
-}
-
-impl Serialize for QueryResponse {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("ok".to_owned(), true.to_value()),
-            ("kind".to_owned(), "query".to_value()),
-            ("s".to_owned(), self.s.to_value()),
-            ("t".to_owned(), self.t.to_value()),
-            ("reliability".to_owned(), self.reliability.to_value()),
-            ("samples".to_owned(), self.samples.to_value()),
-            ("estimator".to_owned(), self.estimator.to_value()),
-            ("micros".to_owned(), self.micros.to_value()),
-            ("cached".to_owned(), self.cached.to_value()),
-            ("stop_reason".to_owned(), self.stop_reason.to_value()),
-        ];
-        if let Some(hw) = self.half_width {
-            fields.push(("half_width".to_owned(), hw.to_value()));
-        }
-        if let Some(v) = self.variance {
-            fields.push(("variance".to_owned(), v.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for QueryResponse {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "query response", value))?;
-        Ok(QueryResponse {
-            s: de(required(fields, "s", "query response")?)?,
-            t: de(required(fields, "t", "query response")?)?,
-            reliability: de(required(fields, "reliability", "query response")?)?,
-            samples: de(required(fields, "samples", "query response")?)?,
-            estimator: de(required(fields, "estimator", "query response")?)?,
-            micros: de(required(fields, "micros", "query response")?)?,
-            cached: de(required(fields, "cached", "query response")?)?,
-            // Absent on wires predating adaptive sessions: default to the
-            // historical fixed-budget semantics.
-            stop_reason: lookup(fields, "stop_reason")
-                .map(de)
-                .transpose()?
-                .unwrap_or_else(|| "fixed_k".to_owned()),
-            half_width: lookup(fields, "half_width").map(de).transpose()?,
-            variance: lookup(fields, "variance").map(de).transpose()?,
-        })
-    }
-}
-
-impl Serialize for TargetEntry {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("node", self.node.to_value()),
-            ("reliability", self.reliability.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TargetEntry {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "target entry", value))?;
-        Ok(TargetEntry {
-            node: de(required(fields, "node", "target entry")?)?,
-            reliability: de(required(fields, "reliability", "target entry")?)?,
-        })
-    }
-}
-
-impl Serialize for TopKResponse {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("ok".to_owned(), true.to_value()),
-            ("kind".to_owned(), "topk".to_value()),
-            ("s".to_owned(), self.s.to_value()),
-            ("k".to_owned(), self.k.to_value()),
-            ("targets".to_owned(), self.targets.to_value()),
-            ("samples".to_owned(), self.samples.to_value()),
-            ("micros".to_owned(), self.micros.to_value()),
-            ("cached".to_owned(), self.cached.to_value()),
-            ("stop_reason".to_owned(), self.stop_reason.to_value()),
-        ];
-        if let Some(hw) = self.half_width {
-            fields.push(("half_width".to_owned(), hw.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for TopKResponse {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "topk response", value))?;
-        Ok(TopKResponse {
-            s: de(required(fields, "s", "topk response")?)?,
-            k: de(required(fields, "k", "topk response")?)?,
-            targets: de(required(fields, "targets", "topk response")?)?,
-            samples: de(required(fields, "samples", "topk response")?)?,
-            micros: de(required(fields, "micros", "topk response")?)?,
-            cached: de(required(fields, "cached", "topk response")?)?,
-            stop_reason: de(required(fields, "stop_reason", "topk response")?)?,
-            half_width: lookup(fields, "half_width").map(de).transpose()?,
-        })
-    }
-}
-
-impl Serialize for DistanceQueryResponse {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("ok".to_owned(), true.to_value()),
-            ("kind".to_owned(), "dquery".to_value()),
-            ("s".to_owned(), self.s.to_value()),
-            ("t".to_owned(), self.t.to_value()),
-            ("d".to_owned(), self.d.to_value()),
-            ("reliability".to_owned(), self.reliability.to_value()),
-            ("samples".to_owned(), self.samples.to_value()),
-            ("micros".to_owned(), self.micros.to_value()),
-            ("cached".to_owned(), self.cached.to_value()),
-            ("stop_reason".to_owned(), self.stop_reason.to_value()),
-        ];
-        if let Some(hw) = self.half_width {
-            fields.push(("half_width".to_owned(), hw.to_value()));
-        }
-        if let Some(v) = self.variance {
-            fields.push(("variance".to_owned(), v.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for DistanceQueryResponse {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "dquery response", value))?;
-        Ok(DistanceQueryResponse {
-            s: de(required(fields, "s", "dquery response")?)?,
-            t: de(required(fields, "t", "dquery response")?)?,
-            d: de(required(fields, "d", "dquery response")?)?,
-            reliability: de(required(fields, "reliability", "dquery response")?)?,
-            samples: de(required(fields, "samples", "dquery response")?)?,
-            micros: de(required(fields, "micros", "dquery response")?)?,
-            cached: de(required(fields, "cached", "dquery response")?)?,
-            stop_reason: de(required(fields, "stop_reason", "dquery response")?)?,
-            half_width: lookup(fields, "half_width").map(de).transpose()?,
-            variance: lookup(fields, "variance").map(de).transpose()?,
-        })
-    }
-}
-
-impl Serialize for UpgradeRow {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("s", self.s.to_value()),
-            ("t", self.t.to_value()),
-            ("old_prob", self.old_prob.to_value()),
-            ("new_prob", self.new_prob.to_value()),
-            ("gain", self.gain.to_value()),
-            ("reliability", self.reliability.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for UpgradeRow {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "upgrade row", value))?;
-        Ok(UpgradeRow {
-            s: de(required(fields, "s", "upgrade row")?)?,
-            t: de(required(fields, "t", "upgrade row")?)?,
-            old_prob: de(required(fields, "old_prob", "upgrade row")?)?,
-            new_prob: de(required(fields, "new_prob", "upgrade row")?)?,
-            gain: de(required(fields, "gain", "upgrade row")?)?,
-            reliability: de(required(fields, "reliability", "upgrade row")?)?,
-        })
-    }
-}
-
-impl Serialize for MaximizeResponse {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("ok".to_owned(), true.to_value()),
-            ("kind".to_owned(), "maximize".to_value()),
-            ("s".to_owned(), self.s.to_value()),
-            ("t".to_owned(), self.t.to_value()),
-            ("k".to_owned(), self.k.to_value()),
-            (
-                "base_reliability".to_owned(),
-                self.base_reliability.to_value(),
-            ),
-            ("reliability".to_owned(), self.reliability.to_value()),
-            ("gain".to_owned(), self.gain.to_value()),
-            ("chosen".to_owned(), self.chosen.to_value()),
-            ("candidates".to_owned(), self.candidates.to_value()),
-            ("evaluations".to_owned(), self.evaluations.to_value()),
-            ("samples".to_owned(), self.samples.to_value()),
-            ("micros".to_owned(), self.micros.to_value()),
-            ("cached".to_owned(), self.cached.to_value()),
-        ];
-        if let Some(epoch) = self.applied_epoch {
-            fields.push(("applied_epoch".to_owned(), epoch.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for MaximizeResponse {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "maximize response", value))?;
-        Ok(MaximizeResponse {
-            s: de(required(fields, "s", "maximize response")?)?,
-            t: de(required(fields, "t", "maximize response")?)?,
-            k: de(required(fields, "k", "maximize response")?)?,
-            base_reliability: de(required(fields, "base_reliability", "maximize response")?)?,
-            reliability: de(required(fields, "reliability", "maximize response")?)?,
-            gain: de(required(fields, "gain", "maximize response")?)?,
-            chosen: de(required(fields, "chosen", "maximize response")?)?,
-            candidates: de(required(fields, "candidates", "maximize response")?)?,
-            evaluations: de(required(fields, "evaluations", "maximize response")?)?,
-            samples: de(required(fields, "samples", "maximize response")?)?,
-            micros: de(required(fields, "micros", "maximize response")?)?,
-            cached: de(required(fields, "cached", "maximize response")?)?,
-            applied_epoch: lookup(fields, "applied_epoch").map(de).transpose()?,
-        })
-    }
-}
-
-impl Serialize for MigratedResident {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("estimator", self.estimator.to_value()),
-            ("mode", self.mode.to_value()),
-            ("touched", self.touched.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for MigratedResident {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "migrated resident", value))?;
-        Ok(MigratedResident {
-            estimator: de(required(fields, "estimator", "migrated resident")?)?,
-            mode: de(required(fields, "mode", "migrated resident")?)?,
-            touched: de(required(fields, "touched", "migrated resident")?)?,
-        })
-    }
-}
-
-impl Serialize for UpdateResponse {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("ok", true.to_value()),
-            ("kind", "update".to_value()),
-            ("epoch", self.epoch.to_value()),
-            ("edges_updated", self.edges_updated.to_value()),
-            ("migrated", self.migrated.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for UpdateResponse {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "update response", value))?;
-        Ok(UpdateResponse {
-            epoch: de(required(fields, "epoch", "update response")?)?,
-            edges_updated: de(required(fields, "edges_updated", "update response")?)?,
-            migrated: de(required(fields, "migrated", "update response")?)?,
-        })
-    }
-}
-
-impl Serialize for ReloadResponse {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("ok", true.to_value()),
-            ("kind", "reload".to_value()),
-            ("epoch", self.epoch.to_value()),
-            ("nodes", self.nodes.to_value()),
-            ("edges", self.edges.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ReloadResponse {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "reload response", value))?;
-        Ok(ReloadResponse {
-            epoch: de(required(fields, "epoch", "reload response")?)?,
-            nodes: de(required(fields, "nodes", "reload response")?)?,
-            edges: de(required(fields, "edges", "reload response")?)?,
-        })
-    }
-}
-
-impl Serialize for LoadResponse {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("ok", true.to_value()),
-            ("kind", "loaded".to_value()),
-            ("name", self.name.to_value()),
-            ("nodes", self.nodes.to_value()),
-            ("edges", self.edges.to_value()),
-            ("epoch", self.epoch.to_value()),
-            ("load_path", self.load_path.to_value()),
-            ("load_micros", self.load_micros.to_value()),
-            ("warm_entries", self.warm_entries.to_value()),
-            ("quota", self.quota.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for LoadResponse {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "loaded response", value))?;
-        Ok(LoadResponse {
-            name: de(required(fields, "name", "loaded response")?)?,
-            nodes: de(required(fields, "nodes", "loaded response")?)?,
-            edges: de(required(fields, "edges", "loaded response")?)?,
-            epoch: de(required(fields, "epoch", "loaded response")?)?,
-            load_path: de(required(fields, "load_path", "loaded response")?)?,
-            load_micros: de(required(fields, "load_micros", "loaded response")?)?,
-            warm_entries: de(required(fields, "warm_entries", "loaded response")?)?,
-            quota: de(required(fields, "quota", "loaded response")?)?,
-        })
-    }
-}
-
-impl Serialize for UseResponse {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("ok", true.to_value()),
-            ("kind", "using".to_value()),
-            ("name", self.name.to_value()),
-            ("epoch", self.epoch.to_value()),
-            ("nodes", self.nodes.to_value()),
-            ("edges", self.edges.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for UseResponse {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "using response", value))?;
-        Ok(UseResponse {
-            name: de(required(fields, "name", "using response")?)?,
-            epoch: de(required(fields, "epoch", "using response")?)?,
-            nodes: de(required(fields, "nodes", "using response")?)?,
-            edges: de(required(fields, "edges", "using response")?)?,
-        })
-    }
-}
-
-impl Serialize for StatsResponse {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("ok", true.to_value()),
-            ("kind", "stats".to_value()),
-            ("queries", self.queries.to_value()),
-            ("cache_hits", self.cache_hits.to_value()),
-            ("cache_misses", self.cache_misses.to_value()),
-            ("cache_entries", self.cache_entries.to_value()),
-            ("rejected", self.rejected.to_value()),
-            ("threads", self.threads.to_value()),
-            ("epoch", self.epoch.to_value()),
-            ("updates", self.updates.to_value()),
-            ("nodes", self.nodes.to_value()),
-            ("edges", self.edges.to_value()),
-            ("resident_estimators", self.resident_estimators.to_value()),
-            ("resident_bytes", self.resident_bytes.to_value()),
-            ("packed_samples", self.packed_samples.to_value()),
-            ("scalar_samples", self.scalar_samples.to_value()),
-            ("load_path", self.load_path.to_value()),
-            ("load_micros", self.load_micros.to_value()),
-            ("uptime_micros", self.uptime_micros.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for StatsResponse {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "stats response", value))?;
-        let f = |name| required(fields, name, "stats response");
-        Ok(StatsResponse {
-            queries: de(f("queries")?)?,
-            cache_hits: de(f("cache_hits")?)?,
-            cache_misses: de(f("cache_misses")?)?,
-            cache_entries: de(f("cache_entries")?)?,
-            rejected: de(f("rejected")?)?,
-            threads: de(f("threads")?)?,
-            epoch: de(f("epoch")?)?,
-            updates: de(f("updates")?)?,
-            nodes: de(f("nodes")?)?,
-            edges: de(f("edges")?)?,
-            resident_estimators: de(f("resident_estimators")?)?,
-            resident_bytes: de(f("resident_bytes")?)?,
-            packed_samples: de(f("packed_samples")?)?,
-            scalar_samples: de(f("scalar_samples")?)?,
-            load_path: de(f("load_path")?)?,
-            load_micros: de(f("load_micros")?)?,
-            uptime_micros: de(f("uptime_micros")?)?,
-        })
-    }
-}
-
-fn labels_to_value(labels: &[(String, String)]) -> Value {
-    Value::Object(
-        labels
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect(),
-    )
-}
-
-fn labels_from_value(value: &Value, context: &str) -> Result<Vec<(String, String)>, DeError> {
-    let fields = value
-        .as_object()
-        .ok_or_else(|| DeError::expected("object", context, value))?;
-    fields
-        .iter()
-        .map(|(k, v)| Ok((k.clone(), de::<String>(v)?)))
-        .collect()
-}
-
-impl Serialize for MetricRow {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("name", self.name.to_value()),
-            ("labels", labels_to_value(&self.labels)),
-            ("value", self.value.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for MetricRow {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "metric row", value))?;
-        Ok(MetricRow {
-            name: de(required(fields, "name", "metric row")?)?,
-            labels: labels_from_value(required(fields, "labels", "metric row")?, "metric labels")?,
-            value: de(required(fields, "value", "metric row")?)?,
-        })
-    }
-}
-
-impl Serialize for BucketRow {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("le", self.le.to_value()),
-            ("count", self.count.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for BucketRow {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "bucket row", value))?;
-        Ok(BucketRow {
-            le: de(required(fields, "le", "bucket row")?)?,
-            count: de(required(fields, "count", "bucket row")?)?,
-        })
-    }
-}
-
-impl Serialize for HistogramRow {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("name", self.name.to_value()),
-            ("labels", labels_to_value(&self.labels)),
-            ("count", self.count.to_value()),
-            ("sum", self.sum.to_value()),
-            ("p50", self.p50.to_value()),
-            ("p90", self.p90.to_value()),
-            ("p99", self.p99.to_value()),
-            ("p999", self.p999.to_value()),
-            ("buckets", self.buckets.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for HistogramRow {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "histogram row", value))?;
-        let f = |name| required(fields, name, "histogram row");
-        Ok(HistogramRow {
-            name: de(f("name")?)?,
-            labels: labels_from_value(f("labels")?, "histogram labels")?,
-            count: de(f("count")?)?,
-            sum: de(f("sum")?)?,
-            p50: de(f("p50")?)?,
-            p90: de(f("p90")?)?,
-            p99: de(f("p99")?)?,
-            p999: de(f("p999")?)?,
-            buckets: de(f("buckets")?)?,
-        })
-    }
-}
-
-impl Serialize for MetricsReport {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("ok", true.to_value()),
-            ("kind", "metrics".to_value()),
-            ("queries_total", self.queries_total.to_value()),
-            ("counters", self.counters.to_value()),
-            ("gauges", self.gauges.to_value()),
-            ("histograms", self.histograms.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for MetricsReport {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "metrics response", value))?;
-        Ok(MetricsReport {
-            queries_total: de(required(fields, "queries_total", "metrics response")?)?,
-            counters: de(required(fields, "counters", "metrics response")?)?,
-            gauges: de(required(fields, "gauges", "metrics response")?)?,
-            histograms: de(required(fields, "histograms", "metrics response")?)?,
-        })
-    }
-}
-
-impl Serialize for StageRow {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("stage", self.stage.to_value()),
-            ("nanos", self.nanos.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for StageRow {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "stage row", value))?;
-        Ok(StageRow {
-            stage: de(required(fields, "stage", "stage row")?)?,
-            nanos: de(required(fields, "nanos", "stage row")?)?,
-        })
-    }
-}
-
-impl Serialize for TraceRow {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("workload", self.workload.to_value()),
-            ("s", self.s.to_value()),
-            ("t", self.t.to_value()),
-            ("ok", self.ok.to_value()),
-            ("cached", self.cached.to_value()),
-            ("nanos", self.nanos.to_value()),
-            ("stages", self.stages.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TraceRow {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "trace row", value))?;
-        Ok(TraceRow {
-            workload: de(required(fields, "workload", "trace row")?)?,
-            s: de(required(fields, "s", "trace row")?)?,
-            t: de(required(fields, "t", "trace row")?)?,
-            ok: de(required(fields, "ok", "trace row")?)?,
-            cached: de(required(fields, "cached", "trace row")?)?,
-            nanos: de(required(fields, "nanos", "trace row")?)?,
-            stages: de(required(fields, "stages", "trace row")?)?,
+                },
+            },
+            "trace" => Request::Trace {
+                n: optional(fields, "last")?,
+            },
+            "shutdown" => Request::Shutdown,
+            other => return Err(DeError::custom(format!("unknown cmd `{other}`"))),
         })
     }
 }
 
 impl Serialize for Response {
     fn to_value(&self) -> Value {
-        match self {
-            Response::Pong => obj(vec![("ok", true.to_value()), ("kind", "pong".to_value())]),
-            Response::Query(q) => q.to_value(),
-            Response::TopK(q) => q.to_value(),
-            Response::DQuery(q) => q.to_value(),
-            Response::Maximize(q) => q.to_value(),
+        let (kind, body) = match self {
+            Response::Pong => ("pong", vec![]),
+            Response::Query(q) => ("query", fields_of(q)),
+            Response::TopK(q) => ("topk", fields_of(q)),
+            Response::DQuery(q) => ("dquery", fields_of(q)),
+            Response::Maximize(q) => ("maximize", fields_of(q)),
             Response::Batch(results) => {
-                let items: Vec<Value> = results
-                    .iter()
-                    .map(|r| match r {
-                        Ok(q) => q.to_value(),
-                        Err(e) => obj(vec![("ok", false.to_value()), ("error", e.to_value())]),
-                    })
-                    .collect();
-                obj(vec![
-                    ("ok", true.to_value()),
-                    ("kind", "batch".to_value()),
-                    ("results", Value::Array(items)),
-                ])
+                let items = results.iter().map(|r| match r {
+                    Ok(q) => ok_kind("query", fields_of(q)),
+                    Err(e) => error_value(e),
+                });
+                let items = Value::Array(items.collect());
+                ("batch", vec![("results".to_owned(), items)])
             }
-            Response::Update(u) => u.to_value(),
-            Response::Reload(r) => r.to_value(),
-            Response::Loaded(l) => l.to_value(),
-            Response::Unloaded { name } => obj(vec![
-                ("ok", true.to_value()),
-                ("kind", "unloaded".to_value()),
-                ("name", name.to_value()),
-            ]),
-            Response::Using(u) => u.to_value(),
-            Response::Stats(s) => s.to_value(),
-            Response::Metrics(m) => m.to_value(),
-            Response::MetricsText(text) => obj(vec![
-                ("ok", true.to_value()),
-                ("kind", "metrics_text".to_value()),
-                ("text", text.to_value()),
-            ]),
-            Response::Traces(traces) => obj(vec![
-                ("ok", true.to_value()),
-                ("kind", "trace".to_value()),
-                ("traces", traces.to_value()),
-            ]),
-            Response::Bye => obj(vec![("ok", true.to_value()), ("kind", "bye".to_value())]),
-            Response::Error(e) => obj(vec![("ok", false.to_value()), ("error", e.to_value())]),
-        }
+            Response::Update(u) => ("update", fields_of(u)),
+            Response::Reload(r) => ("reload", fields_of(r)),
+            Response::Loaded(l) => ("loaded", fields_of(l)),
+            Response::Unloaded { name } => ("unloaded", vec![entry("name", name)]),
+            Response::Using(u) => ("using", fields_of(u)),
+            Response::Stats(s) => ("stats", fields_of(s)),
+            Response::Metrics(m) => ("metrics", fields_of(m)),
+            Response::MetricsText(text) => ("metrics_text", vec![entry("text", text)]),
+            Response::Traces(traces) => ("trace", vec![entry("traces", traces)]),
+            Response::Bye => ("bye", vec![]),
+            Response::Error(e) => return error_value(e),
+        };
+        ok_kind(kind, body)
     }
 }
 
@@ -1984,59 +1175,43 @@ impl Deserialize for Response {
         let fields = value
             .as_object()
             .ok_or_else(|| DeError::expected("object", "response", value))?;
-        let ok: bool = de(required(fields, "ok", "response")?)?;
-        if !ok {
-            return Ok(Response::Error(de(required(fields, "error", "response")?)?));
+        let field = |name| serde::get_field(fields, name, "response");
+        if !bool::from_value(field("ok")?)? {
+            return Ok(Response::Error(String::from_value(field("error")?)?));
         }
-        let kind: String = de(required(fields, "kind", "response")?)?;
-        match kind.as_str() {
-            "pong" => Ok(Response::Pong),
-            "query" => Ok(Response::Query(QueryResponse::from_value(value)?)),
-            "topk" => Ok(Response::TopK(TopKResponse::from_value(value)?)),
-            "dquery" => Ok(Response::DQuery(DistanceQueryResponse::from_value(value)?)),
-            "maximize" => Ok(Response::Maximize(MaximizeResponse::from_value(value)?)),
+        Ok(match String::from_value(field("kind")?)?.as_str() {
+            "pong" => Response::Pong,
+            "query" => Response::Query(QueryResponse::from_value(value)?),
+            "topk" => Response::TopK(TopKResponse::from_value(value)?),
+            "dquery" => Response::DQuery(DistanceQueryResponse::from_value(value)?),
+            "maximize" => Response::Maximize(MaximizeResponse::from_value(value)?),
             "batch" => {
-                let items = required(fields, "results", "batch response")?
+                let items = field("results")?
                     .as_array()
                     .ok_or_else(|| DeError::custom("batch `results` must be an array"))?;
-                let results = items
-                    .iter()
-                    .map(|item| {
-                        let f = item
-                            .as_object()
-                            .ok_or_else(|| DeError::expected("object", "batch item", item))?;
-                        let ok: bool = de(required(f, "ok", "batch item")?)?;
-                        if ok {
-                            Ok(Ok(QueryResponse::from_value(item)?))
-                        } else {
-                            Ok(Err(de(required(f, "error", "batch item")?)?))
-                        }
-                    })
-                    .collect::<Result<Vec<_>, DeError>>()?;
-                Ok(Response::Batch(results))
+                let results = items.iter().map(|item| match Response::from_value(item)? {
+                    Response::Query(q) => Ok(Ok(q)),
+                    Response::Error(e) => Ok(Err(e)),
+                    _ => Err(DeError::custom(
+                        "a batch item must be a query answer or an error",
+                    )),
+                });
+                Response::Batch(results.collect::<Result<_, DeError>>()?)
             }
-            "update" => Ok(Response::Update(UpdateResponse::from_value(value)?)),
-            "reload" => Ok(Response::Reload(ReloadResponse::from_value(value)?)),
-            "loaded" => Ok(Response::Loaded(LoadResponse::from_value(value)?)),
-            "unloaded" => Ok(Response::Unloaded {
-                name: de(required(fields, "name", "unloaded response")?)?,
-            }),
-            "using" => Ok(Response::Using(UseResponse::from_value(value)?)),
-            "stats" => Ok(Response::Stats(StatsResponse::from_value(value)?)),
-            "metrics" => Ok(Response::Metrics(MetricsReport::from_value(value)?)),
-            "metrics_text" => Ok(Response::MetricsText(de(required(
-                fields,
-                "text",
-                "metrics_text response",
-            )?)?)),
-            "trace" => Ok(Response::Traces(de(required(
-                fields,
-                "traces",
-                "trace response",
-            )?)?)),
-            "bye" => Ok(Response::Bye),
-            other => Err(DeError::custom(format!("unknown response kind `{other}`"))),
-        }
+            "update" => Response::Update(UpdateResponse::from_value(value)?),
+            "reload" => Response::Reload(ReloadResponse::from_value(value)?),
+            "loaded" => Response::Loaded(LoadResponse::from_value(value)?),
+            "unloaded" => Response::Unloaded {
+                name: String::from_value(field("name")?)?,
+            },
+            "using" => Response::Using(UseResponse::from_value(value)?),
+            "stats" => Response::Stats(StatsResponse::from_value(value)?),
+            "metrics" => Response::Metrics(MetricsReport::from_value(value)?),
+            "metrics_text" => Response::MetricsText(String::from_value(field("text")?)?),
+            "trace" => Response::Traces(Vec::from_value(field("traces")?)?),
+            "bye" => Response::Bye,
+            other => return Err(DeError::custom(format!("unknown response kind `{other}`"))),
+        })
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! The build container has no crates.io access, so this shim provides the
 //! slice of serde the workspace uses: `#[derive(Serialize, Deserialize)]`
-//! on named-field structs, fieldless enums, and `#[serde(transparent)]`
+//! on named-field structs (with the `rename`, `default`,
+//! `skip_serializing_if` and `with` attributes), fieldless enums, and
 //! newtypes, consumed through `serde_json`'s string round-trip.
 //!
 //! Instead of serde's visitor architecture, serialization goes through an
@@ -110,21 +111,24 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Look up a required struct field in an object's field list.
+/// Look up a struct field in an object's field list. An explicit `null`
+/// counts as absent, as an omitted field does.
+pub fn find_field<'v>(fields: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
+    fields
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v)
+        .filter(|v| !matches!(v, Value::Null))
+}
+
+/// Look up a required struct field: absent or `null` is a
+/// "missing field `name` in context" error.
 pub fn get_field<'v>(
     fields: &'v [(String, Value)],
     name: &str,
     context: &str,
 ) -> Result<&'v Value, DeError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| {
-            DeError(format!(
-                "missing field `{name}` while deserializing {context}"
-            ))
-        })
+    find_field(fields, name).ok_or_else(|| DeError(format!("missing field `{name}` in {context}")))
 }
 
 /// Types that can be converted into a [`Value`] tree.
@@ -373,7 +377,6 @@ mod tests {
     fn missing_field_reports_context() {
         let fields = vec![("a".to_string(), Value::Int(1))];
         let err = get_field(&fields, "b", "Demo").unwrap_err();
-        assert!(err.to_string().contains("missing field `b`"));
-        assert!(err.to_string().contains("Demo"));
+        assert_eq!(err.to_string(), "missing field `b` in Demo");
     }
 }

@@ -10,8 +10,25 @@
 //!   not) — serialized as the inner value, matching upstream serde;
 //! * fieldless enums — serialized as the variant name string.
 //!
-//! Anything else (generics, data-carrying enums, unions) is rejected with
-//! a compile error naming the unsupported shape.
+//! Named-field structs read with upstream serde's rules: unknown fields
+//! are ignored, and a missing `Option<T>` field (detected from the
+//! field's type tokens) reads as `None`. The shim's `serde::get_field`
+//! also treats an explicit `null` as a missing field. These attributes
+//! are supported, with upstream meaning:
+//!
+//! * container `#[serde(rename = "name")]` — the name error messages use;
+//! * field `#[serde(default)]` — a missing field reads as
+//!   `Default::default()`;
+//! * field `#[serde(skip_serializing_if = "path")]` — the field is left
+//!   out when `path(&field)` is true;
+//! * field `#[serde(with = "module")]` — (de)serialize through
+//!   `module::serialize(&T) -> Value` and
+//!   `module::deserialize(&Value) -> Result<T, DeError>`, the shim's
+//!   value-tree forms of upstream's functions.
+//!
+//! Anything else (generics, data-carrying enums, unions, other
+//! attributes) is rejected with a compile error naming the unsupported
+//! shape.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -33,14 +50,31 @@ enum Mode {
     Deserialize,
 }
 
+/// One named field and its `#[serde(...)]` attributes.
+struct Field {
+    name: String,
+    /// A missing field reads as `Default::default()`: `#[serde(default)]`,
+    /// implied for `Option<T>`.
+    default: bool,
+    skip_serializing_if: Option<String>,
+    with: Option<String>,
+}
+
 enum Item {
-    /// `struct Name { a: T, b: U }`
-    Struct { name: String, fields: Vec<String> },
+    /// `struct Name { a: T, b: U }`; `label` names it in error messages.
+    Struct {
+        name: String,
+        label: String,
+        fields: Vec<Field>,
+    },
     /// `struct Name(T);`
     Newtype { name: String },
     /// `enum Name { A, B, C }`
     Enum { name: String, variants: Vec<String> },
 }
+
+/// `key` or `key = "value"` entries of `#[serde(...)]` attributes.
+type Attrs = Vec<(String, Option<String>)>;
 
 fn expand(input: TokenStream, mode: Mode) -> TokenStream {
     let code = match parse_item(input) {
@@ -59,12 +93,57 @@ fn is_punct(tok: Option<&TokenTree>, ch: char) -> bool {
     matches!(tok, Some(TokenTree::Punct(p)) if p.as_char() == ch)
 }
 
-/// Skip `#[...]` attribute groups starting at `i`; returns the next index.
-fn skip_attrs(toks: &[TokenTree], mut i: usize) -> usize {
+/// Read the `#[...]` attribute groups starting at `i`, keeping the entries
+/// of `#[serde(...)]` ones; returns the next index and those entries.
+fn parse_attrs(toks: &[TokenTree], mut i: usize) -> Result<(usize, Attrs), String> {
+    let mut attrs = Vec::new();
     while is_punct(toks.get(i), '#') {
+        if let Some(TokenTree::Group(g)) = toks.get(i + 1) {
+            let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+            if let (true, Some(TokenTree::Group(args))) =
+                (is_ident(inner.first(), "serde"), inner.get(1))
+            {
+                parse_serde_args(args.stream(), &mut attrs)?;
+            }
+        }
         i += 2; // '#' then the bracketed group
     }
-    i
+    Ok((i, attrs))
+}
+
+fn parse_serde_args(stream: TokenStream, attrs: &mut Attrs) -> Result<(), String> {
+    let toks: Vec<TokenTree> = stream.into_iter().collect();
+    for entry in toks.split(|t| is_punct(Some(t), ',')) {
+        match entry {
+            [] => {}
+            [TokenTree::Ident(key)] => attrs.push((key.to_string(), None)),
+            [TokenTree::Ident(key), eq, TokenTree::Literal(lit)] if is_punct(Some(eq), '=') => {
+                let lit = lit.to_string();
+                let value = lit
+                    .strip_prefix('"')
+                    .and_then(|l| l.strip_suffix('"'))
+                    .ok_or_else(|| {
+                        format!("serde shim derive: `{key}` expects a string, found {lit}")
+                    })?;
+                attrs.push((key.to_string(), Some(value.to_owned())));
+            }
+            other => {
+                let text: Vec<String> = other.iter().map(ToString::to_string).collect();
+                return Err(format!(
+                    "serde shim derive: unsupported attribute `{}`",
+                    text.join(" ")
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn unsupported(key: &str, value: &Option<String>, on: &str) -> String {
+    let shown = value
+        .as_ref()
+        .map_or(String::new(), |v| format!(" = {v:?}"));
+    format!("serde shim derive: unsupported attribute `{key}{shown}` on {on}")
 }
 
 /// Skip `pub` / `pub(...)` starting at `i`; returns the next index.
@@ -81,7 +160,8 @@ fn skip_vis(toks: &[TokenTree], mut i: usize) -> usize {
 
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let toks: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = skip_vis(&toks, skip_attrs(&toks, 0));
+    let (i, attrs) = parse_attrs(&toks, 0)?;
+    let mut i = skip_vis(&toks, i);
 
     let keyword = match toks.get(i) {
         Some(TokenTree::Ident(kw)) => kw.to_string(),
@@ -109,11 +189,21 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         ));
     }
 
+    let mut label = name.clone();
+    for (key, value) in &attrs {
+        match (key.as_str(), value) {
+            ("rename", Some(v)) => label = v.clone(),
+            ("transparent", None) => {}
+            _ => return Err(unsupported(key, value, &format!("`{name}`"))),
+        }
+    }
+
     match keyword.as_str() {
         "struct" => match toks.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Ok(Item::Struct {
                 fields: parse_named_fields(g.stream(), &name)?,
                 name,
+                label,
             }),
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
@@ -164,12 +254,13 @@ fn count_top_level_fields(toks: &[TokenTree]) -> usize {
     fields + usize::from(saw_tokens)
 }
 
-fn parse_named_fields(stream: TokenStream, name: &str) -> Result<Vec<String>, String> {
+fn parse_named_fields(stream: TokenStream, name: &str) -> Result<Vec<Field>, String> {
     let toks: Vec<TokenTree> = stream.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        i = skip_vis(&toks, skip_attrs(&toks, i));
+        let (next, attrs) = parse_attrs(&toks, i)?;
+        i = skip_vis(&toks, next);
         if i >= toks.len() {
             break;
         }
@@ -188,11 +279,18 @@ fn parse_named_fields(stream: TokenStream, name: &str) -> Result<Vec<String>, St
             ));
         }
         i += 1;
-        // Skip the type: consume until a comma at angle-bracket depth 0.
+        // Read the type up to a comma at angle-bracket depth 0, noting the
+        // last path segment before its first `<` (`Option` for options).
         let mut depth = 0i32;
+        let mut outer = String::new();
+        let mut seen_angle = false;
         while i < toks.len() {
             match &toks[i] {
-                TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
+                TokenTree::Ident(seg) if !seen_angle => outer = seg.to_string(),
+                TokenTree::Punct(p) if p.as_char() == '<' => {
+                    depth += 1;
+                    seen_angle = true;
+                }
                 TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
                 TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
                     i += 1;
@@ -202,7 +300,27 @@ fn parse_named_fields(stream: TokenStream, name: &str) -> Result<Vec<String>, St
             }
             i += 1;
         }
-        fields.push(field);
+        let mut parsed = Field {
+            default: seen_angle && outer == "Option",
+            skip_serializing_if: None,
+            with: None,
+            name: field,
+        };
+        for (key, value) in attrs {
+            match (key.as_str(), value) {
+                ("default", None) => parsed.default = true,
+                ("skip_serializing_if", Some(path)) => parsed.skip_serializing_if = Some(path),
+                ("with", Some(module)) => parsed.with = Some(module),
+                (key, value) => {
+                    return Err(unsupported(
+                        key,
+                        &value,
+                        &format!("field `{}` of `{name}`", parsed.name),
+                    ))
+                }
+            }
+        }
+        fields.push(parsed);
     }
     Ok(fields)
 }
@@ -212,7 +330,11 @@ fn parse_fieldless_variants(stream: TokenStream, name: &str) -> Result<Vec<Strin
     let mut variants = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        i = skip_attrs(&toks, i);
+        let (next, attrs) = parse_attrs(&toks, i)?;
+        if let Some((key, value)) = attrs.first() {
+            return Err(unsupported(key, value, &format!("a variant of `{name}`")));
+        }
+        i = next;
         if i >= toks.len() {
             break;
         }
@@ -243,33 +365,64 @@ fn parse_fieldless_variants(stream: TokenStream, name: &str) -> Result<Vec<Strin
 
 fn generate(item: &Item, mode: Mode) -> String {
     match (item, mode) {
-        (Item::Struct { name, fields }, Mode::Serialize) => {
-            let entries: String = fields
+        (Item::Struct { name, fields, .. }, Mode::Serialize) => {
+            let pushes: String = fields
                 .iter()
                 .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), \
-                         ::serde::Serialize::to_value(&self.{f})),"
-                    )
+                    let n = &f.name;
+                    let to_value = match &f.with {
+                        Some(module) => format!("{module}::serialize"),
+                        None => "::serde::Serialize::to_value".to_owned(),
+                    };
+                    let push = format!(
+                        "fields.push((::std::string::String::from({n:?}), {to_value}(&self.{n})));"
+                    );
+                    match &f.skip_serializing_if {
+                        Some(path) => format!("if !{path}(&self.{n}) {{ {push} }}"),
+                        None => push,
+                    }
                 })
                 .collect();
+            let len = fields.len();
             format!(
                 "#[automatically_derived]
                 impl ::serde::Serialize for {name} {{
                     fn to_value(&self) -> ::serde::Value {{
-                        ::serde::Value::Object(::std::vec![{entries}])
+                        let mut fields = ::std::vec::Vec::with_capacity({len});
+                        {pushes}
+                        ::serde::Value::Object(fields)
                     }}
                 }}"
             )
         }
-        (Item::Struct { name, fields }, Mode::Deserialize) => {
+        (
+            Item::Struct {
+                name,
+                label,
+                fields,
+            },
+            Mode::Deserialize,
+        ) => {
             let entries: String = fields
                 .iter()
                 .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(\
-                         ::serde::get_field(fields, {f:?}, {name:?})?)?,"
-                    )
+                    let n = &f.name;
+                    let from_value = match &f.with {
+                        Some(module) => format!("{module}::deserialize"),
+                        None => "::serde::Deserialize::from_value".to_owned(),
+                    };
+                    if f.default {
+                        format!(
+                            "{n}: match ::serde::find_field(fields, {n:?}) {{
+                                ::std::option::Option::Some(v) => {from_value}(v)?,
+                                ::std::option::Option::None => ::std::default::Default::default(),
+                            }},"
+                        )
+                    } else {
+                        format!(
+                            "{n}: {from_value}(::serde::get_field(fields, {n:?}, {label:?})?)?,"
+                        )
+                    }
                 })
                 .collect();
             format!(
@@ -278,7 +431,7 @@ fn generate(item: &Item, mode: Mode) -> String {
                     fn from_value(value: &::serde::Value)
                         -> ::std::result::Result<Self, ::serde::DeError> {{
                         let fields = value.as_object().ok_or_else(||
-                            ::serde::DeError::expected(\"object\", {name:?}, value))?;
+                            ::serde::DeError::expected(\"object\", {label:?}, value))?;
                         ::std::result::Result::Ok(Self {{ {entries} }})
                     }}
                 }}"

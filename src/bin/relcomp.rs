@@ -46,7 +46,7 @@ use relcomp_core::bounds::reliability_bounds;
 use relcomp_core::paths::most_reliable_path;
 use relcomp_eval::recommend::{recommend, MemoryBudget, SpeedNeed, VarianceNeed};
 use relcomp_serve::engine::EngineConfig;
-use relcomp_serve::protocol::{QueryRequest, DEFAULT_PORT};
+use relcomp_serve::protocol::{QueryRequest, Response, DEFAULT_PORT};
 use relcomp_serve::{
     Client, PersistConfig, Server, ServerMode, ServerOptions, TenantRegistry, DEFAULT_TENANT,
 };
@@ -1032,7 +1032,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     }
                     Some("json") => {
                         let m = client.metrics().map_err(|e| e.to_string())?;
-                        let line = serde_json::to_string(&m).map_err(|e| e.to_string())?;
+                        let line = serde_json::to_string(&Response::Metrics(m))
+                            .map_err(|e| e.to_string())?;
                         println!("{line}");
                         Ok(())
                     }

@@ -540,6 +540,15 @@ fn serve_and_client_round_trip() {
         "client dquery must surface the stop reason: {dq}"
     );
 
+    // The JSON form prints the wire's `metrics` answer, tag included.
+    let metrics = stdout(&relcomp(&[
+        "client", "metrics", "--format", "json", "--addr", &addr,
+    ]));
+    assert!(
+        metrics.starts_with(r#"{"ok":true,"kind":"metrics","queries_total":"#),
+        "{metrics}"
+    );
+
     stdout(&relcomp(&["client", "shutdown", "--addr", &addr]));
     server.wait().expect("server exits after shutdown");
     std::fs::remove_file(&path).ok();
