@@ -1087,7 +1087,7 @@ impl Deserialize for Request {
             fields: &[(String, Value)],
             name: &str,
         ) -> Result<Option<T>, DeError> {
-            serde::find_field(fields, name)
+            serde::find_field(fields, name)?
                 .map(T::from_value)
                 .transpose()
         }

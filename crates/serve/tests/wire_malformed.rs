@@ -4,7 +4,8 @@
 //! `maximize`, `update`, `load`) the table below covers each required
 //! field missing, each required field set to `null`, a string where a
 //! number is expected, a non-object list item, an unknown extra field
-//! (ignored) and an explicit `null` optional field (read as the default).
+//! (ignored), an explicit `null` optional field (read as the default) and
+//! a repeated key (a duplicate-field error, never the first value).
 //! Each response line is pinned in full; only `micros` is masked.
 //!
 //! The derived wire format rewrites every one of these paths, so any
@@ -63,6 +64,10 @@ const TABLE: &[(&str, &str)] = &[
         r#"{"cmd":7}"#,
         r#"{"ok":false,"error":"bad request: expected string while deserializing String, found integer"}"#,
     ),
+    (
+        r#"{"cmd":"ping","cmd":"query","s":0,"t":3}"#,
+        r#"{"ok":false,"error":"bad request: duplicate field `cmd`"}"#,
+    ),
     // query
     (
         r#"{"cmd":"query","t":3}"#,
@@ -95,6 +100,14 @@ const TABLE: &[(&str, &str)] = &[
     (
         r#"{"cmd":"query","s":0,"t":3,"estimator":5}"#,
         r#"{"ok":false,"error":"bad request: expected string while deserializing String, found integer"}"#,
+    ),
+    (
+        r#"{"cmd":"query","s":0,"t":3,"t":5}"#,
+        r#"{"ok":false,"error":"bad request: duplicate field `t`"}"#,
+    ),
+    (
+        r#"{"cmd":"query","s":0,"t":3,"samples":500,"samples":99999999}"#,
+        r#"{"ok":false,"error":"bad request: duplicate field `samples`"}"#,
     ),
     (
         r#"{"cmd":"query","s":0,"t":3,"samples":500,"seed":7,"bogus":[1,{"x":null}]}"#,

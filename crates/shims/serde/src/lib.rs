@@ -112,23 +112,30 @@ impl fmt::Display for DeError {
 impl std::error::Error for DeError {}
 
 /// Look up a struct field in an object's field list. An explicit `null`
-/// counts as absent, as an omitted field does.
-pub fn find_field<'v>(fields: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .filter(|v| !matches!(v, Value::Null))
+/// counts as absent, as an omitted field does. A key that occurs more
+/// than once is a "duplicate field `name`" error, as upstream serde's
+/// derive reports it, whatever the values.
+pub fn find_field<'v>(
+    fields: &'v [(String, Value)],
+    name: &str,
+) -> Result<Option<&'v Value>, DeError> {
+    let mut found = fields.iter().filter(|(k, _)| k == name).map(|(_, v)| v);
+    let first = found.next();
+    if found.next().is_some() {
+        return Err(DeError(format!("duplicate field `{name}`")));
+    }
+    Ok(first.filter(|v| !matches!(v, Value::Null)))
 }
 
 /// Look up a required struct field: absent or `null` is a
-/// "missing field `name` in context" error.
+/// "missing field `name` in context" error, a repeated key
+/// [`find_field`]'s duplicate error.
 pub fn get_field<'v>(
     fields: &'v [(String, Value)],
     name: &str,
     context: &str,
 ) -> Result<&'v Value, DeError> {
-    find_field(fields, name).ok_or_else(|| DeError(format!("missing field `{name}` in {context}")))
+    find_field(fields, name)?.ok_or_else(|| DeError(format!("missing field `{name}` in {context}")))
 }
 
 /// Types that can be converted into a [`Value`] tree.

@@ -62,6 +62,27 @@ fn null_on_a_required_field_reads_as_missing() {
 }
 
 #[test]
+fn repeated_key_is_a_duplicate_field_error() {
+    // Required, optional and defaulted fields alike, even when the second
+    // value is `null`: the first value is never silently kept.
+    for (name, second) in [
+        ("id", Value::Int(2)),
+        ("note", Value::String("b".into())),
+        ("flag", Value::Null),
+    ] {
+        let v = object(&[
+            ("id", Value::Int(1)),
+            ("note", Value::String("a".into())),
+            ("flag", Value::Bool(true)),
+            ("scaled", Value::Int(0)),
+            (name, second),
+        ]);
+        let err = Probe::from_value(&v).unwrap_err();
+        assert_eq!(err.to_string(), format!("duplicate field `{name}`"));
+    }
+}
+
+#[test]
 fn default_field_reads_missing_and_null_as_default() {
     let v = object(&[("id", Value::Int(1)), ("scaled", Value::Int(0))]);
     assert!(!Probe::from_value(&v).unwrap().flag);

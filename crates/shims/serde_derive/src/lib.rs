@@ -11,9 +11,10 @@
 //! * fieldless enums — serialized as the variant name string.
 //!
 //! Named-field structs read with upstream serde's rules: unknown fields
-//! are ignored, and a missing `Option<T>` field (detected from the
-//! field's type tokens) reads as `None`. The shim's `serde::get_field`
-//! also treats an explicit `null` as a missing field. These attributes
+//! are ignored, a missing `Option<T>` field (detected from the field's
+//! type tokens) reads as `None`, and a field whose key occurs twice is a
+//! ``duplicate field `name` `` error. The shim's `serde::get_field` also
+//! treats an explicit `null` as a missing field. These attributes
 //! are supported, with upstream meaning:
 //!
 //! * container `#[serde(rename = "name")]` — the name error messages use;
@@ -413,7 +414,7 @@ fn generate(item: &Item, mode: Mode) -> String {
                     };
                     if f.default {
                         format!(
-                            "{n}: match ::serde::find_field(fields, {n:?}) {{
+                            "{n}: match ::serde::find_field(fields, {n:?})? {{
                                 ::std::option::Option::Some(v) => {from_value}(v)?,
                                 ::std::option::Option::None => ::std::default::Default::default(),
                             }},"
