@@ -5,7 +5,7 @@
 //! amortizes that cost 64 ways: each pass samples 64 possible worlds into
 //! per-edge `u64` masks (bit `b` = world `b`) and runs one word-parallel
 //! BFS over all of them at once (see
-//! [`relcomp_ugraph::traversal::word_reach_worlds`]).
+//! [`relcomp_ugraph::traversal::word_reach`]).
 //!
 //! Two mask generators, chosen per edge by [`sample_mask`]:
 //!
@@ -50,24 +50,25 @@
 //!
 //! # Determinism contract
 //!
-//! A packed 64-world batch consumes exactly one `next_u64` of the
-//! session's primary stream (the in-batch [`SplitMix64`] seed), making
-//! the batch one indivisible draw: results are deterministic in
-//! `(graph, s, t, seed)` but the stream differs from 64 scalar samples.
-//! Sessions that mix packed words with a scalar tail (fewer than 64
-//! remaining samples) run the tail through the historical scalar loop on
-//! the *same* stream — so a fixed budget below 64 samples is bit-identical
-//! to [`McSampling`](crate::mc::McSampling).
+//! A packed pass consumes one `next_u64` of the session's primary stream
+//! per 64 worlds or part of them: a lazy pass one (its in-pass
+//! [`SplitMix64`] seed), a dense lane pass one per lane (the lane seed).
+//! The pass is one indivisible draw: results are deterministic in
+//! `(graph, s, t, seed)` but the stream differs from scalar samples. The
+//! last word of a pass may be partial (fewer than 64 live worlds): it
+//! still consumes one `next_u64` and draws only the live worlds' bits.
+//! The served [`ParallelSampler`](crate::parallel::ParallelSampler) ends
+//! each shard that way, so a shard of `len` worlds consumes
+//! `len.div_ceil(64)` words in either strategy and no served world is
+//! scalar. [`PackedMcSampling`] keeps its scalar tail: a session batch's
+//! `batch % 64` remaining samples run through the historical scalar loop
+//! on the *same* stream, so a fixed budget below 64 samples is
+//! bit-identical to [`McSampling`](crate::mc::McSampling).
 //!
-//! A dense lane pass consumes one `next_u64` per lane (the lane seed), the
-//! same as the batches it replaces. Lane `j`'s mask for edge `e` is
-//! [`sample_mask`] on a [`SplitMix64`] keyed by `(seed_j, e)`, a pure
-//! function of those two values: an `L`-lane pass equals `L` one-lane
-//! passes bit for bit, and a one-lane pass is the dense strategy's
-//! 64-world batch. A pass may end in a partial lane (fewer than 64 live
-//! worlds) that still consumes one `next_u64`; the served
-//! [`ParallelSampler`](crate::parallel::ParallelSampler) uses one for a
-//! shard's remainder, while [`PackedMcSampling`] keeps its scalar tail.
+//! Lane `j`'s mask for edge `e` is [`sample_mask`] on a [`SplitMix64`]
+//! keyed by `(seed_j, e)`, a pure function of those two values: an
+//! `L`-lane pass equals `L` one-lane passes bit for bit, and a one-lane
+//! pass is the dense strategy's 64-world batch.
 
 use crate::estimator::{validate_query, Estimate, Estimator, UpdateOutcome};
 use crate::memory::MemoryTracker;
@@ -75,8 +76,8 @@ use crate::sampler::coin;
 use crate::session::{EstimationSession, SampleBudget};
 use rand::{Rng, RngCore};
 use relcomp_ugraph::traversal::{
-    bfs_reaches, lane_reach, word_reach_all, word_reach_within, word_reach_worlds, BfsWorkspace,
-    LaneBfsWorkspace, WordBfsWorkspace, WORLD_WORD_BITS,
+    bfs_reaches, lane_reach, word_reach, BfsWorkspace, LaneBfsWorkspace, ReachView,
+    WordBfsWorkspace, WORLD_WORD_BITS,
 };
 use relcomp_ugraph::{EdgeId, EdgeUpdate, NodeId, UncertainGraph};
 use std::sync::Arc;
@@ -96,39 +97,16 @@ pub const WORLD_BATCH: usize = WORLD_WORD_BITS;
 /// in `p`, which is where rarely-existing edges become near-free.
 pub const GEOMETRIC_THRESHOLD: f64 = 0.02;
 
-// The process-global tally of worlds sampled through the packed kernels vs
-// scalar loops now lives in the `relcomp-obs` registry (`obs::sampler`), so
-// `stats` and `metrics` report from one source of truth. These wrappers keep
-// the historical call sites and public API.
-#[inline]
-fn note_packed_batch() {
-    relcomp_obs::note_packed_samples(WORLD_BATCH as u64);
-}
-
-/// Record `n` worlds sampled through a scalar (one-world-at-a-time) loop.
-/// Called by the packed session tails and the parallel sampler.
-#[inline]
-pub fn note_scalar_samples(n: u64) {
-    if n > 0 {
-        relcomp_obs::note_scalar_samples(n);
-    }
-}
-
-/// Process-wide `(packed, scalar)` world-sample counts since start.
+/// Process-wide `(packed, scalar)` world-sample counts since start, from
+/// the `relcomp-obs` registry that `stats` and `metrics` also read.
 ///
-/// Packed counts cover every world drawn through the 64-world mask
-/// kernels: [`WORLD_BATCH`] per packed MC batch, plus each served
-/// BFS-Sharing shard's worlds (any count, not only whole words). Scalar
-/// counts cover session tails and any sampling that bypasses the kernels.
+/// Packed counts cover every world drawn through the mask kernels: each
+/// pass counts its worlds, partial last words and lanes included, and so
+/// does each served BFS-Sharing shard. Scalar counts cover the
+/// [`PackedMcSampling`] session tails and any sampling that bypasses the
+/// kernels.
 pub fn sample_counts() -> (u64, u64) {
     relcomp_obs::sample_counts()
-}
-
-/// Split a batch of `n` samples into `(packed_words, scalar_tail)`:
-/// `packed_words * 64 + scalar_tail == n` with `scalar_tail < 64`.
-#[inline]
-pub fn split_batch(n: usize) -> (usize, usize) {
-    (n / WORLD_BATCH, n % WORLD_BATCH)
 }
 
 /// `p` as a 64-bit fixed-point fraction (saturating; exact for dyadic
@@ -497,7 +475,7 @@ pub struct PackedWorkspace {
     n: usize,
     m: usize,
     /// Built up front in the lazy strategy; in the dense one only if a
-    /// lazy walk ([`packed_sample_worlds`], [`packed_reach_within`]) runs.
+    /// hop-capped walk ([`packed_hits_within`]) runs.
     lazy: Option<LazyWalk>,
     /// Present exactly in the dense strategy.
     lanes: Option<DenseLanes>,
@@ -570,61 +548,107 @@ impl PackedWorkspace {
     }
 }
 
-/// Sample one packed batch of 64 worlds and count those in which `t` is
-/// reachable from `s`. Returns the hit count in `0..=64`. Consumes
-/// exactly one `next_u64` of `rng` (the batch's [`SplitMix64`] seed) in
-/// either batch strategy; in the dense one the batch is a one-lane
-/// [`packed_lanes_st`] pass.
-pub fn packed_reach_worlds<R: Rng + ?Sized>(
-    graph: &UncertainGraph,
-    s: NodeId,
-    t: NodeId,
-    ws: &mut PackedWorkspace,
-    rng: &mut R,
-) -> u32 {
-    if ws.dense_mode() {
-        return packed_lanes_st(graph, s, t, WORLD_BATCH, ws, rng)[0].count_ones();
-    }
-    let LazyWalk { words, masks } = ws.lazy_walk();
-    let mut mask_rng = SplitMix64::new(rng.next_u64());
-    masks.begin_batch();
-    let reached = word_reach_worlds(graph, s, t, words, |e, cand| {
-        masks.probe(e, graph.prob(e).value(), cand, &mut mask_rng)
-    });
-    note_packed_batch();
-    reached.count_ones()
+/// Sizes of the passes `worlds` worlds split into at `width` worlds each:
+/// full passes, then a partial last one.
+fn pass_sizes(worlds: usize, width: usize) -> impl Iterator<Item = usize> {
+    (0..worlds)
+        .step_by(width)
+        .map(move |done| (worlds - done).min(width))
 }
 
-/// Hits over `words` whole 64-world batches, consuming one `next_u64` of
-/// `rng` per batch: lane passes of up to [`LANES`] batches each in the
-/// dense strategy, one [`packed_reach_worlds`] walk per batch in the lazy
-/// one. Lane masks are keyed by lane seed and edge, so how the batches
-/// group into passes changes no world.
-pub fn packed_reach_batches<R: Rng + ?Sized>(
+/// Sample `worlds` fresh worlds in packed passes of the workspace's batch
+/// strategy and hand each pass's per-node reach to `visit`: one lane pass
+/// per [`LANES`] × 64 worlds in the dense strategy, one lazy pass per 64
+/// worlds in the lazy one, a remainder forming a partial last pass. Each
+/// pass consumes one `next_u64` of `rng` per 64 worlds or part of them,
+/// so `worlds` worlds consume `worlds.div_ceil(64)` in either strategy.
+/// With `t = Some(target)` worlds that reach the target stop propagating,
+/// so only the target's count is exact; with `None` every node's is.
+pub(crate) fn packed_passes<R: Rng + ?Sized>(
+    graph: &UncertainGraph,
+    s: NodeId,
+    t: Option<NodeId>,
+    worlds: usize,
+    ws: &mut PackedWorkspace,
+    rng: &mut R,
+    mut visit: impl FnMut(&dyn ReachView),
+) {
+    if ws.dense_mode() {
+        for n in pass_sizes(worlds, LANES * WORLD_BATCH) {
+            visit(lane_pass(graph, s, t, n, ws, rng));
+        }
+    } else {
+        for n in pass_sizes(worlds, WORLD_BATCH) {
+            visit(lazy_pass(graph, s, t, None, n, ws, rng));
+        }
+    }
+}
+
+/// Number of `worlds` fresh worlds in which `t` is reachable from `s`,
+/// sampled through [`packed_passes`].
+pub(crate) fn packed_hits<R: Rng + ?Sized>(
     graph: &UncertainGraph,
     s: NodeId,
     t: NodeId,
-    words: usize,
+    worlds: usize,
     ws: &mut PackedWorkspace,
     rng: &mut R,
 ) -> usize {
-    if !ws.dense_mode() {
-        return (0..words)
-            .map(|_| packed_reach_worlds(graph, s, t, ws, rng) as usize)
-            .sum();
-    }
-    (0..words)
-        .step_by(LANES)
-        .map(|done| {
-            let lanes = (words - done).min(LANES);
-            lane_worlds(&packed_lanes_st(graph, s, t, lanes * WORLD_BATCH, ws, rng))
-        })
+    let mut hits = 0;
+    packed_passes(graph, s, Some(t), worlds, ws, rng, |pass| {
+        hits += pass.worlds_reaching(t) as usize;
+    });
+    hits
+}
+
+/// Number of `worlds` fresh worlds in which `t` is within `d` hops of `s`
+/// (the distance-constrained workload's `R_d`), in lazy passes of up to
+/// 64 worlds that consume one `next_u64` of `rng` each, whatever the
+/// workspace's strategy: the hop cap bounds how much of the graph a pass
+/// can touch, so the dense fill-everything strategy has nothing to
+/// amortize here.
+pub(crate) fn packed_hits_within<R: Rng + ?Sized>(
+    graph: &UncertainGraph,
+    s: NodeId,
+    t: NodeId,
+    d: usize,
+    worlds: usize,
+    ws: &mut PackedWorkspace,
+    rng: &mut R,
+) -> usize {
+    pass_sizes(worlds, WORLD_BATCH)
+        .map(|n| lazy_pass(graph, s, Some(t), Some(d), n, ws, rng).worlds_reaching(t) as usize)
         .sum()
 }
 
-/// Number of worlds set across a pass's lanes.
-pub fn lane_worlds(lanes: &[u64; LANES]) -> usize {
-    lanes.iter().map(|w| w.count_ones() as usize).sum()
+/// One lazy pass over `worlds` fresh worlds (`1..=64`): world `b` is bit
+/// `b` of one word, a pass below 64 worlds leaving the high bits unused.
+/// The pass's masks come from a [`SplitMix64`] seeded with one `next_u64`
+/// of `rng`, drawn edge by edge as the walk first needs each world bit
+/// ([`MaskCache`]); `t` and `max_hops` are [`word_reach`]'s. A whole-word
+/// pass is the lazy strategy's 64-world batch, bit for bit.
+fn lazy_pass<'a, R: Rng + ?Sized>(
+    graph: &UncertainGraph,
+    s: NodeId,
+    t: Option<NodeId>,
+    max_hops: Option<usize>,
+    worlds: usize,
+    ws: &'a mut PackedWorkspace,
+    rng: &mut R,
+) -> &'a WordBfsWorkspace {
+    assert!(
+        (1..=WORLD_BATCH).contains(&worlds),
+        "a lazy pass covers 1..={WORLD_BATCH} worlds, not {worlds}"
+    );
+    let LazyWalk { words, masks } = ws.lazy_walk();
+    let mut mask_rng = SplitMix64::new(rng.next_u64());
+    masks.begin_batch();
+    let live = !0u64 >> (WORLD_BATCH - worlds);
+    word_reach(graph, s, t, max_hops, live, words, |e, cand| {
+        masks.probe(e, graph.prob(e).value(), cand, &mut mask_rng)
+    });
+    relcomp_obs::note_packed_samples(worlds as u64);
+    words
 }
 
 /// One dense pass over `worlds` fresh worlds (`1..=LANES × 64`): worlds
@@ -710,60 +734,14 @@ pub fn packed_lanes_all<'a, R: Rng + ?Sized>(
     lane_pass(graph, s, None, worlds, ws, rng)
 }
 
-/// Sample one packed batch of 64 worlds and compute full reachability from
-/// `s` in each: returns the word BFS workspace, whose `reach()` words
-/// (bit `b` of `[v]` set when `v` is reachable in world `b`) and
-/// `reached_nodes()` union back multi-target and top-k sampling — scoring
-/// iterates the reached union, not all `n` nodes. Consumes exactly one
-/// `next_u64` of `rng`. Always probes lazily, whatever the workspace's
-/// strategy; dense-strategy callers use [`packed_lanes_all`].
-pub fn packed_sample_worlds<'a, R: Rng + ?Sized>(
-    graph: &UncertainGraph,
-    s: NodeId,
-    ws: &'a mut PackedWorkspace,
-    rng: &mut R,
-) -> &'a WordBfsWorkspace {
-    let LazyWalk { words, masks } = ws.lazy_walk();
-    let mut mask_rng = SplitMix64::new(rng.next_u64());
-    masks.begin_batch();
-    word_reach_all(graph, s, words, |e, cand| {
-        masks.probe(e, graph.prob(e).value(), cand, &mut mask_rng)
-    });
-    note_packed_batch();
-    words
-}
-
-/// Sample one packed batch of 64 worlds and count those in which `t` is
-/// within `d` hops of `s` (the distance-constrained workload's `R_d`).
-/// Consumes exactly one `next_u64` of `rng`. Always probes lazily — the
-/// hop bound caps how much of the graph a batch can touch, so the dense
-/// fill-everything strategy has nothing to amortize here.
-pub fn packed_reach_within<R: Rng + ?Sized>(
-    graph: &UncertainGraph,
-    s: NodeId,
-    t: NodeId,
-    d: usize,
-    ws: &mut PackedWorkspace,
-    rng: &mut R,
-) -> u32 {
-    let LazyWalk { words, masks } = ws.lazy_walk();
-    masks.begin_batch();
-    let mut mask_rng = SplitMix64::new(rng.next_u64());
-    let reached = word_reach_within(graph, s, t, d, words, |e, cand| {
-        masks.probe(e, graph.prob(e).value(), cand, &mut mask_rng)
-    });
-    note_packed_batch();
-    reached.count_ones()
-}
-
 /// Monte Carlo s-t estimator running the packed 64-world kernel inside the
 /// standard [`SampleBudget`] session loop.
 ///
-/// Each session batch splits into `batch / 64` packed words plus a scalar
-/// tail of `batch % 64` historical lazy-BFS samples from the same RNG
-/// stream; adaptive stopping is checked at batch (hence word) boundaries.
-/// On dense-strategy graphs the words run as lane passes of up to
-/// [`LANES`] words each (see [`packed_reach_batches`]).
+/// Each session batch splits into `batch / 64` whole packed words plus a
+/// scalar tail of `batch % 64` historical lazy-BFS samples from the same
+/// RNG stream; adaptive stopping is checked at batch (hence word)
+/// boundaries. The words run as lane passes of up to [`LANES`] words
+/// each on dense-strategy graphs, one lazy pass per word otherwise.
 /// For fixed budgets below 64 samples the packed path never engages, and
 /// the result is bit-identical to [`McSampling`](crate::mc::McSampling).
 pub struct PackedMcSampling {
@@ -812,8 +790,8 @@ impl Estimator for PackedMcSampling {
             if n == 0 {
                 break;
             }
-            let (words, tail) = split_batch(n);
-            let mut batch_hits = packed_reach_batches(graph, s, t, words, &mut self.ws, rng);
+            let tail = n % WORLD_BATCH;
+            let mut batch_hits = packed_hits(graph, s, t, n - tail, &mut self.ws, rng);
             for _ in 0..tail {
                 if bfs_reaches(graph, s, t, &mut self.scalar_ws, |e| {
                     coin(rng, graph.prob(e).value())
@@ -821,7 +799,7 @@ impl Estimator for PackedMcSampling {
                     batch_hits += 1;
                 }
             }
-            note_scalar_samples(tail as u64);
+            relcomp_obs::note_scalar_samples(tail as u64);
             hits += batch_hits;
             session.record_hits(batch_hits, n);
         }
@@ -1070,7 +1048,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let batches = 1500u32;
         let hits: u32 = (0..batches)
-            .map(|_| packed_reach_worlds(&g, NodeId(0), NodeId(3), &mut ws, &mut rng))
+            .map(|_| packed_hits(&g, NodeId(0), NodeId(3), WORLD_BATCH, &mut ws, &mut rng) as u32)
             .sum();
         let freq = hits as f64 / (batches as f64 * 64.0);
         assert!((freq - exact).abs() < 0.01, "{freq} vs {exact}");
@@ -1090,7 +1068,9 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(14);
             let batches = 1500u32;
             let hits: u32 = (0..batches)
-                .map(|_| packed_reach_worlds(&g, NodeId(0), NodeId(3), &mut ws, &mut rng))
+                .map(|_| {
+                    packed_hits(&g, NodeId(0), NodeId(3), WORLD_BATCH, &mut ws, &mut rng) as u32
+                })
                 .sum();
             let freq = hits as f64 / (batches as f64 * 64.0);
             assert!(
@@ -1111,7 +1091,7 @@ mod tests {
         let batches = 1500u32;
         let mut hits = 0u32;
         for _ in 0..batches {
-            let words = packed_sample_worlds(&g, NodeId(0), &mut ws, &mut rng);
+            let words = lazy_pass(&g, NodeId(0), None, None, WORLD_BATCH, &mut ws, &mut rng);
             hits += words.reach()[NodeId(3).index()].count_ones();
         }
         let freq = hits as f64 / (batches as f64 * 64.0);
@@ -1172,7 +1152,7 @@ mod tests {
         assert!(ws.resident_bytes() < DenseLanes::bytes_for(n, m) + LazyWalk::bytes_for(n, m));
         // A lazy walk on a dense workspace builds the lazy state on demand.
         let mut rng = ChaCha8Rng::seed_from_u64(17);
-        packed_sample_worlds(&g, NodeId(0), &mut ws, &mut rng);
+        lazy_pass(&g, NodeId(0), None, None, WORLD_BATCH, &mut ws, &mut rng);
         assert!(ws.resident_bytes() >= DenseLanes::bytes_for(n, m) + LazyWalk::bytes_for(n, m));
     }
 

@@ -31,33 +31,28 @@
 //! invariant too.
 //!
 //! The MC-family entry points draw their worlds through the bit-packed
-//! kernel of [`crate::packed`]. On a dense-strategy graph
-//! ([`dense_strategy`]) each shard of up to [`SHARD_SAMPLES`] samples is
-//! **one** lane pass of `len.div_ceil(64)` 64-world lanes, a remainder
-//! below 64 forming a partial last lane, so no shard runs scalar worlds.
-//! On a lazy-strategy graph a shard runs `len / 64` packed 64-world
-//! batches plus a scalar tail of `len % 64` worlds on the same stream.
-//! Shard `i` still owns stream `(seed, i)` exclusively, so thread-count
-//! invariance and `(seed, budget)` determinism are untouched — only the
-//! per-stream draw order changed relative to the scalar loops. BFS-Sharing shards draw their
-//! world index through the same mask kernel, one edge slice at a time on
-//! the fixpoint's first probe (`LazyWorldIndex`).
+//! kernel of [`crate::packed`], packed passes only. On a dense-strategy
+//! graph ([`dense_strategy`]) each shard of up to [`SHARD_SAMPLES`]
+//! samples is **one** lane pass of `len.div_ceil(64)` 64-world lanes; on
+//! a lazy-strategy graph it is `len.div_ceil(64)` lazy 64-world passes.
+//! Either way a remainder below 64 forms a partial last word, so a shard
+//! consumes `len.div_ceil(64)` words of its stream and runs no scalar
+//! worlds. Distance-constrained shards always take lazy passes. Shard `i`
+//! still owns stream `(seed, i)` exclusively, so thread-count invariance
+//! and `(seed, budget)` determinism are untouched. BFS-Sharing shards
+//! draw their world index through the same mask kernel, one edge slice at
+//! a time on the fixpoint's first probe (`LazyWorldIndex`).
 
 use crate::bfs_sharing::LazyWorldIndex;
 use crate::estimator::{validate_query, Estimate};
 use crate::memory::MemoryTracker;
 use crate::packed::{
-    dense_strategy, lane_worlds, note_scalar_samples, packed_lanes_all, packed_lanes_st,
-    packed_reach_batches, packed_reach_within, packed_sample_worlds, split_batch, PackedWorkspace,
+    dense_strategy, packed_hits, packed_hits_within, packed_passes, PackedWorkspace,
 };
-use crate::sampler::coin;
 use crate::session::{finish_estimate, Convergence, SampleBudget, StopReason, DEFAULT_CONFIDENCE};
 use crate::topk::{boundary_tracker, rank_hits, reachable_targets, TopKResult};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use relcomp_ugraph::traversal::{
-    bfs_reaches, bfs_reaches_within, BfsWorkspace, BoundedBfsWorkspace,
-};
 use relcomp_ugraph::{NodeId, UncertainGraph};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -317,17 +312,10 @@ impl ParallelSampler {
         PackedWorkspace::with_strategy(self.graph.num_nodes(), self.graph.num_edges(), self.dense)
     }
 
-    /// Per-worker reusable state for the packed MC shard kernel: the
-    /// packed workspace plus a scalar workspace for lazy-strategy tails.
-    fn packed_mc_state(&self) -> (PackedWorkspace, BfsWorkspace) {
-        (self.packed_ws(), BfsWorkspace::new(self.graph.num_nodes()))
-    }
-
-    /// Workspace bytes one worker's packed MC state holds (for memory
+    /// Workspace bytes one worker's packed workspace holds (for memory
     /// accounting without allocating).
-    fn packed_mc_state_bytes(&self) -> usize {
+    fn packed_ws_bytes(&self) -> usize {
         PackedWorkspace::bytes_for(self.graph.num_nodes(), self.graph.num_edges(), self.dense)
-            + BfsWorkspace::bytes_for(self.graph.num_nodes())
     }
 
     /// Workspace bytes one worker's BFS-Sharing state holds for shards of
@@ -338,8 +326,7 @@ impl ParallelSampler {
 
     /// Monte-Carlo estimate of `R(s, t)` with `k` samples under master
     /// seed `seed`, drawn through the packed kernel (one lane pass per
-    /// shard on dense-strategy graphs; packed batches plus a scalar tail
-    /// on the same stream otherwise).
+    /// shard on dense-strategy graphs, lazy 64-world passes otherwise).
     /// Bit-identical across thread counts.
     pub fn estimate_mc(&self, s: NodeId, t: NodeId, k: usize, seed: u64) -> Estimate {
         validate_query(&self.graph, s, t);
@@ -349,13 +336,13 @@ impl ParallelSampler {
         let hits = self.run_shards(
             k,
             seed,
-            || self.packed_mc_state(),
-            |st, _, len, rng| packed_shard_st(graph, s, t, len, st, rng),
+            || self.packed_ws(),
+            |ws, _, len, rng| packed_hits(graph, s, t, len, ws, rng),
         );
         let mut tracker = Convergence::new(DEFAULT_CONFIDENCE);
         tracker.observe_hits(hits, k);
         let mut mem = MemoryTracker::new();
-        mem.baseline(self.workers_for(k.div_ceil(SHARD_SAMPLES)) * self.packed_mc_state_bytes());
+        mem.baseline(self.workers_for(k.div_ceil(SHARD_SAMPLES)) * self.packed_ws_bytes());
         finish_estimate(
             hits as f64 / k as f64,
             k,
@@ -385,11 +372,11 @@ impl ParallelSampler {
         let (hits, samples, tracker, stop, start) = self.run_adaptive(
             budget,
             seed,
-            || self.packed_mc_state(),
-            |st, _, len, rng| packed_shard_st(graph, s, t, len, st, rng),
+            || self.packed_ws(),
+            |ws, _, len, rng| packed_hits(graph, s, t, len, ws, rng),
         );
         let mut mem = MemoryTracker::new();
-        mem.baseline(self.budget_workers(budget) * self.packed_mc_state_bytes());
+        mem.baseline(self.budget_workers(budget) * self.packed_ws_bytes());
         finish_estimate(
             hits as f64 / samples as f64,
             samples,
@@ -499,19 +486,10 @@ impl ParallelSampler {
         let start = Instant::now();
         let graph = &self.graph;
 
-        // target_slot[v] = Some(indices of `targets` equal to v). Duplicate
-        // targets are legal (distinct cache keys can collapse to one node).
-        let mut target_slots: Vec<Vec<usize>> = vec![Vec::new(); graph.num_nodes()];
-        let mut distinct = 0usize;
-        for (i, &t) in targets.iter().enumerate() {
-            if target_slots[t.index()].is_empty() {
-                distinct += 1;
-            }
-            target_slots[t.index()].push(i);
-        }
-
         let shards = Self::shards(k);
-        let hit_counts = if distinct == 1 {
+        // Duplicate targets are legal: distinct cache keys can collapse to
+        // one node.
+        let hit_counts = if targets.iter().all(|&t| t == targets[0]) {
             // One distinct target node: run the exact packed s-t kernel a
             // plain `estimate_mc` with the same `(k, seed)` runs, so a
             // batch that collapses to one query answers bit-identically
@@ -520,8 +498,8 @@ impl ParallelSampler {
             let hits = self.run_shards(
                 k,
                 seed,
-                || self.packed_mc_state(),
-                |st, _, len, rng| packed_shard_st(graph, s, t, len, st, rng),
+                || self.packed_ws(),
+                |ws, _, len, rng| packed_hits(graph, s, t, len, ws, rng),
             );
             vec![hits; targets.len()]
         } else {
@@ -530,38 +508,17 @@ impl ParallelSampler {
                 &shards,
                 0..shards.len(),
                 seed,
-                || (self.packed_mc_state(), vec![0usize; targets.len()]),
-                |(st, local), _, len, rng| {
-                    // Full-reach fixpoint, then score every target by
-                    // the worlds its node was reached in (the source
-                    // holds every world, so s as its own target still
-                    // hits them all; unreached nodes hold zero).
-                    if st.0.dense_mode() {
-                        let lanes = packed_lanes_all(graph, s, len, &mut st.0, rng);
+                || (self.packed_ws(), vec![0usize; targets.len()]),
+                |(ws, local), _, len, rng| {
+                    // Full reach, then score every target by the worlds
+                    // its node was reached in (the source holds every
+                    // world, so s as its own target still hits them all;
+                    // unreached nodes hold zero).
+                    packed_passes(graph, s, None, len, ws, rng, |pass| {
                         for (h, &t) in local.iter_mut().zip(targets) {
-                            *h += lanes.worlds_reaching(t) as usize;
+                            *h += pass.worlds_reaching(t) as usize;
                         }
-                        return;
-                    }
-                    let (words, tail) = split_batch(len);
-                    for _ in 0..words {
-                        let reach = packed_sample_worlds(graph, s, &mut st.0, rng).reach();
-                        for (h, &t) in local.iter_mut().zip(targets) {
-                            *h += reach[t.index()].count_ones() as usize;
-                        }
-                    }
-                    for _ in 0..tail {
-                        sample_world_multi(
-                            graph,
-                            s,
-                            &target_slots,
-                            distinct,
-                            &mut st.1,
-                            rng,
-                            local,
-                        );
-                    }
-                    note_scalar_samples(tail as u64);
+                    });
                 },
                 |(_, local)| {
                     let mut shared = merged.lock().expect("hit merge poisoned");
@@ -574,7 +531,7 @@ impl ParallelSampler {
         };
 
         let elapsed = start.elapsed();
-        let aux = self.workers_for(shards.len()) * self.packed_mc_state_bytes() + targets.len() * 8;
+        let aux = self.workers_for(shards.len()) * self.packed_ws_bytes() + targets.len() * 8;
         hit_counts
             .into_iter()
             .map(|hits| {
@@ -607,44 +564,27 @@ impl ParallelSampler {
         hits: &mut [u64],
     ) {
         let graph = &self.graph;
-        let n = graph.num_nodes();
         let merged = Mutex::new(hits);
         self.run_shard_range_fold(
             shards,
             lo..hi,
             seed,
-            || (self.packed_ws(), BfsWorkspace::new(n), vec![0u64; n]),
-            |st: &mut (PackedWorkspace, BfsWorkspace, Vec<u64>), _, len, rng| {
-                // The source holds every world by construction; skip it
-                // to match the scalar loop, which never credits s. Only
-                // the reached union can have nonzero words.
-                if st.0.dense_mode() {
-                    let lanes = packed_lanes_all(graph, s, len, &mut st.0, rng);
-                    for &v in lanes.reached_nodes() {
+            || (self.packed_ws(), vec![0u64; graph.num_nodes()]),
+            |(ws, local): &mut (PackedWorkspace, Vec<u64>), _, len, rng| {
+                // The source holds every world by construction and is
+                // never credited, as in the scalar reference. Only the
+                // reached union can have nonzero counts.
+                packed_passes(graph, s, None, len, ws, rng, |pass| {
+                    for &v in pass.reached_nodes() {
                         if v != s {
-                            st.2[v.index()] += u64::from(lanes.worlds_reaching(v));
+                            local[v.index()] += u64::from(pass.worlds_reaching(v));
                         }
                     }
-                    return;
-                }
-                let (words, tail) = split_batch(len);
-                for _ in 0..words {
-                    let words_ws = packed_sample_worlds(graph, s, &mut st.0, rng);
-                    let reach = words_ws.reach();
-                    for &v in words_ws.reached_nodes() {
-                        if v != s {
-                            st.2[v.index()] += u64::from(reach[v.index()].count_ones());
-                        }
-                    }
-                }
-                for _ in 0..tail {
-                    sample_world_all(graph, s, &mut st.1, rng, &mut st.2);
-                }
-                note_scalar_samples(tail as u64);
+                });
             },
-            |st| {
+            |(_, local)| {
                 let mut shared = merged.lock().expect("hit merge poisoned");
-                for (slot, &h) in shared.iter_mut().zip(&st.2) {
+                for (slot, &h) in shared.iter_mut().zip(&local) {
                     *slot += h;
                 }
             },
@@ -744,7 +684,7 @@ impl ParallelSampler {
     }
 
     /// Distance-constrained reliability `R_d(s, t)` under a streaming
-    /// [`SampleBudget`]: depth-limited lazy-sampling MC over sharded RNG
+    /// [`SampleBudget`]: depth-limited lazy packed passes over sharded RNG
     /// streams, convergence checked at deterministic shard-group
     /// barriers. Bit-identical across thread counts.
     pub fn estimate_distance_constrained_with(
@@ -761,8 +701,7 @@ impl ParallelSampler {
         let mut mem = MemoryTracker::new();
         mem.baseline(
             self.budget_workers(budget)
-                * (PackedWorkspace::bytes_for(graph.num_nodes(), graph.num_edges(), false)
-                    + BoundedBfsWorkspace::bytes_for(graph.num_nodes())),
+                * PackedWorkspace::bytes_for(graph.num_nodes(), graph.num_edges(), false),
         );
         if s == t {
             // Deterministic answer: nothing to sample.
@@ -777,32 +716,11 @@ impl ParallelSampler {
                 stop_reason,
             };
         }
-        let work = |st: &mut (PackedWorkspace, BoundedBfsWorkspace),
-                    _: usize,
-                    len: usize,
-                    rng: &mut ChaCha8Rng| {
-            let (words, tail) = split_batch(len);
-            let mut h = 0usize;
-            for _ in 0..words {
-                h += packed_reach_within(graph, s, t, d, &mut st.0, rng) as usize;
-            }
-            for _ in 0..tail {
-                if bfs_reaches_within(graph, s, t, d, &mut st.1, |e| {
-                    coin(rng, graph.prob(e).value())
-                }) {
-                    h += 1;
-                }
-            }
-            note_scalar_samples(tail as u64);
-            h
+        let work = |ws: &mut PackedWorkspace, _: usize, len: usize, rng: &mut ChaCha8Rng| {
+            packed_hits_within(graph, s, t, d, len, ws, rng)
         };
-        // `packed_reach_within` always probes lazily: no lane arrays.
-        let init = || {
-            (
-                PackedWorkspace::new(graph.num_nodes(), graph.num_edges()),
-                BoundedBfsWorkspace::new(graph.num_nodes()),
-            )
-        };
+        // `packed_hits_within` always probes lazily: no lane arrays.
+        let init = || PackedWorkspace::new(graph.num_nodes(), graph.num_edges());
         if budget.is_fixed() {
             let k = budget.max_samples();
             let hits = self.run_shards(k, seed, init, work);
@@ -853,103 +771,6 @@ fn reconfide(est: Estimate, budget: &SampleBudget) -> Estimate {
         return est;
     }
     crate::session::restate_bernoulli_confidence(est, budget.confidence())
-}
-
-/// Run `len` s-t MC samples of one shard's stream: one lane pass over
-/// all `len` worlds in the dense strategy; otherwise `len / 64` packed
-/// 64-world batches followed by a scalar lazy-BFS tail on the same
-/// stream. The per-shard unit every packed MC entry point shares —
-/// `estimate_mc`, adaptive MC, and the collapsed (single-distinct-target)
-/// multi-target path all answer from this exact draw sequence.
-fn packed_shard_st(
-    graph: &UncertainGraph,
-    s: NodeId,
-    t: NodeId,
-    len: usize,
-    st: &mut (PackedWorkspace, BfsWorkspace),
-    rng: &mut ChaCha8Rng,
-) -> usize {
-    if st.0.dense_mode() {
-        return lane_worlds(&packed_lanes_st(graph, s, t, len, &mut st.0, rng));
-    }
-    let (words, tail) = split_batch(len);
-    let mut h = packed_reach_batches(graph, s, t, words, &mut st.0, rng);
-    for _ in 0..tail {
-        if bfs_reaches(graph, s, t, &mut st.1, |e| coin(rng, graph.prob(e).value())) {
-            h += 1;
-        }
-    }
-    note_scalar_samples(tail as u64);
-    h
-}
-
-/// Sample one possible world lazily and BFS it from `s`, crediting every
-/// newly visited node in `hits` — the top-k accumulation step, where
-/// every node is a target.
-fn sample_world_all(
-    graph: &UncertainGraph,
-    s: NodeId,
-    ws: &mut BfsWorkspace,
-    rng: &mut ChaCha8Rng,
-    hits: &mut [u64],
-) {
-    ws.reset();
-    ws.visited.insert(s);
-    ws.queue.push_back(s);
-    while let Some(v) = ws.queue.pop_front() {
-        for (e, w) in graph.out_edges(v) {
-            if !ws.visited.contains(w) && coin(rng, graph.prob(e).value()) {
-                ws.visited.insert(w);
-                hits[w.index()] += 1;
-                ws.queue.push_back(w);
-            }
-        }
-    }
-}
-
-/// Sample one possible world lazily and BFS it from `s`, crediting every
-/// target reached. Stops early once all `distinct` target nodes are seen.
-fn sample_world_multi(
-    graph: &UncertainGraph,
-    s: NodeId,
-    target_slots: &[Vec<usize>],
-    distinct: usize,
-    ws: &mut BfsWorkspace,
-    rng: &mut ChaCha8Rng,
-    hits: &mut [usize],
-) {
-    ws.reset();
-    ws.visited.insert(s);
-    ws.queue.push_back(s);
-    let mut found = 0usize;
-    let credit = |v: NodeId, hits: &mut [usize], found: &mut usize| {
-        let slots = &target_slots[v.index()];
-        if !slots.is_empty() {
-            for &i in slots {
-                hits[i] += 1;
-            }
-            *found += 1;
-        }
-    };
-    credit(s, hits, &mut found);
-    if found == distinct {
-        return;
-    }
-    while let Some(v) = ws.queue.pop_front() {
-        for (e, w) in graph.out_edges(v) {
-            if ws.visited.contains(w) {
-                continue;
-            }
-            if coin(rng, graph.prob(e).value()) {
-                ws.visited.insert(w);
-                ws.queue.push_back(w);
-                credit(w, hits, &mut found);
-                if found == distinct {
-                    return;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1100,47 +921,55 @@ mod tests {
     }
 
     #[test]
-    fn dense_estimates_land_near_exact() {
-        // K not a multiple of 64, so every call ends in a partial lane.
+    fn estimates_land_near_exact_in_both_strategies() {
+        // K not a multiple of 64, so every call ends in a partial lane
+        // (dense graph) or a partial lazy word (the diamond). A hop cap of
+        // n - 1 admits every simple path, so R_d equals R there.
         // 2.5 / sqrt(K) is five Bernoulli standard deviations at the
         // worst-case variance p = 1/2.
-        let g = dense_graph();
         let k = 15 * SHARD_SAMPLES + 33;
         let tol = 2.5 / (k as f64).sqrt();
-        let sampler = ParallelSampler::new(Arc::clone(&g), 2);
-        let s = NodeId(0);
-        let exact: Vec<f64> = (0..6)
-            .map(|v| exact_reliability(&g, s, NodeId(v)))
-            .collect();
-        let near = |what: &str, v: usize, got: f64| {
-            assert!(
-                (got - exact[v]).abs() <= tol,
-                "{what} for node {v}: {got} vs exact {}",
-                exact[v]
-            );
-        };
-        for v in 1..6 {
-            near(
-                "estimate_mc",
-                v,
-                sampler.estimate_mc(s, NodeId(v as u32), k, 21).reliability,
-            );
-            let fixed = SampleBudget::fixed(k);
-            let with = sampler.estimate_mc_with(s, NodeId(v as u32), &fixed, 22);
-            near("estimate_mc_with", v, with.reliability);
-        }
-        let targets: Vec<NodeId> = (0..6).map(NodeId).collect();
-        for (v, est) in sampler
-            .estimate_mc_multi(s, &targets, k, 23)
-            .iter()
-            .enumerate()
-        {
-            near("estimate_mc_multi", v, est.reliability);
-        }
-        let top = sampler.top_k_targets(s, 5, k, 24);
-        assert_eq!(top.scores.len(), 5);
-        for sc in &top.scores {
-            near("top_k_targets", sc.node.index(), sc.reliability);
+        for (g, dense) in [(diamond(), false), (dense_graph(), true)] {
+            assert_eq!(dense_strategy(&g), dense);
+            let n = g.num_nodes();
+            let sampler = ParallelSampler::new(Arc::clone(&g), 2);
+            let s = NodeId(0);
+            let exact: Vec<f64> = (0..n as u32)
+                .map(|v| exact_reliability(&g, s, NodeId(v)))
+                .collect();
+            let near = |what: &str, v: usize, got: f64| {
+                assert!(
+                    (got - exact[v]).abs() <= tol,
+                    "{what} for node {v} (dense={dense}): {got} vs exact {}",
+                    exact[v]
+                );
+            };
+            for v in 1..n {
+                let t = NodeId(v as u32);
+                near(
+                    "estimate_mc",
+                    v,
+                    sampler.estimate_mc(s, t, k, 21).reliability,
+                );
+                let fixed = SampleBudget::fixed(k);
+                let with = sampler.estimate_mc_with(s, t, &fixed, 22);
+                near("estimate_mc_with", v, with.reliability);
+                let rd = sampler.estimate_distance_constrained(s, t, n - 1, k, 25);
+                near("estimate_distance_constrained", v, rd.reliability);
+            }
+            let targets: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+            for (v, est) in sampler
+                .estimate_mc_multi(s, &targets, k, 23)
+                .iter()
+                .enumerate()
+            {
+                near("estimate_mc_multi", v, est.reliability);
+            }
+            let top = sampler.top_k_targets(s, n - 1, k, 24);
+            assert_eq!(top.scores.len(), n - 1);
+            for sc in &top.scores {
+                near("top_k_targets", sc.node.index(), sc.reliability);
+            }
         }
     }
 

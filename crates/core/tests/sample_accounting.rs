@@ -1,35 +1,57 @@
-//! Sample accounting on the served dense path. The `(packed, scalar)`
+//! Sample accounting on the served packed paths. The `(packed, scalar)`
 //! world counters behind `relcomp_samples_total` are process-global, so
 //! this file holds a single test: nothing else in its process samples.
 
 use relcomp_core::packed::{dense_strategy, sample_counts};
 use relcomp_core::ParallelSampler;
-use relcomp_ugraph::{GraphBuilder, NodeId};
+use relcomp_ugraph::{GraphBuilder, NodeId, UncertainGraph};
 use std::sync::Arc;
 
-/// A dense `estimate_mc` at K = 1000 runs three full 256-world lane
-/// passes and one of 232 worlds whose last lane is partial: it must add
-/// exactly 1000 packed worlds (the partial lane counts its 40 worlds, not
-/// 64) and no scalar ones.
-#[test]
-fn dense_estimate_mc_counts_each_world_once_as_packed() {
+fn graph(edges: &[(u32, u32, f64)]) -> Arc<UncertainGraph> {
     let mut b = GraphBuilder::new(4);
-    for (u, v, p) in [
+    for &(u, v, p) in edges {
+        b.add_edge(NodeId(u), NodeId(v), p).unwrap();
+    }
+    Arc::new(b.build())
+}
+
+/// Served calls at K = 1000 run shards of 256, 256, 256 and 232 worlds.
+/// On the dense graph the last shard is one lane pass whose last lane is
+/// partial (R_d excepted, which always takes lazy passes); on the lazy
+/// graph it is three whole lazy words and a partial one. Either way each
+/// call must add exactly 1000 packed worlds (a partial word counts its 40
+/// worlds, not 64) and no scalar ones.
+#[test]
+fn served_shards_count_each_world_once_as_packed() {
+    let dense = graph(&[
         (0, 1, 0.9),
         (1, 2, 0.9),
         (2, 3, 0.9),
         (3, 0, 0.9),
         (0, 2, 0.8),
         (2, 0, 0.8),
-    ] {
-        b.add_edge(NodeId(u), NodeId(v), p).unwrap();
+    ]);
+    assert!(dense_strategy(&dense));
+    let lazy = graph(&[(0, 1, 0.5), (0, 2, 0.6), (1, 3, 0.7), (2, 3, 0.4)]);
+    assert!(!dense_strategy(&lazy));
+    let (s, t) = (NodeId(0), NodeId(3));
+    for (g, is_dense) in [(dense, true), (lazy, false)] {
+        let p = ParallelSampler::new(g, 1);
+        let check = |name: &str, call: &dyn Fn() -> usize| {
+            let (packed0, scalar0) = sample_counts();
+            let samples = call();
+            let (packed1, scalar1) = sample_counts();
+            assert_eq!(samples, 1000, "{name} dense={is_dense}");
+            assert_eq!(packed1 - packed0, 1000, "{name} dense={is_dense}");
+            assert_eq!(scalar1 - scalar0, 0, "{name} dense={is_dense}");
+        };
+        check("estimate_mc", &|| p.estimate_mc(s, t, 1000, 7).samples);
+        check("top_k_targets", &|| p.top_k_targets(s, 2, 1000, 7).samples);
+        check("estimate_mc_multi", &|| {
+            p.estimate_mc_multi(s, &[t, NodeId(2)], 1000, 7)[0].samples
+        });
+        check("estimate_distance_constrained", &|| {
+            p.estimate_distance_constrained(s, t, 2, 1000, 7).samples
+        });
     }
-    let g = Arc::new(b.build());
-    assert!(dense_strategy(&g));
-    let (packed0, scalar0) = sample_counts();
-    let est = ParallelSampler::new(g, 1).estimate_mc(NodeId(0), NodeId(3), 1000, 7);
-    let (packed1, scalar1) = sample_counts();
-    assert_eq!(est.samples, 1000);
-    assert_eq!(packed1 - packed0, 1000);
-    assert_eq!(scalar1 - scalar0, 0);
 }

@@ -111,11 +111,11 @@ const TABLE: &[(&str, &str)] = &[
     ),
     (
         r#"{"cmd":"query","s":0,"t":3,"samples":500,"seed":7,"bogus":[1,{"x":null}]}"#,
-        r#"{"ok":true,"kind":"query","s":0,"t":3,"reliability":0.52,"samples":500,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.04362406027040121,"variance":0.0005002004008016032}"#,
+        r#"{"ok":true,"kind":"query","s":0,"t":3,"reliability":0.528,"samples":500,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.04359074683773676,"variance":0.0004994308617234469}"#,
     ),
     (
         r#"{"cmd":"query","s":0,"t":3,"estimator":null,"samples":500,"seed":7,"eps":null,"confidence":null,"time_budget_ms":null}"#,
-        r#"{"ok":true,"kind":"query","s":0,"t":3,"reliability":0.52,"samples":500,"estimator":"MC","micros":_,"cached":true,"stop_reason":"fixed_k","half_width":0.04362406027040121,"variance":0.0005002004008016032}"#,
+        r#"{"ok":true,"kind":"query","s":0,"t":3,"reliability":0.528,"samples":500,"estimator":"MC","micros":_,"cached":true,"stop_reason":"fixed_k","half_width":0.04359074683773676,"variance":0.0004994308617234469}"#,
     ),
     // batch
     (
@@ -144,7 +144,7 @@ const TABLE: &[(&str, &str)] = &[
     ),
     (
         r#"{"cmd":"batch","queries":[{"s":0,"t":2,"samples":300,"seed":3,"extra":true,"seed2":1}]}"#,
-        r#"{"ok":true,"kind":"batch","results":[{"ok":true,"kind":"query","s":0,"t":2,"reliability":0.5966666666666667,"samples":300,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.05517331718216172,"variance":0.0008048680787811224}]}"#,
+        r#"{"ok":true,"kind":"batch","results":[{"ok":true,"kind":"query","s":0,"t":2,"reliability":0.6033333333333334,"samples":300,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.05502227512731895,"variance":0.0008004087699739874}]}"#,
     ),
     // topk
     (
@@ -165,11 +165,11 @@ const TABLE: &[(&str, &str)] = &[
     ),
     (
         r#"{"cmd":"topk","s":0,"k":2,"samples":400,"seed":5,"t":3}"#,
-        r#"{"ok":true,"kind":"topk","s":0,"k":2,"targets":[{"node":2,"reliability":0.63},{"node":1,"reliability":0.4925}],"samples":400,"micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.04876006163373393}"#,
+        r#"{"ok":true,"kind":"topk","s":0,"k":2,"targets":[{"node":2,"reliability":0.625},{"node":1,"reliability":0.4975}],"samples":400,"micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.04876489209519298}"#,
     ),
     (
         r#"{"cmd":"topk","s":0,"k":null,"samples":400,"seed":5,"eps":null}"#,
-        r#"{"ok":true,"kind":"topk","s":0,"k":10,"targets":[{"node":2,"reliability":0.63},{"node":1,"reliability":0.4925},{"node":3,"reliability":0.475}],"samples":400,"micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.048705081416044675}"#,
+        r#"{"ok":true,"kind":"topk","s":0,"k":10,"targets":[{"node":2,"reliability":0.625},{"node":1,"reliability":0.4975},{"node":3,"reliability":0.4775}],"samples":400,"micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.04871656592734105}"#,
     ),
     // dquery
     (
@@ -206,11 +206,11 @@ const TABLE: &[(&str, &str)] = &[
     ),
     (
         r#"{"cmd":"dquery","s":0,"t":3,"d":2,"samples":500,"seed":7,"k":9}"#,
-        r#"{"ok":true,"kind":"dquery","s":0,"t":3,"d":2,"reliability":0.52,"samples":500,"micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.04362406027040121,"variance":0.0005002004008016032}"#,
+        r#"{"ok":true,"kind":"dquery","s":0,"t":3,"d":2,"reliability":0.528,"samples":500,"micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.04359074683773676,"variance":0.0004994308617234469}"#,
     ),
     (
         r#"{"cmd":"dquery","s":0,"t":3,"d":2,"samples":500,"seed":7,"time_budget_ms":null}"#,
-        r#"{"ok":true,"kind":"dquery","s":0,"t":3,"d":2,"reliability":0.52,"samples":500,"micros":_,"cached":true,"stop_reason":"fixed_k","half_width":0.04362406027040121,"variance":0.0005002004008016032}"#,
+        r#"{"ok":true,"kind":"dquery","s":0,"t":3,"d":2,"reliability":0.528,"samples":500,"micros":_,"cached":true,"stop_reason":"fixed_k","half_width":0.04359074683773676,"variance":0.0004994308617234469}"#,
     ),
     // maximize
     (
@@ -243,11 +243,11 @@ const TABLE: &[(&str, &str)] = &[
     ),
     (
         r#"{"cmd":"maximize","s":0,"t":3,"k":1,"samples":300,"seed":7,"budget":4}"#,
-        r#"{"ok":true,"kind":"maximize","s":0,"t":3,"k":1,"base_reliability":0.5166666666666667,"reliability":0.76625,"gain":0.24958333333333327,"chosen":[{"s":0,"t":1,"old_prob":0.5,"new_prob":1.0,"gain":0.24958333333333327,"reliability":0.76625}],"candidates":4,"evaluations":10,"samples":9900,"micros":_,"cached":false}"#,
+        r#"{"ok":true,"kind":"maximize","s":0,"t":3,"k":1,"base_reliability":0.5233333333333333,"reliability":0.7833333333333333,"gain":0.26,"chosen":[{"s":0,"t":1,"old_prob":0.5,"new_prob":1.0,"gain":0.26,"reliability":0.7833333333333333}],"candidates":4,"evaluations":8,"samples":5100,"micros":_,"cached":false}"#,
     ),
     (
         r#"{"cmd":"maximize","s":0,"t":3,"k":1,"samples":300,"seed":7,"boost":null,"candidates":null,"apply":null}"#,
-        r#"{"ok":true,"kind":"maximize","s":0,"t":3,"k":1,"base_reliability":0.5166666666666667,"reliability":0.76625,"gain":0.24958333333333327,"chosen":[{"s":0,"t":1,"old_prob":0.5,"new_prob":1.0,"gain":0.24958333333333327,"reliability":0.76625}],"candidates":4,"evaluations":10,"samples":9900,"micros":_,"cached":true}"#,
+        r#"{"ok":true,"kind":"maximize","s":0,"t":3,"k":1,"base_reliability":0.5233333333333333,"reliability":0.7833333333333333,"gain":0.26,"chosen":[{"s":0,"t":1,"old_prob":0.5,"new_prob":1.0,"gain":0.26,"reliability":0.7833333333333333}],"candidates":4,"evaluations":8,"samples":5100,"micros":_,"cached":true}"#,
     ),
     // update
     (

@@ -224,8 +224,8 @@ where
 }
 
 /// How many possible worlds one packed traversal covers: the width of the
-/// `u64` words that [`WordBfsWorkspace`] and the `word_reach_*` functions
-/// operate on. Bit `b` of every word belongs to world `b`.
+/// `u64` words that [`WordBfsWorkspace`] and [`word_reach`] operate on.
+/// Bit `b` of every word belongs to world `b`.
 pub const WORLD_WORD_BITS: usize = 64;
 
 /// Reusable workspace for 64-world bit-packed BFS.
@@ -236,7 +236,7 @@ pub const WORLD_WORD_BITS: usize = 64;
 ///
 /// Resetting between batches is O(union), not O(n): the workspace keeps a
 /// deduplicated list of nodes whose reach word went nonzero, and the next
-/// `begin` clears exactly those words. On graphs where a 64-world batch
+/// traversal clears exactly those words. On graphs where a 64-world batch
 /// touches a few hundred nodes out of hundreds of thousands, the old
 /// full-array clear dominated the whole batch.
 #[derive(Clone, Debug)]
@@ -279,15 +279,6 @@ impl WordBfsWorkspace {
         &self.reach
     }
 
-    /// Nodes reached in at least one world by the most recent traversal —
-    /// the union across all 64 worlds, deduplicated, in discovery order
-    /// with the source first. Iterating this instead of `0..n` keeps
-    /// consumers (top-k scoring, multi-target crediting) proportional to
-    /// the reached set.
-    pub fn reached_nodes(&self) -> &[NodeId] {
-        &self.touched
-    }
-
     /// Approximate resident bytes (for memory accounting).
     pub fn resident_bytes(&self) -> usize {
         self.reach.len() * 8 * 3
@@ -300,28 +291,44 @@ impl WordBfsWorkspace {
     pub fn bytes_for(n: usize) -> usize {
         n * 3 * std::mem::size_of::<u64>()
     }
+}
 
-    /// Clear the previous traversal's reach words (O(union)) and seed the
-    /// source.
-    fn begin(&mut self, s: NodeId) {
-        for &v in &self.touched {
-            self.reach[v.index()] = 0;
-        }
-        self.touched.clear();
-        self.reach[s.index()] = !0;
-        self.touched.push(s);
+/// Per-node results of one packed traversal, whichever workspace ran it:
+/// how many of its worlds reached each node, and which nodes any world
+/// reached. Top-k and multi-target scoring read a pass through this view
+/// in both batch strategies.
+pub trait ReachView {
+    /// Number of worlds in which `v` was reached by the most recent
+    /// traversal.
+    fn worlds_reaching(&self, v: NodeId) -> u32;
+
+    /// Nodes reached in at least one world by the most recent traversal,
+    /// deduplicated, in discovery order with the source first. Iterating
+    /// this instead of `0..n` keeps consumers proportional to the reached
+    /// set.
+    fn reached_nodes(&self) -> &[NodeId];
+}
+
+impl ReachView for WordBfsWorkspace {
+    fn worlds_reaching(&self, v: NodeId) -> u32 {
+        self.reach[v.index()].count_ones()
     }
 
-    /// Seed the level-synchronous frontier at `s` (after [`Self::begin`]).
-    fn begin_frontier(&mut self, s: NodeId) {
-        self.frontier.clear();
-        self.next.clear();
-        self.word[s.index()] = !0;
-        self.frontier.push(s);
+    fn reached_nodes(&self) -> &[NodeId] {
+        &self.touched
     }
 }
 
-/// Bit-packed s-t reachability over 64 sampled worlds at once.
+/// Bit-packed reachability from `s` over up to 64 sampled worlds at once,
+/// level-synchronous: each frontier node is expanded once per level with
+/// every world bit that arrived there on the previous level, so a node's
+/// out-edges are rescanned at most once per distinct per-world BFS depth
+/// — not once per arriving bit, which degenerates to 64 rescans per node
+/// on supercritical graphs where the worlds share a giant component.
+///
+/// `live` holds the worlds the traversal samples (`!0` for a whole word,
+/// the low bits for a partial one); the source starts reached in exactly
+/// those worlds, so no other bit is ever set.
 ///
 /// `edge_mask(e, cand)` receives the *candidate* world-set — worlds that
 /// would newly reach the edge's head if the edge exists — and returns the
@@ -330,160 +337,47 @@ impl WordBfsWorkspace {
 /// the worlds the traversal can actually use, instead of all 64 bits of
 /// every probed edge. Probes happen lazily and their order depends on the
 /// traversal — callers that need a stable RNG stream must treat the whole
-/// 64-world batch as one draw.
+/// pass as one draw.
 ///
-/// Returns the reach word of `t`: `popcount` of the result is the number
-/// of worlds (out of 64) in which `t` is reachable from `s`. Worlds whose
-/// target is already reached are pruned from further propagation (their
-/// bits drop out of every frontier word via the `active` mask), and the
-/// walk stops outright once all 64 worlds have converged.
+/// With `t = Some(target)`, worlds that already reach the target drop out
+/// of propagation (`live & !reach[t]`), and the walk stops once every live
+/// world has reached it; the target's word is then exact and other nodes'
+/// words may be partial. With `t = None` every node's word is exact.
+/// `max_hops = Some(d)` expands at most `d` levels: a world reaches each
+/// node at its per-world BFS depth, so the cap is exact per world.
 ///
-/// Level-synchronous: each frontier node is expanded once per level with
-/// every world bit that arrived there on the previous level, so a node's
-/// out-edges are rescanned at most once per distinct per-world BFS depth
-/// — not once per arriving bit, which degenerates to 64 rescans per node
-/// on supercritical graphs where the worlds share a giant component.
-pub fn word_reach_worlds<F>(
+/// Returns the reach word of `t` (of `s`, i.e. `live`, without a target);
+/// with `s == t` that is `live`. Every node's words land in
+/// [`WordBfsWorkspace::reach`] and [`ReachView::reached_nodes`].
+pub fn word_reach<F>(
     graph: &UncertainGraph,
     s: NodeId,
-    t: NodeId,
+    t: Option<NodeId>,
+    max_hops: Option<usize>,
+    live: u64,
     ws: &mut WordBfsWorkspace,
     mut edge_mask: F,
 ) -> u64
 where
     F: FnMut(crate::ids::EdgeId, u64) -> u64,
 {
-    if s == t {
-        return !0;
+    for &v in &ws.touched {
+        ws.reach[v.index()] = 0;
     }
-    ws.begin(s);
-    ws.begin_frontier(s);
-    let ti = t.index();
-    while !ws.frontier.is_empty() {
-        let active = !ws.reach[ti];
-        if active == 0 {
-            break;
-        }
-        for i in 0..ws.frontier.len() {
-            let v = ws.frontier[i];
-            let fw = std::mem::take(&mut ws.word[v.index()]) & active;
-            if fw == 0 {
-                continue;
-            }
-            for (e, w) in graph.out_edges(v) {
-                let old = ws.reach[w.index()];
-                let cand = fw & !old;
-                if cand == 0 {
-                    continue;
-                }
-                let add = edge_mask(e, cand) & cand;
-                if add != 0 {
-                    if old == 0 {
-                        ws.touched.push(w);
-                    }
-                    ws.reach[w.index()] = old | add;
-                    if ws.next_word[w.index()] == 0 {
-                        ws.next.push(w);
-                    }
-                    ws.next_word[w.index()] |= add;
-                }
-            }
-        }
-        std::mem::swap(&mut ws.frontier, &mut ws.next);
-        ws.next.clear();
-        std::mem::swap(&mut ws.word, &mut ws.next_word);
+    ws.touched.clear();
+    if live == 0 {
+        return 0;
     }
-    // Clear any frontier words left by the early close so the next
-    // traversal starts from a clean slate.
-    for i in 0..ws.frontier.len() {
-        let v = ws.frontier[i];
-        ws.word[v.index()] = 0;
-    }
-    ws.reach[ti]
-}
-
-/// Bit-packed full reachability over 64 sampled worlds at once: computes,
-/// for every node, the worlds in which it is reachable from `s` (read the
-/// result via [`WordBfsWorkspace::reach`], or iterate just the reached
-/// union via [`WordBfsWorkspace::reached_nodes`]). No target pruning —
-/// this is the packed analogue of a full per-world BFS, used by top-k and
-/// multi-target sampling. `edge_mask` follows the candidate-set contract
-/// of [`word_reach_worlds`]; the traversal is level-synchronous for the
-/// same rescan-bound reason.
-pub fn word_reach_all<F>(
-    graph: &UncertainGraph,
-    s: NodeId,
-    ws: &mut WordBfsWorkspace,
-    mut edge_mask: F,
-) where
-    F: FnMut(crate::ids::EdgeId, u64) -> u64,
-{
-    ws.begin(s);
-    ws.begin_frontier(s);
-    while !ws.frontier.is_empty() {
-        for i in 0..ws.frontier.len() {
-            let v = ws.frontier[i];
-            let fw = std::mem::take(&mut ws.word[v.index()]);
-            if fw == 0 {
-                continue;
-            }
-            for (e, w) in graph.out_edges(v) {
-                let old = ws.reach[w.index()];
-                let cand = fw & !old;
-                if cand == 0 {
-                    continue;
-                }
-                let add = edge_mask(e, cand) & cand;
-                if add != 0 {
-                    if old == 0 {
-                        ws.touched.push(w);
-                    }
-                    ws.reach[w.index()] = old | add;
-                    if ws.next_word[w.index()] == 0 {
-                        ws.next.push(w);
-                    }
-                    ws.next_word[w.index()] |= add;
-                }
-            }
-        }
-        std::mem::swap(&mut ws.frontier, &mut ws.next);
-        ws.next.clear();
-        std::mem::swap(&mut ws.word, &mut ws.next_word);
-    }
-}
-
-/// Bit-packed depth-bounded s-t reachability over 64 sampled worlds: in
-/// which worlds is `t` within at most `d` hops of `s`?
-///
-/// Level-synchronous: each node's *frontier word* holds the worlds that
-/// first reached it on the current level, and only those bits propagate to
-/// the next level — a world reaches each node at its per-world BFS depth,
-/// so the hop cap is exact per world. `edge_mask` follows the
-/// candidate-set contract of [`word_reach_worlds`]. Returns the reach
-/// word of `t`.
-pub fn word_reach_within<F>(
-    graph: &UncertainGraph,
-    s: NodeId,
-    t: NodeId,
-    d: usize,
-    ws: &mut WordBfsWorkspace,
-    mut edge_mask: F,
-) -> u64
-where
-    F: FnMut(crate::ids::EdgeId, u64) -> u64,
-{
-    if s == t {
-        return !0;
-    }
-    // `word`/`next_word` are all-zero between traversals (taken during the
-    // walk, leftovers cleared at exit), so only the reach words — cleared
-    // by `begin` in O(union) — carry state in.
-    ws.begin(s);
-    ws.begin_frontier(s);
-    let mut h = 0usize;
-    while !ws.frontier.is_empty() && h < d {
-        h += 1;
-        let active = !ws.reach[t.index()];
+    ws.reach[s.index()] = live;
+    ws.touched.push(s);
+    ws.frontier.clear();
+    ws.next.clear();
+    ws.word[s.index()] = live;
+    ws.frontier.push(s);
+    let mut hops = 0usize;
+    while !ws.frontier.is_empty() && max_hops.map_or(true, |d| hops < d) {
+        hops += 1;
+        let active = t.map_or(live, |t| live & !ws.reach[t.index()]);
         if active == 0 {
             break;
         }
@@ -522,7 +416,7 @@ where
         let v = ws.frontier[i];
         ws.word[v.index()] = 0;
     }
-    ws.reach[t.index()]
+    ws.reach[t.unwrap_or(s).index()]
 }
 
 /// Reusable workspace for multi-lane packed sweeps: each node carries `L`
@@ -564,18 +458,6 @@ impl<const L: usize> LaneBfsWorkspace<L> {
         &self.reach
     }
 
-    /// Number of worlds in which `v` was reached by the most recent
-    /// traversal.
-    pub fn worlds_reaching(&self, v: NodeId) -> u32 {
-        self.reach[v.index()].iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// Nodes reached in at least one world by the most recent traversal,
-    /// deduplicated, in discovery order with the source first.
-    pub fn reached_nodes(&self) -> &[NodeId] {
-        &self.touched
-    }
-
     /// Approximate resident bytes (for memory accounting).
     pub fn resident_bytes(&self) -> usize {
         Self::bytes_for(self.reach.len()) + self.touched.capacity() * std::mem::size_of::<NodeId>()
@@ -585,6 +467,16 @@ impl<const L: usize> LaneBfsWorkspace<L> {
     /// allocating one.
     pub fn bytes_for(n: usize) -> usize {
         n * L * std::mem::size_of::<u64>() + n.div_ceil(64) * 8
+    }
+}
+
+impl<const L: usize> ReachView for LaneBfsWorkspace<L> {
+    fn worlds_reaching(&self, v: NodeId) -> u32 {
+        self.reach[v.index()].iter().map(|w| w.count_ones()).sum()
+    }
+
+    fn reached_nodes(&self) -> &[NodeId] {
+        &self.touched
     }
 }
 
@@ -618,7 +510,7 @@ fn lanes_nonzero<const L: usize>(a: &[u64; L]) -> bool {
 /// every live world has reached it; the target's lanes are then exact and
 /// other nodes' lanes may be partial. With `t = None` every node's lanes
 /// are exact. Results land in [`LaneBfsWorkspace::reach`] and
-/// [`LaneBfsWorkspace::reached_nodes`].
+/// [`ReachView::reached_nodes`].
 pub fn lane_reach<const L: usize, F>(
     graph: &UncertainGraph,
     s: NodeId,
@@ -883,15 +775,23 @@ mod tests {
         // when its low 4 bits are all ones.
         let g = chain(5);
         let mut ws = WordBfsWorkspace::new(5);
-        let got = word_reach_worlds(&g, NodeId(0), NodeId(4), &mut ws, |e, cand| {
-            let mut m = 0u64;
-            for b in 0..64u64 {
-                if b & (1 << e.index()) != 0 {
-                    m |= 1 << b;
+        let got = word_reach(
+            &g,
+            NodeId(0),
+            Some(NodeId(4)),
+            None,
+            !0,
+            &mut ws,
+            |e, cand| {
+                let mut m = 0u64;
+                for b in 0..64u64 {
+                    if b & (1 << e.index()) != 0 {
+                        m |= 1 << b;
+                    }
                 }
-            }
-            m & cand
-        });
+                m & cand
+            },
+        );
         let mut want = 0u64;
         for b in 0..64u64 {
             if b & 0b1111 == 0b1111 {
@@ -906,15 +806,15 @@ mod tests {
         let g = chain(4);
         let mut ws = WordBfsWorkspace::new(4);
         assert_eq!(
-            word_reach_worlds(&g, NodeId(1), NodeId(1), &mut ws, |_, _| 0),
+            word_reach(&g, NodeId(1), Some(NodeId(1)), None, !0, &mut ws, |_, _| 0),
             !0
         );
         assert_eq!(
-            word_reach_worlds(&g, NodeId(0), NodeId(3), &mut ws, |_, _| !0),
+            word_reach(&g, NodeId(0), Some(NodeId(3)), None, !0, &mut ws, |_, _| !0),
             !0
         );
         assert_eq!(
-            word_reach_worlds(&g, NodeId(3), NodeId(0), &mut ws, |_, _| !0),
+            word_reach(&g, NodeId(3), Some(NodeId(0)), None, !0, &mut ws, |_, _| !0),
             0
         );
     }
@@ -924,7 +824,7 @@ mod tests {
         let g = chain(4);
         let mut ws = WordBfsWorkspace::new(4);
         // Kill edge 1 -> 2 in the low 32 worlds only.
-        word_reach_all(&g, NodeId(0), &mut ws, |e, cand| {
+        word_reach(&g, NodeId(0), None, None, !0, &mut ws, |e, cand| {
             if e.index() == 1 {
                 (!0u64 << 32) & cand
             } else {
@@ -953,9 +853,9 @@ mod tests {
         // from a different source must not see stale reach words.
         let g = chain(4);
         let mut ws = WordBfsWorkspace::new(4);
-        word_reach_all(&g, NodeId(0), &mut ws, |_, cand| cand);
+        word_reach(&g, NodeId(0), None, None, !0, &mut ws, |_, cand| cand);
         assert_eq!(ws.reach()[3], !0);
-        word_reach_all(&g, NodeId(2), &mut ws, |_, cand| cand);
+        word_reach(&g, NodeId(2), None, None, !0, &mut ws, |_, cand| cand);
         assert_eq!(ws.reach()[0], 0);
         assert_eq!(ws.reach()[1], 0);
         assert_eq!(ws.reach()[2], !0);
@@ -986,11 +886,19 @@ mod tests {
         lane_reach(&g, NodeId(0), None, [!0; 2], &mut a, lanes);
         let mut union = std::collections::BTreeSet::new();
         for j in 0..2 {
-            let st_front = word_reach_worlds(&g, NodeId(0), NodeId(4), &mut bfs, |e, cand| {
+            let st_front = word_reach(
+                &g,
+                NodeId(0),
+                Some(NodeId(4)),
+                None,
+                !0,
+                &mut bfs,
+                |e, cand| mask(e, j) & cand,
+            );
+            assert_eq!(st_sweep[j], st_front);
+            word_reach(&g, NodeId(0), None, None, !0, &mut bfs, |e, cand| {
                 mask(e, j) & cand
             });
-            assert_eq!(st_sweep[j], st_front);
-            word_reach_all(&g, NodeId(0), &mut bfs, |e, cand| mask(e, j) & cand);
             let lane: Vec<u64> = a.reach().iter().map(|r| r[j]).collect();
             assert_eq!(lane, bfs.reach());
             union.extend(bfs.reached_nodes().iter().copied());
@@ -1053,24 +961,64 @@ mod tests {
         let mut ws = WordBfsWorkspace::new(5);
         // All edges on in every world: 0 -> 4 takes exactly 4 hops.
         assert_eq!(
-            word_reach_within(&g, NodeId(0), NodeId(4), 3, &mut ws, |_, c| c),
+            word_reach(
+                &g,
+                NodeId(0),
+                Some(NodeId(4)),
+                Some(3),
+                !0,
+                &mut ws,
+                |_, c| c
+            ),
             0
         );
         assert_eq!(
-            word_reach_within(&g, NodeId(0), NodeId(4), 4, &mut ws, |_, c| c),
+            word_reach(
+                &g,
+                NodeId(0),
+                Some(NodeId(4)),
+                Some(4),
+                !0,
+                &mut ws,
+                |_, c| c
+            ),
             !0
         );
         assert_eq!(
-            word_reach_within(&g, NodeId(2), NodeId(2), 0, &mut ws, |_, c| c),
+            word_reach(
+                &g,
+                NodeId(2),
+                Some(NodeId(2)),
+                Some(0),
+                !0,
+                &mut ws,
+                |_, c| c
+            ),
             !0
         );
         // Workspace reuse after an early-exit traversal stays clean.
         assert_eq!(
-            word_reach_within(&g, NodeId(0), NodeId(1), 1, &mut ws, |_, c| c),
+            word_reach(
+                &g,
+                NodeId(0),
+                Some(NodeId(1)),
+                Some(1),
+                !0,
+                &mut ws,
+                |_, c| c
+            ),
             !0
         );
         assert_eq!(
-            word_reach_within(&g, NodeId(0), NodeId(4), 2, &mut ws, |_, c| c),
+            word_reach(
+                &g,
+                NodeId(0),
+                Some(NodeId(4)),
+                Some(2),
+                !0,
+                &mut ws,
+                |_, c| c
+            ),
             0
         );
     }
@@ -1096,12 +1044,74 @@ mod tests {
             }
         };
         assert_eq!(
-            word_reach_within(&g, NodeId(0), NodeId(3), 1, &mut ws, mask),
+            word_reach(&g, NodeId(0), Some(NodeId(3)), Some(1), !0, &mut ws, mask),
             shortcut
         );
         assert_eq!(
-            word_reach_within(&g, NodeId(0), NodeId(3), 2, &mut ws, mask),
+            word_reach(&g, NodeId(0), Some(NodeId(3)), Some(2), !0, &mut ws, mask),
             !0
         );
+    }
+
+    /// A random digraph of 2 to 9 nodes and up to 23 edges, self-loops
+    /// dropped and duplicate edges merged.
+    fn random_digraph() -> impl proptest::prelude::Strategy<Value = UncertainGraph> {
+        use proptest::prelude::*;
+        (2usize..10).prop_flat_map(|n| {
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..24).prop_map(move |pairs| {
+                let mut b = GraphBuilder::new(n)
+                    .duplicate_policy(crate::builder::DuplicatePolicy::CombineOr);
+                for (u, v) in pairs {
+                    if u != v {
+                        b.add_edge(NodeId(u), NodeId(v), 0.5).unwrap();
+                    }
+                }
+                b.build()
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Each world bit of `word_reach` evolves on its own when the edge
+        /// masks are a pure function of `(e, cand)`: sampling only the
+        /// `live` worlds gives every node the all-worlds reach word ANDed
+        /// with `live`, with a target, without one, and under a hop cap.
+        #[test]
+        fn word_reach_live_restricts_every_reach_word(
+            g in random_digraph(),
+            salt in 0u64..u64::MAX,
+            live in 1u64..u64::MAX,
+            pick in 0usize..100,
+            hops in 0usize..5,
+        ) {
+            let n = g.num_nodes();
+            let (s, t) = (NodeId(0), NodeId((pick % n) as u32));
+            let mask = |e: crate::ids::EdgeId, cand: u64| {
+                (salt ^ (e.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).rotate_left(e.0)
+                    & cand
+            };
+            let mut all = WordBfsWorkspace::new(n);
+            let mut part = WordBfsWorkspace::new(n);
+            for (target, cap) in [(Some(t), None), (None, None), (Some(t), Some(hops))] {
+                let want = word_reach(&g, s, target, cap, !0, &mut all, mask);
+                let got = word_reach(&g, s, target, cap, live, &mut part, mask);
+                proptest::prop_assert_eq!(got, want & live);
+                for v in 0..n {
+                    proptest::prop_assert_eq!(part.reach()[v], all.reach()[v] & live);
+                }
+                let reached = part.reached_nodes();
+                proptest::prop_assert!(reached.iter().all(|v| part.reach()[v.index()] != 0));
+                proptest::prop_assert_eq!(
+                    reached.len(),
+                    part.reach().iter().filter(|&&w| w != 0).count()
+                );
+                if target.is_some() {
+                    let own = word_reach(&g, s, Some(s), cap, live, &mut part, mask);
+                    proptest::prop_assert_eq!(own, live);
+                }
+            }
+        }
     }
 }
