@@ -174,12 +174,12 @@ fn wire_transcript_matches_golden() {
         (
             r#"{"cmd":"topk","s":0,"k":2,"samples":1000,"seed":7}"#,
             Check::Exact,
-            r#"{"ok":true,"kind":"topk","s":0,"k":2,"targets":[{"node":2,"reliability":0.634},{"node":3,"reliability":0.526}],"samples":1000,"micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.030888713692601797}"#,
+            r#"{"ok":true,"kind":"topk","s":0,"k":2,"targets":[{"node":2,"reliability":0.623},{"node":3,"reliability":0.526}],"samples":1000,"micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.030888713692601797}"#,
         ),
         (
             r#"{"cmd":"topk","s":0,"k":2,"samples":1000,"seed":7}"#,
             Check::Exact,
-            r#"{"ok":true,"kind":"topk","s":0,"k":2,"targets":[{"node":2,"reliability":0.634},{"node":3,"reliability":0.526}],"samples":1000,"micros":_,"cached":true,"stop_reason":"fixed_k","half_width":0.030888713692601797}"#,
+            r#"{"ok":true,"kind":"topk","s":0,"k":2,"targets":[{"node":2,"reliability":0.623},{"node":3,"reliability":0.526}],"samples":1000,"micros":_,"cached":true,"stop_reason":"fixed_k","half_width":0.030888713692601797}"#,
         ),
         (
             r#"{"cmd":"dquery","s":0,"t":3,"d":2,"samples":1000,"seed":7}"#,
@@ -194,22 +194,22 @@ fn wire_transcript_matches_golden() {
         (
             r#"{"cmd":"maximize","s":0,"t":3,"k":1,"boost":0.95,"samples":1000,"seed":7}"#,
             Check::Exact,
-            r#"{"ok":true,"kind":"maximize","s":0,"t":3,"k":1,"base_reliability":0.522,"reliability":0.75275,"gain":0.23075,"chosen":[{"s":0,"t":1,"old_prob":0.5,"new_prob":0.95,"gain":0.23075,"reliability":0.75275}],"candidates":4,"evaluations":8,"samples":17000,"micros":_,"cached":false}"#,
+            r#"{"ok":true,"kind":"maximize","s":0,"t":3,"k":1,"base_reliability":0.528,"reliability":0.753,"gain":0.22499999999999998,"chosen":[{"s":0,"t":1,"old_prob":0.5,"new_prob":0.95,"gain":0.22499999999999998,"reliability":0.753}],"candidates":4,"evaluations":8,"samples":17000,"micros":_,"cached":false}"#,
         ),
         (
             r#"{"cmd":"maximize","s":0,"t":3,"k":1,"boost":0.95,"samples":1000,"seed":7}"#,
             Check::Exact,
-            r#"{"ok":true,"kind":"maximize","s":0,"t":3,"k":1,"base_reliability":0.522,"reliability":0.75275,"gain":0.23075,"chosen":[{"s":0,"t":1,"old_prob":0.5,"new_prob":0.95,"gain":0.23075,"reliability":0.75275}],"candidates":4,"evaluations":8,"samples":17000,"micros":_,"cached":true}"#,
+            r#"{"ok":true,"kind":"maximize","s":0,"t":3,"k":1,"base_reliability":0.528,"reliability":0.753,"gain":0.22499999999999998,"chosen":[{"s":0,"t":1,"old_prob":0.5,"new_prob":0.95,"gain":0.22499999999999998,"reliability":0.753}],"candidates":4,"evaluations":8,"samples":17000,"micros":_,"cached":true}"#,
         ),
         (
             r#"{"cmd":"maximize","s":0,"t":3,"k":1,"boost":0.95,"samples":1000,"seed":7,"apply":true}"#,
             Check::Exact,
-            r#"{"ok":true,"kind":"maximize","s":0,"t":3,"k":1,"base_reliability":0.522,"reliability":0.75275,"gain":0.23075,"chosen":[{"s":0,"t":1,"old_prob":0.5,"new_prob":0.95,"gain":0.23075,"reliability":0.75275}],"candidates":4,"evaluations":8,"samples":17000,"micros":_,"cached":false,"applied_epoch":1}"#,
+            r#"{"ok":true,"kind":"maximize","s":0,"t":3,"k":1,"base_reliability":0.528,"reliability":0.753,"gain":0.22499999999999998,"chosen":[{"s":0,"t":1,"old_prob":0.5,"new_prob":0.95,"gain":0.22499999999999998,"reliability":0.753}],"candidates":4,"evaluations":8,"samples":17000,"micros":_,"cached":false,"applied_epoch":1}"#,
         ),
         (
             r#"{"cmd":"batch","queries":[{"s":0,"t":1,"samples":1000,"seed":7},{"s":0,"t":2,"samples":1000,"seed":7},{"s":0,"t":3,"estimator":"probtree","samples":500,"seed":7},{"s":0,"t":99}]}"#,
             Check::Exact,
-            r#"{"ok":true,"kind":"batch","results":[{"ok":true,"kind":"query","s":0,"t":1,"reliability":0.943,"samples":1000,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.01444181366214338,"variance":5.3804804804804785e-5},{"ok":true,"kind":"query","s":0,"t":2,"reliability":0.591,"samples":1000,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.030415810090917268,"variance":0.00024196096096096095},{"ok":true,"kind":"query","s":0,"t":3,"reliability":0.744,"samples":500,"estimator":"ProbTree","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.03815263091149698,"variance":0.00038169138276553105},{"ok":false,"error":"target node 99 out of range (graph has 4 nodes)"}]}"#,
+            r#"{"ok":true,"kind":"batch","results":[{"ok":true,"kind":"query","s":0,"t":1,"reliability":0.945,"samples":1000,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.014205480162876307,"variance":5.202702702702705e-5},{"ok":true,"kind":"query","s":0,"t":2,"reliability":0.584,"samples":1000,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.030492480116258186,"variance":0.0002431871871871872},{"ok":true,"kind":"query","s":0,"t":3,"reliability":0.744,"samples":500,"estimator":"ProbTree","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.03815263091149698,"variance":0.00038169138276553105},{"ok":false,"error":"target node 99 out of range (graph has 4 nodes)"}]}"#,
         ),
         (
             r#"{"cmd":"update","updates":[{"s":0,"t":1,"prob":0.8}]}"#,
@@ -219,7 +219,7 @@ fn wire_transcript_matches_golden() {
         (
             r#"{"cmd":"query","s":0,"t":3,"estimator":"mc","samples":1000,"seed":7}"#,
             Check::Exact,
-            r#"{"ok":true,"kind":"query","s":0,"t":3,"reliability":0.681,"samples":1000,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.02884095946222734,"variance":0.0002174564564564564}"#,
+            r#"{"ok":true,"kind":"query","s":0,"t":3,"reliability":0.678,"samples":1000,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.028912049216938032,"variance":0.0002185345345345345}"#,
         ),
         (
             &reload,
