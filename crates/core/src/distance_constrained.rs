@@ -19,10 +19,10 @@
 //!
 //! The served and parallel paths
 //! (`ParallelSampler::estimate_distance_constrained_with`)
-//! sample `R_d` through the packed 64-world kernel
-//! ([`crate::packed::packed_reach_within`], always lazily probed — the
-//! hop bound caps how much of the graph a batch touches); the session
-//! loop and stopping rules are the same.
+//! sample `R_d` through the packed kernel's hop-capped lazy passes of up
+//! to 64 worlds, a shard's remainder forming a partial last word (always
+//! lazily probed — the hop bound caps how much of the graph a pass
+//! touches); the session loop and stopping rules are the same.
 
 use crate::estimator::Estimate;
 use crate::memory::MemoryTracker;

@@ -725,12 +725,14 @@ pub struct StatsResponse {
     /// Total bytes held by resident estimator indexes/workspaces — the
     /// index memory an operator pays per epoch, beyond the graph itself.
     pub resident_bytes: usize,
-    /// Worlds sampled through the packed 64-world kernel, process-wide
-    /// (each packed batch adds 64). With `scalar_samples` this shows how
-    /// much sampling work rides the word-parallel path.
+    /// Worlds sampled through the packed kernels, process-wide (each
+    /// pass adds its worlds, a partial last word included). With
+    /// `scalar_samples` this shows how much sampling work rides the
+    /// word-parallel path.
     pub packed_samples: u64,
-    /// Worlds sampled one at a time (scalar BFS tails and sub-word
-    /// budgets), process-wide.
+    /// Worlds sampled one at a time (the scalar tails of
+    /// `PackedMcSampling` sessions), process-wide. Served
+    /// `ParallelSampler` shards add none.
     pub scalar_samples: u64,
     /// How the served graph was last loaded from disk: `"mmap"`
     /// (zero-copy view of a v2 binary), `"heap"` (parsed into owned

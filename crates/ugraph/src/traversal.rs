@@ -328,7 +328,7 @@ impl ReachView for WordBfsWorkspace {
 ///
 /// `live` holds the worlds the traversal samples (`!0` for a whole word,
 /// the low bits for a partial one); the source starts reached in exactly
-/// those worlds, so no other bit is ever set.
+/// those worlds, so no other bit is ever set. `live = 0` reaches nothing.
 ///
 /// `edge_mask(e, cand)` receives the *candidate* world-set — worlds that
 /// would newly reach the edge's head if the edge exists — and returns the
