@@ -342,7 +342,14 @@ pub fn write_v2_parts(
     }
     let file_len = cursor as u64;
 
-    let mut w = BufWriter::new(File::create(path)?);
+    // Write a sibling file and rename it over `path`, never rewriting
+    // `path` in place: a graph already mapped from it keeps reading the
+    // old file, which a truncating rewrite would change underneath it
+    // (or cut short, faulting the next read).
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let mut w = BufWriter::new(File::create(&tmp)?);
     let mut header = [0u8; HEADER_LEN];
     header[..8].copy_from_slice(MAGIC_V2);
     header[8..12].copy_from_slice(&VERSION_V2.to_le_bytes());
@@ -378,7 +385,8 @@ pub fn write_v2_parts(
     write_section!(4, in_offsets, u32);
     write_section!(5, in_edges, EdgeId);
     debug_assert_eq!(written, file_len);
-    w.flush()?;
+    w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+    std::fs::rename(&tmp, path)?;
     Ok(())
 }
 

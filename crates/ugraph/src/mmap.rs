@@ -69,9 +69,14 @@ pub struct Mmap {
     len: usize,
 }
 
-// SAFETY: the mapping is immutable for its whole lifetime (PROT_READ,
-// never handed out mutably) and owned until `Drop`, so sharing the
-// pointer across threads is sound.
+// SAFETY: this process never writes through the mapping (PROT_READ,
+// never handed out mutably), and it is owned until `Drop`, so sharing
+// the pointer across threads is sound. The bytes behind it stay fixed
+// only while no one rewrites the file in place: this crate's writers
+// never do (`format::write_v2_parts` renames a fresh sibling over its
+// target, so a live mapping keeps the old file), but an outside writer
+// that truncates or rewrites the mapped file still changes what the
+// mapping reads, or cuts it short.
 unsafe impl Send for Mmap {}
 unsafe impl Sync for Mmap {}
 

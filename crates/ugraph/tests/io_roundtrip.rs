@@ -142,3 +142,34 @@ proptest! {
         assert_graphs_identical(&from_text, &from_binary);
     }
 }
+
+/// Rewriting a v2 file that a loaded graph maps must leave that graph
+/// reading the old contents: the writer replaces the file by renaming a
+/// sibling over it, never by truncating and rewriting it in place under
+/// the live mapping. The rewrite has the same shape (so an in-place
+/// rewrite would silently swap every probability) and then a shorter one
+/// (which an in-place rewrite would turn into a fault on the next read).
+#[test]
+fn rewriting_a_mapped_v2_file_leaves_the_loaded_graph_unchanged() {
+    let chain = |n: usize, p: f64| {
+        let mut b = GraphBuilder::new(n);
+        for v in 1..n as u32 {
+            b.add_edge(NodeId(v - 1), NodeId(v), p).unwrap();
+        }
+        b.build()
+    };
+    let path = temp_path("rewrite");
+    let original = chain(64, 0.25);
+    write_graph_v2(&original, &path).expect("write v2");
+    let loaded = load_graph_v2(&path).expect("load v2");
+    if cfg!(all(unix, target_endian = "little")) {
+        assert!(loaded.mmapped, "expected zero-copy load on unix LE");
+    }
+    write_graph_v2(&chain(64, 0.75), &path).expect("rewrite, same shape");
+    assert_graphs_identical(&original, &loaded.graph);
+    write_graph_v2(&chain(2, 0.5), &path).expect("rewrite, shorter");
+    assert_graphs_identical(&original, &loaded.graph);
+    let reloaded = load_graph_v2(&path).expect("reload v2");
+    assert_graphs_identical(&chain(2, 0.5), &reloaded.graph);
+    std::fs::remove_file(&path).ok();
+}
