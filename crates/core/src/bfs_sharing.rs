@@ -21,15 +21,19 @@
 //! queries independent (Table 15 measures this per-query refresh cost);
 //! see [`Estimator::refresh`].
 //!
-//! One drawer fills every edge slice: the offline index, its incremental
-//! updates, and the served path's per-shard index. A slice of `⌈L/64⌉`
-//! words is that many calls of the packed kernel's [`sample_mask`] on a
-//! [`SplitMix64`] stream seeded by one `next_u64` of the caller's RNG
-//! (the [`crate::packed`] determinism contract), with the bits at or
-//! above `L` cleared. The served path (`LazyWorldIndex`) draws a slice
-//! only when the fixpoint first probes its edge, so a query pays for the
-//! edges its worlds can reach rather than for all `m`; the fixpoint
-//! itself is unchanged and still runs over every world of the shard.
+//! One drawer fills every edge slice, for the full index and for its
+//! incremental updates alike: a slice of `⌈L/64⌉` words is that many
+//! calls of the packed kernel's [`sample_mask`] on a [`SplitMix64`]
+//! stream seeded by one `next_u64` of the caller's RNG (the
+//! [`crate::packed`] determinism contract), with the bits at or above `L`
+//! cleared.
+//!
+//! This module is the offline estimator that Fig. 12, Fig. 13 and
+//! Table 15 measure. Served BFS-Sharing
+//! ([`ParallelSampler::estimate_bfs_sharing`](crate::ParallelSampler::estimate_bfs_sharing))
+//! keeps no index: each shard's worlds are drawn by the packed kernel and
+//! swept by its full-reach pass, the same shared BFS over bit-vector
+//! worlds with no early termination.
 
 use crate::estimator::{validate_query, Estimate, Estimator, UpdateOutcome};
 use crate::memory::MemoryTracker;
@@ -137,8 +141,8 @@ impl BfsSharingIndex {
 /// Fill `slice`, one edge's `⌈l/64⌉` world words, with independent
 /// Bernoulli(`p`) bits for worlds `0..l`: one packed-kernel
 /// [`sample_mask`] per word, and the bits at or above `l` in the last
-/// word cleared. The one slice drawer behind the offline index and the
-/// served `LazyWorldIndex`.
+/// word cleared. The one slice drawer behind the offline index's builds
+/// and incremental re-draws.
 #[inline]
 fn draw_slice<R: Rng + ?Sized>(slice: &mut [u64], l: usize, p: f64, rng: &mut R) {
     debug_assert_eq!(slice.len(), l.div_ceil(64));
@@ -149,176 +153,6 @@ fn draw_slice<R: Rng + ?Sized>(slice: &mut [u64], l: usize, p: f64, rng: &mut R)
         if let Some(last) = slice.last_mut() {
             *last &= (1u64 << (l % 64)) - 1;
         }
-    }
-}
-
-/// Per-worker workspace for served BFS-Sharing: a world index over one
-/// shard of at most `max_worlds` worlds whose edge slices are drawn on
-/// first probe, plus the shared-BFS fixpoint's node words and worklist,
-/// all reused across shards.
-///
-/// A shard's answer is the one a fully built [`BfsSharingIndex`] over the
-/// same worlds would give: an edge's slice is drawn whole, by the shared
-/// slice drawer, the first time the fixpoint reads it, and replayed
-/// afterwards. Edges no world can reach are never drawn. Reset between
-/// shards is O(edges drawn + nodes reached), not O(m + n): touched lists
-/// clear the flags, as [`MaskCache::begin_batch`](crate::packed::MaskCache::begin_batch)
-/// does, so no wrapping stamp is involved.
-pub(crate) struct LazyWorldIndex {
-    /// Words per edge and node slot (`⌈max_worlds/64⌉`).
-    stride: usize,
-    edge_bits: Vec<u64>,
-    drawn: Vec<bool>,
-    drawn_edges: Vec<EdgeId>,
-    node_bits: Vec<u64>,
-    live: Vec<bool>,
-    live_nodes: Vec<NodeId>,
-    queue: VecDeque<NodeId>,
-    in_queue: Vec<bool>,
-}
-
-impl LazyWorldIndex {
-    /// Workspace for `graph`, sized for shards of up to `max_worlds`
-    /// worlds.
-    pub(crate) fn for_graph(graph: &UncertainGraph, max_worlds: usize) -> Self {
-        assert!(max_worlds > 0, "index must cover at least one world");
-        let stride = max_worlds.div_ceil(64);
-        let (n, m) = (graph.num_nodes(), graph.num_edges());
-        LazyWorldIndex {
-            stride,
-            edge_bits: vec![0; m * stride],
-            drawn: vec![false; m],
-            drawn_edges: Vec::new(),
-            node_bits: vec![0; n * stride],
-            live: vec![false; n],
-            live_nodes: Vec::new(),
-            queue: VecDeque::new(),
-            in_queue: vec![false; n],
-        }
-    }
-
-    /// Bytes a fresh workspace holds for `n` nodes, `m` edges and shards
-    /// of up to `max_worlds` worlds, without allocating one.
-    pub(crate) fn bytes_for(n: usize, m: usize, max_worlds: usize) -> usize {
-        (m + n) * max_worlds.div_ceil(64) * 8 + m + 2 * n
-    }
-
-    /// Count the worlds among `l` fresh ones in which `t` is reachable
-    /// from `s`: the §2.3 shared-BFS fixpoint over all `l` worlds (no
-    /// early termination), drawing each probed edge's slice on first
-    /// probe from a [`SplitMix64`] seeded by one `next_u64` of `rng`.
-    pub(crate) fn count_reached<R: RngCore + ?Sized>(
-        &mut self,
-        graph: &UncertainGraph,
-        s: NodeId,
-        t: NodeId,
-        l: usize,
-        rng: &mut R,
-    ) -> usize {
-        assert!(
-            l > 0 && l <= self.stride * 64,
-            "shard of {l} worlds exceeds the workspace"
-        );
-        relcomp_obs::note_packed_samples(l as u64);
-        if s == t {
-            return l;
-        }
-        self.begin_shard();
-        let mut mask_rng = SplitMix64::new(rng.next_u64());
-        let words = l.div_ceil(64);
-        let stride = self.stride;
-        let LazyWorldIndex {
-            edge_bits,
-            drawn,
-            drawn_edges,
-            node_bits,
-            live,
-            live_nodes,
-            queue,
-            in_queue,
-            ..
-        } = self;
-
-        // I_s = all ones over the shard's worlds (a p = 1 slice).
-        let s_base = s.index() * stride;
-        draw_slice(
-            &mut node_bits[s_base..s_base + words],
-            l,
-            1.0,
-            &mut mask_rng,
-        );
-        live[s.index()] = true;
-        live_nodes.push(s);
-        queue.push_back(s);
-        in_queue[s.index()] = true;
-
-        // Worklist fixpoint: when I_v gains bits, re-examine v's out-edges.
-        // This subsumes Algorithm 3's cascading updates.
-        while let Some(v) = queue.pop_front() {
-            in_queue[v.index()] = false;
-            let v_base = v.index() * stride;
-            for (e, w) in graph.out_edges(v) {
-                let e_base = e.index() * stride;
-                if !drawn[e.index()] {
-                    drawn[e.index()] = true;
-                    drawn_edges.push(e);
-                    let p = graph.prob(e).value();
-                    draw_slice(&mut edge_bits[e_base..e_base + words], l, p, &mut mask_rng);
-                }
-                let w_base = w.index() * stride;
-                if !live[w.index()] {
-                    live[w.index()] = true;
-                    live_nodes.push(w);
-                    node_bits[w_base..w_base + words].fill(0);
-                }
-                let mut changed = false;
-                for i in 0..words {
-                    let add = node_bits[v_base + i] & edge_bits[e_base + i];
-                    let cur = node_bits[w_base + i];
-                    if cur | add != cur {
-                        node_bits[w_base + i] = cur | add;
-                        changed = true;
-                    }
-                }
-                if changed && !in_queue[w.index()] {
-                    in_queue[w.index()] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
-
-        if !live[t.index()] {
-            return 0;
-        }
-        let t_base = t.index() * stride;
-        node_bits[t_base..t_base + words]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Forget the previous shard's draws and reach in O(touched): a
-    /// wholesale clear when it touched most of the graph, scattered
-    /// resets otherwise. The worklist drained empty and cleared every
-    /// `in_queue` mark as it popped.
-    fn begin_shard(&mut self) {
-        debug_assert!(self.queue.is_empty());
-        if self.drawn_edges.len() * 2 >= self.drawn.len() {
-            self.drawn.fill(false);
-        } else {
-            for &e in &self.drawn_edges {
-                self.drawn[e.index()] = false;
-            }
-        }
-        self.drawn_edges.clear();
-        if self.live_nodes.len() * 2 >= self.live.len() {
-            self.live.fill(false);
-        } else {
-            for &v in &self.live_nodes {
-                self.live[v.index()] = false;
-            }
-        }
-        self.live_nodes.clear();
     }
 }
 
@@ -749,64 +583,6 @@ mod tests {
             expected.reliability.to_bits()
         );
         assert_eq!(worn.epoch, 1);
-    }
-
-    #[test]
-    fn lazy_index_matches_a_fully_built_index() {
-        // Drawing slices on first probe must give the answer a full index
-        // over the same worlds gives: the lazy fixpoint draws edges in
-        // probe order, so rebuild that order's slices eagerly and compare
-        // against the offline estimator's fixpoint on a chain, where the
-        // probe order is the edge-id order.
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(NodeId(0), NodeId(1), 0.7).unwrap();
-        b.add_edge(NodeId(1), NodeId(2), 0.6).unwrap();
-        b.add_edge(NodeId(2), NodeId(3), 0.5).unwrap();
-        let g = Arc::new(b.build());
-        for l in [1usize, 63, 64, 100, 256] {
-            let mut lazy = LazyWorldIndex::for_graph(&g, 256);
-            let hits = lazy.count_reached(
-                &g,
-                NodeId(0),
-                NodeId(3),
-                l,
-                &mut ChaCha8Rng::seed_from_u64(l as u64),
-            );
-            let mut bs =
-                BfsSharing::new(Arc::clone(&g), l, &mut ChaCha8Rng::seed_from_u64(l as u64));
-            let full = bs.estimate(NodeId(0), NodeId(3), l, &mut ChaCha8Rng::seed_from_u64(0));
-            assert_eq!(hits as f64 / l as f64, full.reliability, "l = {l}");
-        }
-    }
-
-    #[test]
-    fn lazy_index_resets_between_shards() {
-        // Reusing one workspace must not leak a shard's draws or reach
-        // into the next: a reused workspace answers like a fresh one.
-        let g = diamond();
-        let mut reused = LazyWorldIndex::for_graph(&g, 256);
-        let mut rng = ChaCha8Rng::seed_from_u64(45);
-        for l in [256usize, 100, 1, 200] {
-            let state = rng.clone();
-            let a = reused.count_reached(&g, NodeId(0), NodeId(3), l, &mut rng);
-            let b = LazyWorldIndex::for_graph(&g, 256).count_reached(
-                &g,
-                NodeId(0),
-                NodeId(3),
-                l,
-                &mut state.clone(),
-            );
-            assert_eq!(a, b, "l = {l}");
-            assert!(a <= l);
-        }
-        assert_eq!(
-            reused.count_reached(&g, NodeId(3), NodeId(0), 77, &mut rng),
-            0
-        );
-        assert_eq!(
-            reused.count_reached(&g, NodeId(2), NodeId(2), 77, &mut rng),
-            77
-        );
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //!   answer.
 //!
 //! Five entry-point families cover the serving workloads: plain MC
-//! ([`ParallelSampler::estimate_mc`]), BFS-Sharing with a sharded,
-//! lazily drawn world index ([`ParallelSampler::estimate_bfs_sharing`]),
-//! multi-target MC
+//! ([`ParallelSampler::estimate_mc`]), BFS-Sharing
+//! ([`ParallelSampler::estimate_bfs_sharing`]), multi-target MC
 //! ([`ParallelSampler::estimate_mc_multi`]) which amortizes possible-world
 //! sampling across queries that share a source node, top-k reliable
 //! targets ([`ParallelSampler::top_k_targets_with`]), and
@@ -39,11 +38,12 @@
 //! consumes `len.div_ceil(64)` words of its stream and runs no scalar
 //! worlds. Distance-constrained shards always take lazy passes. Shard `i`
 //! still owns stream `(seed, i)` exclusively, so thread-count invariance
-//! and `(seed, budget)` determinism are untouched. BFS-Sharing shards
-//! draw their world index through the same mask kernel, one edge slice at
-//! a time on the fixpoint's first probe (`LazyWorldIndex`).
+//! and `(seed, budget)` determinism are untouched. MC, BFS-Sharing and
+//! distance-constrained answers share one budget driver; MC's worlds stop
+//! once they reach the target, while a BFS-Sharing shard is the same
+//! passes run to full reach with no early termination (§2.3), so on a
+//! dense-strategy graph the two answer bit for bit alike.
 
-use crate::bfs_sharing::LazyWorldIndex;
 use crate::estimator::{validate_query, Estimate};
 use crate::memory::MemoryTracker;
 use crate::packed::{
@@ -318,45 +318,87 @@ impl ParallelSampler {
         PackedWorkspace::bytes_for(self.graph.num_nodes(), self.graph.num_edges(), self.dense)
     }
 
-    /// Workspace bytes one worker's BFS-Sharing state holds for shards of
-    /// up to `worlds` worlds.
-    fn bfs_sharing_bytes(&self, worlds: usize) -> usize {
-        LazyWorldIndex::bytes_for(self.graph.num_nodes(), self.graph.num_edges(), worlds)
-    }
-
-    /// Monte-Carlo estimate of `R(s, t)` with `k` samples under master
-    /// seed `seed`, drawn through the packed kernel (one lane pass per
-    /// shard on dense-strategy graphs, lazy 64-world passes otherwise).
-    /// Bit-identical across thread counts.
-    pub fn estimate_mc(&self, s: NodeId, t: NodeId, k: usize, seed: u64) -> Estimate {
-        validate_query(&self.graph, s, t);
-        assert!(k > 0, "sample count must be positive");
-        let start = Instant::now();
-        let graph = &self.graph;
-        let hits = self.run_shards(
-            k,
-            seed,
-            || self.packed_ws(),
-            |ws, _, len, rng| packed_hits(graph, s, t, len, ws, rng),
-        );
-        let mut tracker = Convergence::new(DEFAULT_CONFIDENCE);
-        tracker.observe_hits(hits, k);
+    /// Run a single-target estimator's `work(state, shard_index,
+    /// shard_len, rng) -> hits` under `budget`: one sweep over every
+    /// shard for a fixed budget, deterministic round barriers for an
+    /// adaptive one. `ws_bytes` is one worker's workspace, for memory
+    /// accounting. Bit-identical across thread counts.
+    fn estimate_shards<S, I, W>(
+        &self,
+        budget: &SampleBudget,
+        seed: u64,
+        ws_bytes: usize,
+        init: I,
+        work: W,
+    ) -> Estimate
+    where
+        I: Fn() -> S + Sync,
+        W: Fn(&mut S, usize, usize, &mut ChaCha8Rng) -> usize + Sync,
+    {
+        let (hits, samples, tracker, stop, start) = if budget.is_fixed() {
+            let start = Instant::now();
+            let k = budget.max_samples();
+            let hits = self.run_shards(k, seed, init, work);
+            let mut tracker = Convergence::new(budget.confidence());
+            tracker.observe_hits(hits, k);
+            (hits, k, tracker, StopReason::FixedK, start)
+        } else {
+            self.run_adaptive(budget, seed, init, work)
+        };
         let mut mem = MemoryTracker::new();
-        mem.baseline(self.workers_for(k.div_ceil(SHARD_SAMPLES)) * self.packed_ws_bytes());
+        mem.baseline(self.budget_workers(budget) * ws_bytes);
         finish_estimate(
-            hits as f64 / k as f64,
-            k,
+            hits as f64 / samples as f64,
+            samples,
             start,
             &mem,
             Some(&tracker),
-            StopReason::FixedK,
+            stop,
         )
     }
 
-    /// Monte-Carlo estimate under an adaptive [`SampleBudget`]: the cap
-    /// is sharded up front, shard groups stream through the pool, and
-    /// convergence is checked at deterministic batch barriers. A fixed
-    /// budget delegates to [`ParallelSampler::estimate_mc`] bit for bit.
+    /// Estimate `R(s, t)` under `budget` by counting the packed worlds in
+    /// which `s` reaches `t`. With `early_exit` a world stops propagating
+    /// once it reaches `t` (MC); without it every world runs its full
+    /// reach from `s` (BFS-Sharing's shared BFS, §2.3).
+    fn estimate_st(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        early_exit: bool,
+        budget: &SampleBudget,
+        seed: u64,
+    ) -> Estimate {
+        validate_query(&self.graph, s, t);
+        let graph = &self.graph;
+        let target = early_exit.then_some(t);
+        self.estimate_shards(
+            budget,
+            seed,
+            self.packed_ws_bytes(),
+            || self.packed_ws(),
+            |ws, _, len, rng| {
+                let mut hits = 0;
+                packed_passes(graph, s, target, len, ws, rng, |pass| {
+                    hits += pass.worlds_reaching(t) as usize;
+                });
+                hits
+            },
+        )
+    }
+
+    /// Monte-Carlo estimate of `R(s, t)` with `k` samples under master
+    /// seed `seed` — [`ParallelSampler::estimate_mc_with`] under
+    /// [`SampleBudget::fixed`].
+    pub fn estimate_mc(&self, s: NodeId, t: NodeId, k: usize, seed: u64) -> Estimate {
+        self.estimate_mc_with(s, t, &SampleBudget::fixed(k), seed)
+    }
+
+    /// Monte-Carlo estimate of `R(s, t)` under a [`SampleBudget`], drawn
+    /// through the packed kernel (one lane pass per shard on
+    /// dense-strategy graphs, lazy 64-world passes otherwise), each world
+    /// stopping once it reaches `t`. An adaptive budget checks
+    /// convergence at deterministic shard-group barriers.
     pub fn estimate_mc_with(
         &self,
         s: NodeId,
@@ -364,67 +406,22 @@ impl ParallelSampler {
         budget: &SampleBudget,
         seed: u64,
     ) -> Estimate {
-        if budget.is_fixed() {
-            return reconfide(self.estimate_mc(s, t, budget.max_samples(), seed), budget);
-        }
-        validate_query(&self.graph, s, t);
-        let graph = &self.graph;
-        let (hits, samples, tracker, stop, start) = self.run_adaptive(
-            budget,
-            seed,
-            || self.packed_ws(),
-            |ws, _, len, rng| packed_hits(graph, s, t, len, ws, rng),
-        );
-        let mut mem = MemoryTracker::new();
-        mem.baseline(self.budget_workers(budget) * self.packed_ws_bytes());
-        finish_estimate(
-            hits as f64 / samples as f64,
-            samples,
-            start,
-            &mem,
-            Some(&tracker),
-            stop,
-        )
+        self.estimate_st(s, t, true, budget, seed)
     }
 
-    /// BFS-Sharing estimate of `R(s, t)`: the world budget `k` is sharded,
-    /// and each shard counts reached worlds with the shared-BFS fixpoint
-    /// over its own world index, drawn from its own stream one edge slice
-    /// at a time as the fixpoint first probes the edge
-    /// (`LazyWorldIndex`, one reused per worker). Statistically
-    /// identical to one `k`-world index; bit-identical across thread
-    /// counts.
+    /// BFS-Sharing estimate of `R(s, t)` with a budget of `k` worlds —
+    /// [`ParallelSampler::estimate_bfs_sharing_with`] under
+    /// [`SampleBudget::fixed`].
     pub fn estimate_bfs_sharing(&self, s: NodeId, t: NodeId, k: usize, seed: u64) -> Estimate {
-        validate_query(&self.graph, s, t);
-        assert!(k > 0, "sample count must be positive");
-        let start = Instant::now();
-        let graph = &self.graph;
-        let worlds = k.min(SHARD_SAMPLES);
-        let hits = self.run_shards(
-            k,
-            seed,
-            || LazyWorldIndex::for_graph(graph, worlds),
-            |index, _, len, rng| index.count_reached(graph, s, t, len, rng),
-        );
-        let mut tracker = Convergence::new(DEFAULT_CONFIDENCE);
-        tracker.observe_hits(hits, k);
-        let mut mem = MemoryTracker::new();
-        mem.baseline(self.workers_for(k.div_ceil(SHARD_SAMPLES)) * self.bfs_sharing_bytes(worlds));
-        finish_estimate(
-            hits as f64 / k as f64,
-            k,
-            start,
-            &mem,
-            Some(&tracker),
-            StopReason::FixedK,
-        )
+        self.estimate_bfs_sharing_with(s, t, &SampleBudget::fixed(k), seed)
     }
 
-    /// BFS-Sharing estimate under an adaptive [`SampleBudget`]: shard
-    /// groups each count reached worlds over their own lazily drawn world
-    /// index; convergence is checked at deterministic batch barriers.
-    /// A fixed budget delegates to
-    /// [`ParallelSampler::estimate_bfs_sharing`] bit for bit.
+    /// BFS-Sharing estimate of `R(s, t)` under a [`SampleBudget`]: each
+    /// shard's worlds are bit vectors swept by one shared full-reach BFS
+    /// from `s` (the packed kernel with no target), with no early
+    /// termination, and `t`'s reached worlds are counted. On a
+    /// dense-strategy graph the worlds are MC's, so the answer equals
+    /// [`ParallelSampler::estimate_mc_with`]'s bit for bit.
     pub fn estimate_bfs_sharing_with(
         &self,
         s: NodeId,
@@ -432,31 +429,7 @@ impl ParallelSampler {
         budget: &SampleBudget,
         seed: u64,
     ) -> Estimate {
-        if budget.is_fixed() {
-            return reconfide(
-                self.estimate_bfs_sharing(s, t, budget.max_samples(), seed),
-                budget,
-            );
-        }
-        validate_query(&self.graph, s, t);
-        let graph = &self.graph;
-        let worlds = budget.max_samples().min(SHARD_SAMPLES);
-        let (hits, samples, tracker, stop, start) = self.run_adaptive(
-            budget,
-            seed,
-            || LazyWorldIndex::for_graph(graph, worlds),
-            |index, _, len, rng| index.count_reached(graph, s, t, len, rng),
-        );
-        let mut mem = MemoryTracker::new();
-        mem.baseline(self.budget_workers(budget) * self.bfs_sharing_bytes(worlds));
-        finish_estimate(
-            hits as f64 / samples as f64,
-            samples,
-            start,
-            &mem,
-            Some(&tracker),
-            stop,
-        )
+        self.estimate_st(s, t, false, budget, seed)
     }
 
     /// Multi-target MC: estimate `R(s, t)` for every `t` in `targets`
@@ -679,7 +652,6 @@ impl ParallelSampler {
     /// [`ParallelSampler::top_k_targets_with`] under
     /// [`SampleBudget::fixed`].
     pub fn top_k_targets(&self, s: NodeId, k: usize, samples: usize, seed: u64) -> TopKResult {
-        assert!(samples > 0, "sample count must be positive");
         self.top_k_targets_with(s, k, &SampleBudget::fixed(samples), seed)
     }
 
@@ -698,11 +670,8 @@ impl ParallelSampler {
         validate_query(&self.graph, s, t);
         let start = Instant::now();
         let graph = &self.graph;
-        let mut mem = MemoryTracker::new();
-        mem.baseline(
-            self.budget_workers(budget)
-                * PackedWorkspace::bytes_for(graph.num_nodes(), graph.num_edges(), false),
-        );
+        // `packed_hits_within` always probes lazily: no lane arrays.
+        let ws_bytes = PackedWorkspace::bytes_for(graph.num_nodes(), graph.num_edges(), false);
         if s == t {
             // Deterministic answer: nothing to sample.
             let (samples, stop_reason) = crate::session::exact_answer_accounting(budget);
@@ -710,41 +679,19 @@ impl ParallelSampler {
                 reliability: 1.0,
                 samples,
                 elapsed: start.elapsed(),
-                aux_bytes: mem.peak(),
+                aux_bytes: self.budget_workers(budget) * ws_bytes,
                 variance: Some(0.0),
                 half_width: Some(0.0),
                 stop_reason,
             };
         }
-        let work = |ws: &mut PackedWorkspace, _: usize, len: usize, rng: &mut ChaCha8Rng| {
-            packed_hits_within(graph, s, t, d, len, ws, rng)
-        };
-        // `packed_hits_within` always probes lazily: no lane arrays.
-        let init = || PackedWorkspace::new(graph.num_nodes(), graph.num_edges());
-        if budget.is_fixed() {
-            let k = budget.max_samples();
-            let hits = self.run_shards(k, seed, init, work);
-            let mut tracker = Convergence::new(budget.confidence());
-            tracker.observe_hits(hits, k);
-            finish_estimate(
-                hits as f64 / k as f64,
-                k,
-                start,
-                &mem,
-                Some(&tracker),
-                StopReason::FixedK,
-            )
-        } else {
-            let (hits, samples, tracker, stop, start) = self.run_adaptive(budget, seed, init, work);
-            finish_estimate(
-                hits as f64 / samples as f64,
-                samples,
-                start,
-                &mem,
-                Some(&tracker),
-                stop,
-            )
-        }
+        self.estimate_shards(
+            budget,
+            seed,
+            ws_bytes,
+            || PackedWorkspace::new(graph.num_nodes(), graph.num_edges()),
+            |ws, _, len, rng| packed_hits_within(graph, s, t, d, len, ws, rng),
+        )
     }
 
     /// Distance-constrained reliability with a fixed budget of `k`
@@ -758,19 +705,8 @@ impl ParallelSampler {
         k: usize,
         seed: u64,
     ) -> Estimate {
-        assert!(k > 0, "sample count must be positive");
         self.estimate_distance_constrained_with(s, t, d, &SampleBudget::fixed(k), seed)
     }
-}
-
-/// Restate a fixed-budget estimate's CI at the budget's confidence
-/// level (a pure re-report; see
-/// [`restate_bernoulli_confidence`](crate::session::restate_bernoulli_confidence)).
-fn reconfide(est: Estimate, budget: &SampleBudget) -> Estimate {
-    if budget.confidence() == DEFAULT_CONFIDENCE {
-        return est;
-    }
-    crate::session::restate_bernoulli_confidence(est, budget.confidence())
 }
 
 #[cfg(test)]

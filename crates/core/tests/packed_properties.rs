@@ -2,9 +2,11 @@
 //! budgets are bit-identical to scalar MC, word-sized and adaptive
 //! budgets agree statistically, a dense multi-lane pass equals one-lane
 //! passes bit for bit, the two mask-drawing strategies (geometric
-//! skipping vs dense fill) draw the same distribution, and BFS-Sharing's
-//! world index, drawn through the same mask kernel, keeps its slices
-//! inside `L` worlds and its served answers thread-invariant.
+//! skipping vs dense fill) draw the same distribution, BFS-Sharing's
+//! offline world index, drawn through the same mask kernel, keeps its
+//! slices inside `L` worlds, and served BFS-Sharing is thread-invariant,
+//! exact on unreachable and `s == t` pairs, and equal to served MC bit
+//! for bit on dense-strategy graphs.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -17,7 +19,7 @@ use relcomp_core::packed::{
     PackedMcSampling, PackedWorkspace, LANES,
 };
 use relcomp_core::session::SampleBudget;
-use relcomp_core::{Estimator, ParallelSampler};
+use relcomp_core::{Estimate, Estimator, ParallelSampler};
 use relcomp_ugraph::{EdgeId, EdgeUpdate, GraphBuilder, NodeId, UncertainGraph};
 use std::sync::Arc;
 
@@ -306,6 +308,99 @@ proptest! {
         slices_within_l(&index, g.num_edges())?;
         prop_assert_eq!(ones(&index, e), l);
         prop_assert_eq!(ones(&index, sure), l);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// On a dense-strategy graph lane `j`'s mask for edge `e` is keyed by
+    /// (lane seed, `e`), so a shard's worlds do not depend on whether the
+    /// sweep stops at the target: served BFS-Sharing's full-reach passes
+    /// count exactly MC's hits. Estimate, samples, stop reason and
+    /// half-width agree bit for bit under fixed and adaptive budgets, on
+    /// 1 (inline) and 3 (spawned) worker threads.
+    #[test]
+    fn served_bfs_sharing_equals_mc_on_dense_graphs(
+        (n, edges) in dense_digraph(),
+        seed in 0u64..500,
+        k in world_budget(1200),
+        cap in world_budget(6000),
+        eps in 0.05f64..0.4,
+    ) {
+        let g = Arc::new(build(n, &edges));
+        prop_assume!(dense_strategy(&g));
+        let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
+        let key = |e: &Estimate| {
+            (e.reliability.to_bits(), e.samples, e.stop_reason, e.half_width.map(f64::to_bits))
+        };
+        for threads in [1usize, 3] {
+            let sampler = ParallelSampler::new(Arc::clone(&g), threads);
+            prop_assert_eq!(
+                key(&sampler.estimate_bfs_sharing(s, t, k, seed)),
+                key(&sampler.estimate_mc(s, t, k, seed)),
+                "fixed k = {} on {} threads", k, threads
+            );
+            for budget in [SampleBudget::fixed(k), SampleBudget::adaptive(eps, cap)] {
+                prop_assert_eq!(
+                    key(&sampler.estimate_bfs_sharing_with(s, t, &budget, seed)),
+                    key(&sampler.estimate_mc_with(s, t, &budget, seed)),
+                    "{:?} on {} threads", budget, threads
+                );
+            }
+        }
+    }
+}
+
+/// Served BFS-Sharing's exact answers, in both batch strategies, under
+/// fixed and adaptive budgets, on 1 and 3 threads: a target no path
+/// reaches answers 0, and `s == t` answers 1.
+#[test]
+fn served_bfs_sharing_unreachable_is_zero_and_self_is_one() {
+    // Node 4 has no in-edges, so nothing reaches it.
+    let edges = [
+        (0, 1, 0.5),
+        (0, 2, 0.6),
+        (1, 3, 0.7),
+        (2, 3, 0.4),
+        (4, 0, 0.9),
+    ];
+    let mut dense_edges = edges.to_vec();
+    for (u, v) in [(1, 0), (2, 0), (3, 0), (3, 1), (1, 2), (2, 1)] {
+        dense_edges.push((u, v, 0.9));
+    }
+    let lazy = Arc::new(build(5, &edges));
+    let dense = Arc::new(build(5, &dense_edges));
+    assert!(!dense_strategy(&lazy));
+    assert!(dense_strategy(&dense));
+    for g in [lazy, dense] {
+        for threads in [1usize, 3] {
+            let sampler = ParallelSampler::new(Arc::clone(&g), threads);
+            for budget in [
+                SampleBudget::fixed(1000),
+                SampleBudget::adaptive(0.05, 3000),
+            ] {
+                let bfs = |s: u32, t: u32| {
+                    sampler
+                        .estimate_bfs_sharing_with(NodeId(s), NodeId(t), &budget, 9)
+                        .reliability
+                };
+                assert_eq!(bfs(0, 4), 0.0, "{budget:?}");
+                assert_eq!(bfs(2, 2), 1.0, "{budget:?}");
+            }
+            assert_eq!(
+                sampler
+                    .estimate_bfs_sharing(NodeId(0), NodeId(4), 77, 3)
+                    .reliability,
+                0.0
+            );
+            assert_eq!(
+                sampler
+                    .estimate_bfs_sharing(NodeId(4), NodeId(4), 77, 3)
+                    .reliability,
+                1.0
+            );
+        }
     }
 }
 

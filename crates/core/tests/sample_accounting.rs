@@ -17,7 +17,8 @@ fn graph(edges: &[(u32, u32, f64)]) -> Arc<UncertainGraph> {
 
 /// Served calls at K = 1000 run shards of 256, 256, 256 and 232 worlds.
 /// On the dense graph the last shard is one lane pass whose last lane is
-/// partial (R_d excepted, which always takes lazy passes); on the lazy
+/// partial (R_d excepted, which always takes lazy passes; served
+/// BFS-Sharing runs the same passes as MC, to full reach); on the lazy
 /// graph it is three whole lazy words and a partial one. Either way each
 /// call must add exactly 1000 packed worlds (a partial word counts its 40
 /// worlds, not 64) and no scalar ones.
@@ -46,6 +47,9 @@ fn served_shards_count_each_world_once_as_packed() {
             assert_eq!(scalar1 - scalar0, 0, "{name} dense={is_dense}");
         };
         check("estimate_mc", &|| p.estimate_mc(s, t, 1000, 7).samples);
+        check("estimate_bfs_sharing", &|| {
+            p.estimate_bfs_sharing(s, t, 1000, 7).samples
+        });
         check("top_k_targets", &|| p.top_k_targets(s, 2, 1000, 7).samples);
         check("estimate_mc_multi", &|| {
             p.estimate_mc_multi(s, &[t, NodeId(2)], 1000, 7)[0].samples
