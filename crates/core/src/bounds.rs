@@ -1,6 +1,6 @@
 //! Polynomial-time lower/upper bounds on s-t reliability — the "Theory"
-//! branch of the paper's Figure 2 spectrum (Ball & Provan [5], Brecht &
-//! Colbourn [7], Bulka & Dugan [8]).
+//! branch of the paper's Figure 2 spectrum (Ball & Provan \[5\], Brecht &
+//! Colbourn \[7\], Bulka & Dugan \[8\]).
 //!
 //! Bounds are cheap sanity rails around the sampling estimators:
 //!

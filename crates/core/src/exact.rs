@@ -33,7 +33,7 @@ pub fn exact_reliability(graph: &UncertainGraph, s: NodeId, t: NodeId) -> f64 {
 
 /// Exhaustively search every size-`k` subset of `candidates` for the one
 /// whose application maximizes exact `R(s, t)` — the oracle the greedy
-/// [`maximize`](crate::maximize) optimizer is validated against.
+/// [`maximize`](fn@crate::maximize) optimizer is validated against.
 ///
 /// Subsets are enumerated in lexicographic candidate order and ties keep
 /// the first (lexicographically smallest) maximizer, so the answer is

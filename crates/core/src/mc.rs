@@ -51,34 +51,16 @@ impl Estimator for McSampling {
         rng: &mut dyn RngCore,
     ) -> Estimate {
         validate_query(&self.graph, s, t);
-        let mut session = EstimationSession::begin(budget);
+        let session = EstimationSession::begin(budget);
 
         let mut mem = MemoryTracker::new();
         // Only auxiliary structure: the BFS workspace (visited marks + queue).
         mem.baseline(self.ws.resident_bytes());
 
-        // Batching does not perturb the RNG stream — a fixed budget draws
-        // the exact coin sequence the historical single loop drew.
-        let mut hits = 0usize;
-        let graph = &self.graph;
-        loop {
-            let n = session.next_batch();
-            if n == 0 {
-                break;
-            }
-            let mut batch_hits = 0usize;
-            for _ in 0..n {
-                if bfs_reaches(graph, s, t, &mut self.ws, |e| {
-                    coin(rng, graph.prob(e).value())
-                }) {
-                    batch_hits += 1;
-                }
-            }
-            hits += batch_hits;
-            session.record_hits(batch_hits, n);
-        }
-
-        session.finish(hits as f64 / session.samples() as f64, &mem)
+        let (graph, ws) = (&self.graph, &mut self.ws);
+        session.run_bernoulli(&mem, || {
+            bfs_reaches(graph, s, t, ws, |e| coin(rng, graph.prob(e).value()))
+        })
     }
 
     fn apply_updates(

@@ -245,7 +245,7 @@ const PER_BIT_LIMIT: u32 = 8;
 /// tracks per edge which world bits are *decided* and which of those
 /// survived, and a probe draws only `cand & !decided`:
 ///
-/// * fewer than [`PER_BIT_LIMIT`] undecided bits: branchless per-bit
+/// * fewer than `PER_BIT_LIMIT` undecided bits: branchless per-bit
 ///   coins, one variate per bit;
 /// * otherwise the rest of the word is settled at once by
 ///   [`sample_mask`] (dense fill or geometric jumps).

@@ -1,6 +1,6 @@
 //! Most-reliable-path queries — the "simplified version of the
 //! reliability problem" branch of the paper's Figure 2 spectrum
-//! (Chen et al. [9], Kimura & Saito [26]).
+//! (Chen et al. \[9\], Kimura & Saito \[26\]).
 //!
 //! The *most reliable path* from `s` to `t` is the path maximizing the
 //! product of its edge probabilities. Maximizing `prod p(e)` equals

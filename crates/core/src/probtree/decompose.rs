@@ -1,16 +1,32 @@
-//! FWD (fixed-width, w = 2) tree decomposition and query-graph extraction.
+//! FWD (fixed-width, w = 2) tree decomposition, the in-place query view
+//! and query-graph extraction.
 //!
 //! See the parent module docs for the algorithm overview. All edges stay
 //! *directed* throughout: the decomposition works on the undirected
 //! skeleton (which pairs of nodes are adjacent), but bags store directed
 //! probabilistic edges and pre-compute directed boundary-pair
 //! reliabilities.
+//!
+//! ## The query view
+//!
+//! For a query `(s, t)` the *expanded* bags are the root paths of the bags
+//! covering `s` and `t` ([`Expansion`]). The query graph `G(q)` of
+//! Algorithm 8 is then exactly this edge set:
+//!
+//! - a raw edge is visible iff it lives in the root or in an expanded bag;
+//! - a bag's virtual up-edges are visible iff the bag is not expanded and
+//!   its parent is the root or expanded.
+//!
+//! [`ProbTreeIndex::world_reaches`] samples worlds of `G(q)` directly on
+//! the index under this rule; [`ProbTreeIndex::extract_query_graph`]
+//! materialises the same edges for the coupled estimators.
 
+use relcomp_ugraph::traversal::BfsWorkspace;
 use relcomp_ugraph::{
     DuplicatePolicy, EdgeId, EdgeUpdate, GraphBuilder, NodeId, Probability, UncertainGraph,
 };
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// A directed probabilistic edge inside the index (bag or root content).
@@ -80,6 +96,41 @@ pub struct ProbTreeIndex {
     /// lives in the root). Drives incremental maintenance: an updated
     /// edge dirties exactly this bag.
     edge_bag: Vec<u32>,
+    /// Topology-only CSR over nodes: `bounded_bags[bounded_start[v]..
+    /// bounded_start[v + 1]]` are the two-boundary bags `v` bounds, i.e.
+    /// the bags whose virtual edges can leave `v`.
+    bounded_start: Vec<u32>,
+    bounded_bags: Vec<u32>,
+}
+
+/// The bags Algorithm 8 expands for one query: the root paths of the bags
+/// covering `s` and `t`. The set is closed under `parent` and holds at
+/// most `2 · height` bags. Filled by [`ProbTreeIndex::expand`]; reusable
+/// across queries (refilling clears only the previous query's marks).
+#[derive(Clone, Debug, Default)]
+pub struct Expansion {
+    /// Per bag: expanded for the current query.
+    marked: Vec<bool>,
+    /// The marked bags, for clearing in `O(height)`.
+    bags: Vec<usize>,
+}
+
+impl Expansion {
+    /// An empty expansion (sized on first [`ProbTreeIndex::expand`]).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether bag `bag` is expanded.
+    #[inline]
+    fn contains(&self, bag: usize) -> bool {
+        self.marked[bag]
+    }
+
+    /// Approximate resident bytes (for memory accounting).
+    pub fn resident_bytes(&self) -> usize {
+        self.marked.capacity() + self.bags.capacity() * std::mem::size_of::<usize>()
+    }
 }
 
 /// Result of query-graph extraction: a relabeled small uncertain graph and
@@ -236,12 +287,38 @@ impl ProbTreeIndex {
             }
         }
 
+        // Node -> the two-boundary bags it bounds, in bag order.
+        let mut bounded_start = vec![0u32; n + 1];
+        let two_boundary = || {
+            bags.iter()
+                .enumerate()
+                .filter(|(_, bag)| bag.boundary.len() == 2)
+        };
+        for (_, bag) in two_boundary() {
+            for b in &bag.boundary {
+                bounded_start[b.index() + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            bounded_start[v + 1] += bounded_start[v];
+        }
+        let mut bounded_bags = vec![0u32; bounded_start[n] as usize];
+        let mut fill = bounded_start.clone();
+        for (bag_id, bag) in two_boundary() {
+            for b in &bag.boundary {
+                bounded_bags[fill[b.index()] as usize] = bag_id as u32;
+                fill[b.index()] += 1;
+            }
+        }
+
         let mut index = ProbTreeIndex {
             graph,
             bags,
             covered_in,
             root_entries,
             edge_bag,
+            bounded_start,
+            bounded_bags,
         };
         index.precompute_up_edges();
         index
@@ -376,12 +453,14 @@ impl ProbTreeIndex {
     }
 
     /// Index size in bytes (Fig. 13b): bag metadata, entries, virtual
-    /// edges, and the covered-node lookup.
+    /// edges, the covered-node lookup and the node-to-bag CSR.
     pub fn size_bytes(&self) -> usize {
         let entry = std::mem::size_of::<Entry>();
         let dir = std::mem::size_of::<DirEdge>();
-        let mut total =
-            self.covered_in.len() * 5 + self.root_entries.len() * entry + self.edge_bag.len() * 4;
+        let mut total = self.covered_in.len() * 5
+            + self.root_entries.len() * entry
+            + self.edge_bag.len() * 4
+            + (self.bounded_start.len() + self.bounded_bags.len()) * 4;
         for bag in &self.bags {
             total += 32 // covered/parent/headers
                 + bag.boundary.len() * 4
@@ -391,41 +470,163 @@ impl ProbTreeIndex {
         total
     }
 
-    /// Extract the equivalent query graph for `(s, t)` (Algorithm 8):
-    /// expand the bags covering `s` and `t` along their root paths,
-    /// substitute pre-computed virtual edges for every other collapsed
-    /// subtree, and relabel into a dense small graph.
-    pub fn extract_query_graph(&self, s: NodeId, t: NodeId) -> QueryExtraction {
-        // Bags to expand: root paths of the bags covering s and t.
-        let mut expanded: HashSet<usize> = HashSet::new();
+    /// Number of decomposition bags.
+    pub fn num_bags(&self) -> usize {
+        self.bags.len()
+    }
+
+    /// Fill `exp` with the bags to expand for `(s, t)`: the root paths of
+    /// the bags covering `s` and `t`.
+    pub fn expand(&self, s: NodeId, t: NodeId, exp: &mut Expansion) {
+        for &b in &exp.bags {
+            exp.marked[b] = false;
+        }
+        exp.bags.clear();
+        exp.marked.resize(self.bags.len(), false);
         for x in [s, t] {
             let mut cur = self.covered_in[x.index()].map(|b| b as usize);
             while let Some(b) = cur {
-                if !expanded.insert(b) {
+                if exp.marked[b] {
                     break; // shared ancestry already walked
                 }
+                exp.marked[b] = true;
+                exp.bags.push(b);
                 cur = self.bags[b].parent;
             }
         }
+    }
 
+    /// Visibility of raw edge `e` under `exp`: it lives in the root or in
+    /// an expanded bag.
+    #[inline]
+    fn raw_visible(&self, e: EdgeId, exp: &Expansion) -> bool {
+        let bag = self.edge_bag[e.index()];
+        bag == IN_ROOT || exp.contains(bag as usize)
+    }
+
+    /// Visibility of bag `c`'s virtual up-edges under `exp`: `c` is
+    /// collapsed and hangs off the root or an expanded bag.
+    #[inline]
+    fn up_visible(&self, c: usize, exp: &Expansion) -> bool {
+        !exp.contains(c) && self.bags[c].parent.map_or(true, |p| exp.contains(p))
+    }
+
+    /// The edges of `G(q)` leaving `v` as `(target, probability)`: the
+    /// visible raw out-edges in graph order, then the visible virtual
+    /// edges of the bags `v` bounds.
+    #[inline]
+    fn visible_out<'a>(
+        &'a self,
+        v: NodeId,
+        exp: &'a Expansion,
+    ) -> impl Iterator<Item = (NodeId, f64)> + 'a {
+        let raw = self
+            .graph
+            .out_edges(v)
+            .filter(move |&(e, _)| self.raw_visible(e, exp))
+            .map(move |(e, w)| (w, self.graph.prob(e).value()));
+        let bounded = &self.bounded_bags
+            [self.bounded_start[v.index()] as usize..self.bounded_start[v.index() + 1] as usize];
+        let virtual_edges = bounded
+            .iter()
+            .map(|&c| c as usize)
+            .filter(move |&c| self.up_visible(c, exp))
+            .flat_map(move |c| self.bags[c].up_edges.iter())
+            .filter(move |d| d.from == v)
+            .map(|d| (d.to, d.prob));
+        raw.chain(virtual_edges)
+    }
+
+    /// Sample one possible world of `G(q)` in place on the index and report
+    /// whether `t` is reached: a BFS from `s` over the edges visible under
+    /// `exp` (filled by [`expand`](Self::expand) for this `(s, t)`), with
+    /// early exit at `t`. `edge_exists(p)` is asked once per probed edge —
+    /// raw or virtual — whose target is still unvisited, exactly as MC
+    /// (Alg. 1) probes edges lazily. Parallel edges get one draw each
+    /// rather than one OR-merged draw; reachability is equal in law.
+    pub fn world_reaches<F>(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        exp: &Expansion,
+        ws: &mut BfsWorkspace,
+        mut edge_exists: F,
+    ) -> bool
+    where
+        F: FnMut(f64) -> bool,
+    {
+        if s == t {
+            return true;
+        }
+        ws.reset();
+        ws.visited.insert(s);
+        ws.queue.push_back(s);
+        while let Some(v) = ws.queue.pop_front() {
+            for (w, p) in self.visible_out(v, exp) {
+                if ws.visited.contains(w) {
+                    continue;
+                }
+                if edge_exists(p) {
+                    if w == t {
+                        return true;
+                    }
+                    ws.visited.insert(w);
+                    ws.queue.push_back(w);
+                }
+            }
+        }
+        false
+    }
+
+    /// Every edge [`world_reaches`](Self::world_reaches) can traverse for
+    /// `(s, t)`, in node order: the lazy view of `G(q)` as a list.
+    pub fn visible_edges(&self, s: NodeId, t: NodeId) -> Vec<DirEdge> {
+        let mut exp = Expansion::new();
+        self.expand(s, t, &mut exp);
+        self.graph
+            .nodes()
+            .flat_map(|v| {
+                self.visible_out(v, &exp)
+                    .map(move |(to, prob)| DirEdge { from: v, to, prob })
+            })
+            .collect()
+    }
+
+    /// The edges of `G(q)` in extraction order, before relabelling: walk
+    /// the tree from the root, descending into expanded bags and emitting
+    /// the virtual edges of the collapsed bags met on the way.
+    pub fn query_edges(&self, s: NodeId, t: NodeId) -> Vec<DirEdge> {
+        let mut exp = Expansion::new();
+        self.expand(s, t, &mut exp);
         let mut edges: Vec<DirEdge> = Vec::new();
         let mut stack: Vec<&Entry> = self.root_entries.iter().collect();
         while let Some(entry) = stack.pop() {
             match *entry {
-                Entry::Raw(e) => edges.push(DirEdge {
-                    from: self.graph.source(e),
-                    to: self.graph.target(e),
-                    prob: self.graph.prob(e).value(),
-                }),
+                Entry::Raw(e) => {
+                    debug_assert!(self.raw_visible(e, &exp));
+                    edges.push(DirEdge {
+                        from: self.graph.source(e),
+                        to: self.graph.target(e),
+                        prob: self.graph.prob(e).value(),
+                    });
+                }
+                Entry::Child(c) if exp.contains(c) => stack.extend(self.bags[c].entries.iter()),
                 Entry::Child(c) => {
-                    if expanded.contains(&c) {
-                        stack.extend(self.bags[c].entries.iter());
-                    } else {
-                        edges.extend(self.bags[c].up_edges.iter().copied());
-                    }
+                    debug_assert!(self.up_visible(c, &exp));
+                    edges.extend(self.bags[c].up_edges.iter().copied());
                 }
             }
         }
+        edges
+    }
+
+    /// Extract the equivalent query graph for `(s, t)` (Algorithm 8):
+    /// [`query_edges`](Self::query_edges) relabelled into a dense small
+    /// graph, parallel edges OR-merged. The coupled estimators (§3.8)
+    /// need this materialised graph; plain MC samples the same edges in
+    /// place through [`world_reaches`](Self::world_reaches).
+    pub fn extract_query_graph(&self, s: NodeId, t: NodeId) -> QueryExtraction {
+        let edges = self.query_edges(s, t);
 
         // Relabel into a dense node space.
         let mut relabel: HashMap<NodeId, u32> = HashMap::new();
@@ -508,11 +709,9 @@ mod tests {
         assert!((exact - 0.0625).abs() < 1e-9, "exact {exact}");
     }
 
-    #[test]
-    fn query_graph_prunes_irrelevant_branches() {
-        // Lollipop: a 6-node dense core (degree 5 each — never decomposed)
-        // with a 30-node pendant path hanging off node 0. A core-to-core
-        // query must not drag the pendant path into the query graph.
+    /// Lollipop: a 6-node dense core (degree 5 each — never decomposed)
+    /// with a 30-node pendant path 6..36 hanging off node 0.
+    fn lollipop() -> Arc<UncertainGraph> {
         let n = 36;
         let mut b = GraphBuilder::new(n);
         for u in 0..6u32 {
@@ -524,13 +723,75 @@ mod tests {
         for i in 6..(n as u32 - 1) {
             b.add_bidirected(NodeId(i), NodeId(i + 1), 0.5).unwrap();
         }
-        let g = Arc::new(b.build());
+        Arc::new(b.build())
+    }
+
+    #[test]
+    fn query_graph_prunes_irrelevant_branches() {
+        // A core-to-core query must not drag the pendant path into the
+        // query graph.
+        let g = lollipop();
         let idx = ProbTreeIndex::build(Arc::clone(&g));
         let q = idx.extract_query_graph(NodeId(1), NodeId(4));
         assert!(q.graph.num_nodes() <= 8, "nodes {}", q.graph.num_nodes());
         // And a query into the pendant tail expands only that branch.
         let q2 = idx.extract_query_graph(NodeId(1), NodeId(35));
         assert!(q2.graph.num_nodes() >= 30, "nodes {}", q2.graph.num_nodes());
+    }
+
+    #[test]
+    fn in_place_worlds_stay_off_the_pendant_path() {
+        use crate::sampler::coin;
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+        use relcomp_ugraph::traversal::BfsWorkspace;
+
+        let g = lollipop();
+        let idx = ProbTreeIndex::build(Arc::clone(&g));
+        let mut exp = Expansion::new();
+        let mut ws = BfsWorkspace::new(g.num_nodes());
+        let mut rng = ChaCha8Rng::seed_from_u64(71);
+
+        // Core to core: node 0 (the path's anchor) gets explored in some
+        // worlds, yet no pendant-path node is ever queued.
+        let (s, t) = (NodeId(1), NodeId(4));
+        idx.expand(s, t, &mut exp);
+        let mut anchor_explored = false;
+        for _ in 0..500 {
+            idx.world_reaches(s, t, &exp, &mut ws, |p| coin(&mut rng, p));
+            anchor_explored |= ws.visited.contains(NodeId(0));
+            for v in 6..36u32 {
+                assert!(!ws.visited.contains(NodeId(v)), "pendant node {v} queued");
+            }
+        }
+        assert!(anchor_explored, "no world explored past node 0");
+
+        // Into the tail: every 1 -> 8 path is a core path 1 -> 0 followed
+        // by the tail edges 0 -> 6 -> 7 -> 8, so R(1, 8) = R_core(1, 0) ·
+        // 0.5^3. Edges into 1 and out of 0 cannot lie on a simple 1 -> 0
+        // path, and conditioning on the direct edge gives R_core(1, 0) =
+        // 0.5 + 0.5 · R(1, 0 without it): 20 edges, within the exact
+        // oracle's reach.
+        let mut b = GraphBuilder::new(6);
+        for u in 1..6u32 {
+            for v in (0..6u32).filter(|&v| v != u && v != 1 && (u, v) != (1, 0)) {
+                b.add_edge(NodeId(u), NodeId(v), 0.5).unwrap();
+            }
+        }
+        let indirect = crate::exact::exact_reliability(&b.build(), NodeId(1), NodeId(0));
+        let exact = (0.5 + 0.5 * indirect) * 0.5f64.powi(3);
+        let (s, t) = (NodeId(1), NodeId(8));
+        idx.expand(s, t, &mut exp);
+        let k = 40_000;
+        let hits = (0..k)
+            .filter(|_| idx.world_reaches(s, t, &exp, &mut ws, |p| coin(&mut rng, p)))
+            .count();
+        let est = hits as f64 / k as f64;
+        let sigma = (exact * (1.0 - exact) / k as f64).sqrt();
+        assert!(
+            (est - exact).abs() <= 4.0 * sigma,
+            "in place {est} vs exact {exact} (sigma {sigma})"
+        );
     }
 
     #[test]

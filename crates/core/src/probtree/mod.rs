@@ -25,28 +25,39 @@
 //! Bags covering `s` or `t` are expanded along their root paths: an
 //! expanded bag contributes its own edges (recursively expanding on-path
 //! children, substituting the pre-computed virtual edges for off-path
-//! children), everything else stays collapsed. MC sampling (or any coupled
-//! estimator, §3.8) then runs on the much smaller query graph.
+//! children), everything else stays collapsed. The result is the query
+//! graph `G(q)`.
+//!
+//! Plain MC (the served `probtree` estimator) never builds `G(q)`: each
+//! world is a BFS from `s` on the index in place, over the original
+//! out-edges and the virtual edges that `G(q)` keeps, drawing one coin per
+//! probed edge as Algorithm 1 does
+//! ([`ProbTreeIndex::world_reaches`]). Per query it only marks the at most
+//! `2 · height` expanded bags. The coupled estimators (§3.8: LP+, RHH,
+//! RSS) need a materialised graph, so they still run on
+//! [`ProbTreeIndex::extract_query_graph`], which emits the same edge set.
 
 mod decompose;
 
-pub use decompose::{DecompositionStats, ProbTreeIndex};
+pub use decompose::{DecompositionStats, DirEdge, Expansion, ProbTreeIndex};
 
 use crate::estimator::{validate_query, Estimate, Estimator, UpdateOutcome};
 use crate::lazy::LazyPropagation;
-use crate::mc::McSampling;
 use crate::memory::MemoryTracker;
 use crate::recursive::{RecursiveSampling, RecursiveStratified};
+use crate::sampler::coin;
 use crate::session::{EstimationSession, SampleBudget};
 use rand::RngCore;
+use relcomp_ugraph::traversal::BfsWorkspace;
 use relcomp_ugraph::{EdgeUpdate, NodeId, UncertainGraph};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which estimator runs on the extracted query graph (§3.8, Table 16).
+/// Which estimator samples the query graph (§3.8, Table 16).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InnerEstimator {
-    /// Plain MC — what the original ProbTree paper used.
+    /// Plain MC — what the original ProbTree paper used. Samples on the
+    /// index in place; the others run on the extracted query graph.
     Mc,
     /// Corrected lazy propagation.
     LpPlus,
@@ -67,12 +78,15 @@ impl InnerEstimator {
     }
 }
 
-/// ProbTree estimator: FWD index + per-query graph extraction + inner
-/// estimator.
+/// ProbTree estimator: FWD index + inner estimator over the query graph.
 pub struct ProbTree {
     index: ProbTreeIndex,
     inner: InnerEstimator,
     build_time: Duration,
+    /// The current query's expanded bags (in-place MC).
+    expansion: Expansion,
+    /// BFS workspace over the original node space (in-place MC).
+    ws: BfsWorkspace,
 }
 
 impl ProbTree {
@@ -87,13 +101,22 @@ impl ProbTree {
     /// Build the FWD index with a coupled inner estimator (§3.8).
     pub fn with_inner(graph: Arc<UncertainGraph>, inner: InnerEstimator) -> Self {
         let start = Instant::now();
+        let n = graph.num_nodes();
         let index = ProbTreeIndex::build(graph);
         let build_time = start.elapsed();
         ProbTree {
             index,
             inner,
             build_time,
+            expansion: Expansion::new(),
+            ws: BfsWorkspace::new(n),
         }
+    }
+
+    /// Bytes of the per-query scratch held between queries: the BFS
+    /// workspace and one expansion mark per bag.
+    fn scratch_bytes(&self) -> usize {
+        BfsWorkspace::bytes_for(self.index.graph().num_nodes()) + self.index.num_bags()
     }
 
     /// Offline index construction time (Fig. 13a).
@@ -128,28 +151,32 @@ impl Estimator for ProbTree {
             return EstimationSession::begin(budget).finish_exact(1.0, &mem);
         }
 
-        // Extract the equivalent query graph G(q); the whole budget —
-        // including its convergence tracking — runs on the inner
-        // estimator over the (much smaller) extracted graph.
+        let coupled: fn(Arc<UncertainGraph>) -> Box<dyn Estimator> = match self.inner {
+            InnerEstimator::Mc => {
+                // Sample G(q) in place: nothing proportional to m is built.
+                let session = EstimationSession::begin(budget);
+                mem.alloc(self.scratch_bytes());
+                let (index, exp, ws) = (&self.index, &mut self.expansion, &mut self.ws);
+                index.expand(s, t, exp);
+                return session.run_bernoulli(&mem, || {
+                    index.world_reaches(s, t, exp, ws, |p| coin(rng, p))
+                });
+            }
+            InnerEstimator::LpPlus => |g| Box::new(LazyPropagation::corrected(g)),
+            InnerEstimator::Rhh => |g| Box::new(RecursiveSampling::new(g)),
+            InnerEstimator::Rss => |g| Box::new(RecursiveStratified::new(g)),
+        };
+
+        // The coupled estimators run — budget and convergence tracking
+        // included — on the (much smaller) extracted graph G(q).
         let extraction = self.index.extract_query_graph(s, t);
         mem.alloc(extraction.graph.resident_bytes());
-
-        let qgraph = Arc::new(extraction.graph);
-        let (qs, qt) = (extraction.s, extraction.t);
-        let inner_est = match self.inner {
-            InnerEstimator::Mc => {
-                McSampling::new(Arc::clone(&qgraph)).estimate_with(qs, qt, budget, rng)
-            }
-            InnerEstimator::LpPlus => {
-                LazyPropagation::corrected(Arc::clone(&qgraph)).estimate_with(qs, qt, budget, rng)
-            }
-            InnerEstimator::Rhh => {
-                RecursiveSampling::new(Arc::clone(&qgraph)).estimate_with(qs, qt, budget, rng)
-            }
-            InnerEstimator::Rss => {
-                RecursiveStratified::new(Arc::clone(&qgraph)).estimate_with(qs, qt, budget, rng)
-            }
-        };
+        let inner_est = coupled(Arc::new(extraction.graph)).estimate_with(
+            extraction.s,
+            extraction.t,
+            budget,
+            rng,
+        );
         mem.alloc(inner_est.aux_bytes);
 
         Estimate {
@@ -164,7 +191,7 @@ impl Estimator for ProbTree {
     }
 
     fn resident_bytes(&self) -> usize {
-        self.index.size_bytes()
+        self.index.size_bytes() + self.scratch_bytes()
     }
 
     /// Incremental index maintenance: re-aggregate only the decomposition

@@ -6,7 +6,7 @@
 //! budgets allocated proportionally to group probabilities, which provably
 //! reduces estimator variance below plain MC.
 //!
-//! The shared [`state::RecState`] tracks the inclusion/exclusion overlay
+//! The shared `state::RecState` tracks the inclusion/exclusion overlay
 //! with a LIFO undo log, the set of nodes reached from `s` through
 //! included edges, the cut check, and the conditional MC fallback used
 //! below the sample-size threshold.

@@ -6,7 +6,7 @@
 //! preference), splits the prefix group into the worlds containing `e` and
 //! those not, and *deterministically* allocates `K·P(e)` samples to the
 //! first and the rest to the second (the Hansen–Hurwitz style allocation
-//! that reduces variance vs. plain MC, Theorem 2 of [20]). Recursion stops
+//! that reduces variance vs. plain MC, Theorem 2 of \[20\]). Recursion stops
 //! on: an included s-t path (reliability 1), an excluded s-t cut
 //! (reliability 0), or a budget below the threshold (conditional MC).
 

@@ -35,7 +35,7 @@ pub struct RecursiveStratified {
 impl RecursiveStratified {
     /// Paper defaults (§3.1.3).
     pub const DEFAULT_THRESHOLD: usize = 5;
-    /// Paper default stratum count `r` (§3.1.3, recommended in [28]).
+    /// Paper default stratum count `r` (§3.1.3, recommended in \[28\]).
     pub const DEFAULT_R: usize = 50;
 
     /// Create with paper-default parameters.

@@ -1,7 +1,7 @@
 //! Exact reliability-preserving graph reductions.
 //!
 //! Classic preprocessing from the device-network reliability literature
-//! the paper builds on (Aggarwal et al. [3]; also the mechanism behind
+//! the paper builds on (Aggarwal et al. \[3\]; also the mechanism behind
 //! ProbTree's lossless bags): repeatedly apply local rewrites that leave
 //! `R(s, t)` unchanged while shrinking the graph, then hand the reduced
 //! graph to any estimator.

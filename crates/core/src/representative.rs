@@ -1,6 +1,6 @@
 //! Representative possible worlds — the "one good deterministic
 //! instance" branch of the paper's Figure 2 spectrum (Parchas et al.,
-//! SIGMOD'14 [33]; Song et al. [37]).
+//! SIGMOD'14 \[33\]; Song et al. \[37\]).
 //!
 //! Instead of sampling thousands of worlds per query, extract *one*
 //! deterministic graph that preserves structural expectations, then

@@ -399,7 +399,7 @@ impl Convergence {
     /// correction matters exactly where adaptive recursion stops — a
     /// handful of batches). Infinite until the tracker has enough
     /// observations to say anything (one Bernoulli batch, or
-    /// [`MIN_CONTINUOUS_OBS`] continuous observations).
+    /// `MIN_CONTINUOUS_OBS` continuous observations).
     pub fn half_width(&self) -> f64 {
         if self.bernoulli {
             if self.count == 0 {
@@ -518,6 +518,29 @@ impl EstimationSession {
     /// The session's start instant (for callers timing sub-steps).
     pub fn started_at(&self) -> Instant {
         self.start
+    }
+
+    /// Drive the whole session with one Bernoulli draw per sample and
+    /// package the hit fraction: the loop MC and in-place ProbTree share.
+    /// `world` samples one possible world and reports whether `t` was
+    /// reached. Batching does not perturb the draw sequence, so a fixed
+    /// budget draws exactly the worlds a single loop of `k` would.
+    pub fn run_bernoulli(
+        mut self,
+        mem: &MemoryTracker,
+        mut world: impl FnMut() -> bool,
+    ) -> Estimate {
+        let mut hits = 0usize;
+        loop {
+            let n = self.next_batch();
+            if n == 0 {
+                break;
+            }
+            let batch_hits = (0..n).filter(|_| world()).count();
+            hits += batch_hits;
+            self.record_hits(batch_hits, n);
+        }
+        self.finish(hits as f64 / self.samples as f64, mem)
     }
 
     /// The stop reason, defaulting sensibly if the caller broke out of

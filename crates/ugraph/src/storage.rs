@@ -2,7 +2,7 @@
 //!
 //! Every array inside [`UncertainGraph`](crate::graph::UncertainGraph)
 //! is an [`EdgeStorage<T>`]: either today's heap `Arc<[T]>`, or a typed
-//! view into a page-aligned read-only [`Mmap`](crate::mmap::Mmap) of a
+//! view into a page-aligned read-only [`Mmap`] of a
 //! v2 graph file (see [`crate::format`]). Both variants are cheap to
 //! clone and deref to `&[T]`, so the estimators never see the
 //! difference — and the copy-on-write epoch machinery keeps working

@@ -123,6 +123,27 @@ proptest! {
             "extraction changed reliability: {extracted} vs {exact}");
     }
 
+    /// ProbTree's in-place view and extraction share one visibility rule:
+    /// for every (s, t), the edges the in-place BFS can traverse are
+    /// exactly the edges extraction collects before relabelling, as a
+    /// multiset of (from, to, p). Every pair is tried, so pendant bags and
+    /// endpoints covered deep in the tree are exercised.
+    #[test]
+    fn probtree_in_place_view_matches_extraction((n, edges) in small_digraph()) {
+        let g = Arc::new(build(n, &edges));
+        let index = relcomp_core::probtree::ProbTreeIndex::build(Arc::clone(&g));
+        let key = |e: &relcomp_core::probtree::DirEdge| (e.from, e.to, e.prob.to_bits());
+        for s in g.nodes() {
+            for t in g.nodes() {
+                let mut lazy: Vec<_> = index.visible_edges(s, t).iter().map(key).collect();
+                let mut extracted: Vec<_> = index.query_edges(s, t).iter().map(key).collect();
+                lazy.sort_unstable();
+                extracted.sort_unstable();
+                prop_assert_eq!(lazy, extracted, "query {:?} -> {:?}", s, t);
+            }
+        }
+    }
+
     /// Graph IO round-trips losslessly.
     #[test]
     fn io_round_trip((n, edges) in small_digraph()) {
