@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use relcomp_core::bfs_sharing::BfsSharingIndex;
-use relcomp_core::Estimator;
 use relcomp_core::probtree::{ProbTree, ProbTreeIndex};
+use relcomp_core::Estimator;
 use relcomp_eval::Workload;
 use relcomp_ugraph::Dataset;
 use std::sync::Arc;

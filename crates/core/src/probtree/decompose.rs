@@ -60,16 +60,31 @@ enum Entry {
 const IN_ROOT: u32 = u32::MAX;
 
 /// A decomposition bag: a covered node, its boundary (1 or 2 nodes), the
-/// absorbed content, and the upward virtual edges.
+/// absorbed content, and where its upward virtual edges are stored.
 struct Bag {
     covered: NodeId,
     boundary: Vec<NodeId>,
     entries: Vec<Entry>,
-    /// Virtual directed edges between boundary nodes, pre-computed bottom-up
-    /// (empty for single-boundary bags).
-    up_edges: Vec<DirEdge>,
+    /// Slots in [`ProbTreeIndex::virtual_out`] of the virtual edges
+    /// `boundary[0] -> boundary[1]` and back (two-boundary bags only;
+    /// pendant bags carry no transit connectivity).
+    up_slots: [u32; 2],
     /// Parent bag, or `None` if the bag hangs off the root.
     parent: Option<usize>,
+}
+
+/// A bag's pre-computed virtual edge, stored under its source node so the
+/// in-place BFS reads a node's virtual edges as one contiguous run.
+#[derive(Clone, Copy, Debug)]
+struct VirtualEdge {
+    /// The two-boundary bag it summarises.
+    bag: u32,
+    /// That bag's parent ([`IN_ROOT`] if it hangs off the root).
+    parent: u32,
+    to: NodeId,
+    /// Aggregated bottom-up; 0 when the bag holds no path this way (such an
+    /// edge is neither traversed nor extracted).
+    prob: f64,
 }
 
 /// Summary statistics of a built index (Fig. 13 reporting).
@@ -96,11 +111,12 @@ pub struct ProbTreeIndex {
     /// lives in the root). Drives incremental maintenance: an updated
     /// edge dirties exactly this bag.
     edge_bag: Vec<u32>,
-    /// Topology-only CSR over nodes: `bounded_bags[bounded_start[v]..
-    /// bounded_start[v + 1]]` are the two-boundary bags `v` bounds, i.e.
-    /// the bags whose virtual edges can leave `v`.
-    bounded_start: Vec<u32>,
-    bounded_bags: Vec<u32>,
+    /// CSR over nodes: `virtual_out[virtual_start[v]..virtual_start[v +
+    /// 1]]` are the virtual edges leaving `v`, one per two-boundary bag `v`
+    /// bounds, in bag order. The layout is fixed by the topology; only the
+    /// probabilities change under [`apply_updates`](Self::apply_updates).
+    virtual_start: Vec<u32>,
+    virtual_out: Vec<VirtualEdge>,
 }
 
 /// The bags Algorithm 8 expands for one query: the root paths of the bags
@@ -127,9 +143,19 @@ impl Expansion {
         self.marked[bag]
     }
 
-    /// Approximate resident bytes (for memory accounting).
-    pub fn resident_bytes(&self) -> usize {
-        self.marked.capacity() + self.bags.capacity() * std::mem::size_of::<usize>()
+    /// The visibility rule for raw edges held by `bag` ([`IN_ROOT`] for
+    /// the root): visible iff the root holds them or `bag` is expanded.
+    #[inline]
+    fn shows_raw(&self, bag: u32) -> bool {
+        bag == IN_ROOT || self.marked[bag as usize]
+    }
+
+    /// The visibility rule for the virtual edges of `bag`, whose parent is
+    /// `parent`: visible iff `bag` is collapsed and hangs off the root or
+    /// an expanded bag.
+    #[inline]
+    fn shows_virtual(&self, bag: u32, parent: u32) -> bool {
+        !self.marked[bag as usize] && self.shows_raw(parent)
     }
 }
 
@@ -256,7 +282,7 @@ impl ProbTreeIndex {
                 covered: v_node,
                 boundary,
                 entries,
-                up_edges: Vec::new(),
+                up_slots: [0; 2],
                 parent: None,
             });
         }
@@ -287,27 +313,38 @@ impl ProbTreeIndex {
             }
         }
 
-        // Node -> the two-boundary bags it bounds, in bag order.
-        let mut bounded_start = vec![0u32; n + 1];
-        let two_boundary = || {
-            bags.iter()
-                .enumerate()
-                .filter(|(_, bag)| bag.boundary.len() == 2)
-        };
-        for (_, bag) in two_boundary() {
+        // Node -> the virtual edges leaving it, in bag order; the
+        // probabilities are filled in bottom-up below.
+        let mut virtual_start = vec![0u32; n + 1];
+        for bag in bags.iter().filter(|bag| bag.boundary.len() == 2) {
             for b in &bag.boundary {
-                bounded_start[b.index() + 1] += 1;
+                virtual_start[b.index() + 1] += 1;
             }
         }
         for v in 0..n {
-            bounded_start[v + 1] += bounded_start[v];
+            virtual_start[v + 1] += virtual_start[v];
         }
-        let mut bounded_bags = vec![0u32; bounded_start[n] as usize];
-        let mut fill = bounded_start.clone();
-        for (bag_id, bag) in two_boundary() {
-            for b in &bag.boundary {
-                bounded_bags[fill[b.index()] as usize] = bag_id as u32;
-                fill[b.index()] += 1;
+        let unset = VirtualEdge {
+            bag: 0,
+            parent: IN_ROOT,
+            to: NodeId(0),
+            prob: 0.0,
+        };
+        let mut virtual_out = vec![unset; virtual_start[n] as usize];
+        let mut fill = virtual_start.clone();
+        for (bag_id, bag) in bags.iter_mut().enumerate() {
+            if let [a, b] = bag.boundary[..] {
+                let parent = bag.parent.map_or(IN_ROOT, |p| p as u32);
+                for (slot, (from, to)) in bag.up_slots.iter_mut().zip([(a, b), (b, a)]) {
+                    *slot = fill[from.index()];
+                    fill[from.index()] += 1;
+                    virtual_out[*slot as usize] = VirtualEdge {
+                        bag: bag_id as u32,
+                        parent,
+                        to,
+                        prob: 0.0,
+                    };
+                }
             }
         }
 
@@ -317,8 +354,8 @@ impl ProbTreeIndex {
             covered_in,
             root_entries,
             edge_bag,
-            bounded_start,
-            bounded_bags,
+            virtual_start,
+            virtual_out,
         };
         index.precompute_up_edges();
         index
@@ -344,22 +381,40 @@ impl ProbTreeIndex {
         }
         let (a, b) = (self.bags[i].boundary[0], self.bags[i].boundary[1]);
         let v = self.bags[i].covered;
-        let mut up = Vec::with_capacity(2);
-        for (x, y) in [(a, b), (b, a)] {
+        let mut changed = false;
+        for (slot, (x, y)) in self.bags[i].up_slots.into_iter().zip([(a, b), (b, a)]) {
             let direct = self.combined_prob(i, x, y);
             let via = self.combined_prob(i, x, v) * self.combined_prob(i, v, y);
             let p = 1.0 - (1.0 - direct) * (1.0 - via);
-            if p > 0.0 {
-                up.push(DirEdge {
-                    from: x,
-                    to: y,
-                    prob: p.min(1.0),
-                });
-            }
+            let p = if p > 0.0 { p.min(1.0) } else { 0.0 };
+            let edge = &mut self.virtual_out[slot as usize];
+            changed |= edge.prob != p;
+            edge.prob = p;
         }
-        let changed = up != self.bags[i].up_edges;
-        self.bags[i].up_edges = up;
         changed
+    }
+
+    /// Bag `c`'s upward virtual edges with positive probability, in
+    /// boundary order.
+    fn up_edges(&self, c: usize) -> impl Iterator<Item = DirEdge> + '_ {
+        let bag = &self.bags[c];
+        let slots: &[u32] = if bag.boundary.len() == 2 {
+            &bag.up_slots
+        } else {
+            &[]
+        };
+        slots
+            .iter()
+            .zip(&bag.boundary)
+            .map(|(&slot, &from)| {
+                let edge = &self.virtual_out[slot as usize];
+                DirEdge {
+                    from,
+                    to: edge.to,
+                    prob: edge.prob,
+                }
+            })
+            .filter(|e| e.prob > 0.0)
     }
 
     /// Incremental index maintenance for a batch of edge-probability
@@ -416,7 +471,7 @@ impl ProbTreeIndex {
                     }
                 }
                 Entry::Child(c) => {
-                    for e in &self.bags[c].up_edges {
+                    for e in self.up_edges(c) {
                         if e.from == from && e.to == to {
                             fail *= 1.0 - e.prob;
                         }
@@ -452,20 +507,19 @@ impl ProbTreeIndex {
         }
     }
 
-    /// Index size in bytes (Fig. 13b): bag metadata, entries, virtual
-    /// edges, the covered-node lookup and the node-to-bag CSR.
+    /// Index size in bytes (Fig. 13b): bag metadata, entries, the virtual
+    /// edges with their node CSR, and the covered-node lookup.
     pub fn size_bytes(&self) -> usize {
         let entry = std::mem::size_of::<Entry>();
-        let dir = std::mem::size_of::<DirEdge>();
         let mut total = self.covered_in.len() * 5
             + self.root_entries.len() * entry
             + self.edge_bag.len() * 4
-            + (self.bounded_start.len() + self.bounded_bags.len()) * 4;
+            + self.virtual_start.len() * 4
+            + self.virtual_out.len() * std::mem::size_of::<VirtualEdge>();
         for bag in &self.bags {
-            total += 32 // covered/parent/headers
+            total += 40 // covered/parent/up_slots/headers
                 + bag.boundary.len() * 4
-                + bag.entries.len() * entry
-                + bag.up_edges.len() * dir;
+                + bag.entries.len() * entry;
         }
         total
     }
@@ -496,24 +550,9 @@ impl ProbTreeIndex {
         }
     }
 
-    /// Visibility of raw edge `e` under `exp`: it lives in the root or in
-    /// an expanded bag.
-    #[inline]
-    fn raw_visible(&self, e: EdgeId, exp: &Expansion) -> bool {
-        let bag = self.edge_bag[e.index()];
-        bag == IN_ROOT || exp.contains(bag as usize)
-    }
-
-    /// Visibility of bag `c`'s virtual up-edges under `exp`: `c` is
-    /// collapsed and hangs off the root or an expanded bag.
-    #[inline]
-    fn up_visible(&self, c: usize, exp: &Expansion) -> bool {
-        !exp.contains(c) && self.bags[c].parent.map_or(true, |p| exp.contains(p))
-    }
-
     /// The edges of `G(q)` leaving `v` as `(target, probability)`: the
     /// visible raw out-edges in graph order, then the visible virtual
-    /// edges of the bags `v` bounds.
+    /// edges `v` is the source of.
     #[inline]
     fn visible_out<'a>(
         &'a self,
@@ -523,17 +562,14 @@ impl ProbTreeIndex {
         let raw = self
             .graph
             .out_edges(v)
-            .filter(move |&(e, _)| self.raw_visible(e, exp))
+            .filter(move |&(e, _)| exp.shows_raw(self.edge_bag[e.index()]))
             .map(move |(e, w)| (w, self.graph.prob(e).value()));
-        let bounded = &self.bounded_bags
-            [self.bounded_start[v.index()] as usize..self.bounded_start[v.index() + 1] as usize];
-        let virtual_edges = bounded
+        let range =
+            self.virtual_start[v.index()] as usize..self.virtual_start[v.index() + 1] as usize;
+        let virtual_edges = self.virtual_out[range]
             .iter()
-            .map(|&c| c as usize)
-            .filter(move |&c| self.up_visible(c, exp))
-            .flat_map(move |c| self.bags[c].up_edges.iter())
-            .filter(move |d| d.from == v)
-            .map(|d| (d.to, d.prob));
+            .filter(move |e| e.prob > 0.0 && exp.shows_virtual(e.bag, e.parent))
+            .map(|e| (e.to, e.prob));
         raw.chain(virtual_edges)
     }
 
@@ -603,7 +639,7 @@ impl ProbTreeIndex {
         while let Some(entry) = stack.pop() {
             match *entry {
                 Entry::Raw(e) => {
-                    debug_assert!(self.raw_visible(e, &exp));
+                    debug_assert!(exp.shows_raw(self.edge_bag[e.index()]));
                     edges.push(DirEdge {
                         from: self.graph.source(e),
                         to: self.graph.target(e),
@@ -612,8 +648,9 @@ impl ProbTreeIndex {
                 }
                 Entry::Child(c) if exp.contains(c) => stack.extend(self.bags[c].entries.iter()),
                 Entry::Child(c) => {
-                    debug_assert!(self.up_visible(c, &exp));
-                    edges.extend(self.bags[c].up_edges.iter().copied());
+                    let parent = self.bags[c].parent.map_or(IN_ROOT, |p| p as u32);
+                    debug_assert!(exp.shows_virtual(c as u32, parent));
+                    edges.extend(self.up_edges(c));
                 }
             }
         }
