@@ -124,7 +124,7 @@ pub struct ProbTreeIndex {
 /// most `2 · height` bags. Filled by [`ProbTreeIndex::expand`]; reusable
 /// across queries (refilling clears only the previous query's marks).
 #[derive(Clone, Debug, Default)]
-pub struct Expansion {
+pub(crate) struct Expansion {
     /// Per bag: expanded for the current query.
     marked: Vec<bool>,
     /// The marked bags, for clearing in `O(height)`.
@@ -133,7 +133,7 @@ pub struct Expansion {
 
 impl Expansion {
     /// An empty expansion (sized on first [`ProbTreeIndex::expand`]).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -525,13 +525,13 @@ impl ProbTreeIndex {
     }
 
     /// Number of decomposition bags.
-    pub fn num_bags(&self) -> usize {
+    pub(crate) fn num_bags(&self) -> usize {
         self.bags.len()
     }
 
     /// Fill `exp` with the bags to expand for `(s, t)`: the root paths of
     /// the bags covering `s` and `t`.
-    pub fn expand(&self, s: NodeId, t: NodeId, exp: &mut Expansion) {
+    pub(crate) fn expand(&self, s: NodeId, t: NodeId, exp: &mut Expansion) {
         for &b in &exp.bags {
             exp.marked[b] = false;
         }
@@ -580,7 +580,7 @@ impl ProbTreeIndex {
     /// raw or virtual — whose target is still unvisited, exactly as MC
     /// (Alg. 1) probes edges lazily. Parallel edges get one draw each
     /// rather than one OR-merged draw; reachability is equal in law.
-    pub fn world_reaches<F>(
+    pub(crate) fn world_reaches<F>(
         &self,
         s: NodeId,
         t: NodeId,
@@ -614,7 +614,7 @@ impl ProbTreeIndex {
         false
     }
 
-    /// Every edge [`world_reaches`](Self::world_reaches) can traverse for
+    /// Every edge the in-place BFS (`world_reaches`) can traverse for
     /// `(s, t)`, in node order: the lazy view of `G(q)` as a list.
     pub fn visible_edges(&self, s: NodeId, t: NodeId) -> Vec<DirEdge> {
         let mut exp = Expansion::new();
@@ -661,7 +661,7 @@ impl ProbTreeIndex {
     /// [`query_edges`](Self::query_edges) relabelled into a dense small
     /// graph, parallel edges OR-merged. The coupled estimators (§3.8)
     /// need this materialised graph; plain MC samples the same edges in
-    /// place through [`world_reaches`](Self::world_reaches).
+    /// place (`world_reaches`).
     pub fn extract_query_graph(&self, s: NodeId, t: NodeId) -> QueryExtraction {
         let edges = self.query_edges(s, t);
 

@@ -32,14 +32,16 @@
 //! world is a BFS from `s` on the index in place, over the original
 //! out-edges and the virtual edges that `G(q)` keeps, drawing one coin per
 //! probed edge as Algorithm 1 does
-//! ([`ProbTreeIndex::world_reaches`]). Per query it only marks the at most
+//! (`ProbTreeIndex::world_reaches`). Per query it only marks the at most
 //! `2 · height` expanded bags. The coupled estimators (§3.8: LP+, RHH,
 //! RSS) need a materialised graph, so they still run on
 //! [`ProbTreeIndex::extract_query_graph`], which emits the same edge set.
 
 mod decompose;
 
-pub use decompose::{DecompositionStats, DirEdge, Expansion, ProbTreeIndex};
+pub use decompose::{DecompositionStats, DirEdge, ProbTreeIndex};
+
+use decompose::Expansion;
 
 use crate::estimator::{validate_query, Estimate, Estimator, UpdateOutcome};
 use crate::lazy::LazyPropagation;
