@@ -90,7 +90,6 @@ pub fn mc_distance_constrained(
     k: usize,
     rng: &mut dyn RngCore,
 ) -> f64 {
-    assert!(k > 0, "sample count must be positive");
     distance_constrained_with(graph, s, t, d, &SampleBudget::fixed(k), rng).reliability
 }
 

@@ -115,7 +115,6 @@ pub trait Estimator {
     /// # Panics
     /// Panics if `k` is zero or `s`/`t` are out of range.
     fn estimate(&mut self, s: NodeId, t: NodeId, k: usize, rng: &mut dyn RngCore) -> Estimate {
-        assert!(k > 0, "sample count must be positive");
         self.estimate_with(s, t, &SampleBudget::fixed(k), rng)
     }
 

@@ -52,8 +52,6 @@ pub mod parallel;
 pub mod paths;
 pub mod probtree;
 pub mod recursive;
-pub mod reduce;
-pub mod representative;
 pub mod sampler;
 pub mod session;
 pub mod suite;

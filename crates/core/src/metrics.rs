@@ -1,16 +1,12 @@
 //! Core-side observability plumbing: every finished estimation session is
 //! folded into the process-global probes in [`relcomp_obs::sampler`] and
-//! mirrored to two local channels:
-//!
-//! - an **injectable sink** ([`install_session_sink`]) for embedders that
-//!   want a live tap on session completions (tests, custom exporters);
-//! - a **thread-local accumulator** ([`take_thread_session_stats`]) that the
-//!   serve engine drains around a query to split its trace into `sample` vs
-//!   `convergence_check` time. This works because every estimation path —
-//!   resident estimators, the parallel sampler's `run_adaptive` (which
-//!   evaluates the stopping rule at round barriers on the caller thread),
-//!   and the fixed paths — funnels through [`crate::session::finish_estimate`]
-//!   on the thread that issued the query.
+//! into a **thread-local accumulator** ([`take_thread_session_stats`]) that
+//! the serve engine drains around a query to split its trace into `sample`
+//! vs `convergence_check` time. This works because every estimation path —
+//! resident estimators, the parallel sampler's `run_adaptive` (which
+//! evaluates the stopping rule at round barriers on the caller thread), and
+//! the fixed paths — funnels through [`crate::session::finish_estimate`] on
+//! the thread that issued the query.
 //!
 //! Time spent inside the convergence stopping rule is measured by
 //! `should_stop` itself into a thread-local tally and drained into the next
@@ -18,28 +14,8 @@
 //! separable without threading timers through every estimator.
 
 use std::cell::Cell;
-use std::sync::RwLock;
 
 pub use relcomp_obs::SessionObservation;
-
-/// A live tap on finished estimation sessions. Implementations must be cheap
-/// and non-blocking — the sink runs inline in the estimation epilogue.
-pub trait SessionSink: Send + Sync {
-    /// Observe one finished estimation session.
-    fn record(&self, obs: &SessionObservation);
-}
-
-static SINK: RwLock<Option<Box<dyn SessionSink>>> = RwLock::new(None);
-
-/// Install a process-wide session sink, replacing any previous one.
-pub fn install_session_sink(sink: Box<dyn SessionSink>) {
-    *SINK.write().unwrap() = Some(sink);
-}
-
-/// Remove the installed session sink, if any.
-pub fn clear_session_sink() {
-    *SINK.write().unwrap() = None;
-}
 
 /// Sessions finished on this thread since the last
 /// [`take_thread_session_stats`], summed.
@@ -78,15 +54,10 @@ pub(crate) fn take_convergence_nanos() -> u64 {
     CONVERGENCE_NANOS.with(|c| c.replace(0))
 }
 
-/// Record one finished estimation session: global sampler probes, the
-/// optional sink, and this thread's accumulator.
+/// Record one finished estimation session: global sampler probes and this
+/// thread's accumulator.
 pub(crate) fn emit_session(obs: SessionObservation) {
     relcomp_obs::note_session(&obs);
-    if let Ok(guard) = SINK.read() {
-        if let Some(sink) = guard.as_ref() {
-            sink.record(&obs);
-        }
-    }
     THREAD_STATS.with(|c| {
         let mut s = c.get();
         s.sessions += 1;
@@ -109,25 +80,9 @@ pub fn take_thread_session_stats() -> ThreadSessionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     #[test]
-    fn emit_updates_thread_stats_and_sink() {
-        struct CountingSink(Arc<AtomicU64>, std::thread::ThreadId);
-        impl SessionSink for CountingSink {
-            fn record(&self, obs: &SessionObservation) {
-                // The sink is process-wide and other tests finish sessions
-                // on their own threads meanwhile: count only this test's.
-                if std::thread::current().id() == self.1 {
-                    self.0.fetch_add(obs.samples, Ordering::Relaxed);
-                }
-            }
-        }
-
-        let seen = Arc::new(AtomicU64::new(0));
-        let me = std::thread::current().id();
-        install_session_sink(Box::new(CountingSink(seen.clone(), me)));
+    fn emit_updates_thread_stats() {
         let _ = take_thread_session_stats();
 
         note_convergence_nanos(40);
@@ -157,7 +112,5 @@ mod tests {
         assert_eq!(stats.micros, 15);
         assert_eq!(stats.convergence_nanos, 40);
         assert_eq!(take_thread_session_stats(), ThreadSessionStats::default());
-        assert_eq!(seen.load(Ordering::Relaxed), 192);
-        clear_session_sink();
     }
 }

@@ -524,7 +524,8 @@ impl EstimationSession {
     /// package the hit fraction: the loop MC and in-place ProbTree share.
     /// `world` samples one possible world and reports whether `t` was
     /// reached. Batching does not perturb the draw sequence, so a fixed
-    /// budget draws exactly the worlds a single loop of `k` would.
+    /// budget draws exactly the worlds a single loop of `k` would. Each
+    /// world counts once as a scalar sample in `relcomp_samples_total`.
     pub fn run_bernoulli(
         mut self,
         mem: &MemoryTracker,
@@ -537,6 +538,7 @@ impl EstimationSession {
                 break;
             }
             let batch_hits = (0..n).filter(|_| world()).count();
+            relcomp_obs::note_scalar_samples(n as u64);
             hits += batch_hits;
             self.record_hits(batch_hits, n);
         }

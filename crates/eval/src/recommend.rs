@@ -107,7 +107,7 @@ pub fn overall_recommendation() -> EstimatorKind {
     EstimatorKind::ProbTree
 }
 
-/// Render Fig. 18 as indented text (for the `fig18_decision_tree` binary).
+/// Render Fig. 18 as indented text (for the `table17_summary` binary).
 pub fn render_decision_tree() -> String {
     let mut out = String::new();
     out.push_str("Memory budget?\n");

@@ -119,7 +119,8 @@ fn estimator_idx(label: &str) -> usize {
         .unwrap_or(ESTIMATOR_LABELS.len() - 1)
 }
 
-/// Per-engine registry. Construct one per [`QueryEngine`]-like owner; call
+/// Per-engine registry. Construct one per query engine
+/// (`relcomp_serve::QueryEngine`) or similar owner; call
 /// [`Registry::observe_query`] from the single place that finishes queries.
 #[derive(Debug, Default)]
 pub struct Registry {

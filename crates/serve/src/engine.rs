@@ -83,51 +83,56 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-/// Tunable knobs of a [`QueryEngine`].
+/// Result-cache shard count.
+const CACHE_SHARDS: usize = 16;
+
+/// Admission control: largest accepted per-query sample budget.
+pub const MAX_SAMPLES: usize = 1_000_000;
+
+/// Admission control: largest accepted batch.
+pub const MAX_BATCH: usize = 1024;
+
+/// Estimator used when a query does not specify one.
+const DEFAULT_ESTIMATOR: EstimatorKind = EstimatorKind::Mc;
+
+/// Relative half-width target the `auto` planner budgets for when the
+/// client gave neither `samples` nor `eps`: the Fig. 18 pick then runs
+/// until this accuracy instead of a raw default K.
+pub const AUTO_EPS: f64 = 0.01;
+
+/// `estimator:"auto"` policy handed to Fig. 18: a larger memory budget,
+/// higher variance acceptable, faster answers.
+const AUTO_NEEDS: (MemoryBudget, VarianceNeed, SpeedNeed) = (
+    MemoryBudget::Larger,
+    VarianceNeed::Higher,
+    SpeedNeed::Faster,
+);
+
+/// Tunable knobs of a [`QueryEngine`]. The admission limits
+/// ([`MAX_SAMPLES`], [`MAX_BATCH`], and [`DEFAULT_MAX_CANDIDATES`] for the
+/// `maximize` candidate pool) and the `auto` policy ([`AUTO_EPS`]) are
+/// fixed.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Sampling worker threads per query (0 = all available cores).
     pub threads: usize,
     /// Result-cache capacity in entries.
     pub cache_capacity: usize,
-    /// Result-cache shard count.
-    pub cache_shards: usize,
     /// Sample budget used when a query does not specify one.
     pub default_samples: usize,
-    /// Admission control: largest accepted per-query sample budget.
-    pub max_samples: usize,
-    /// Admission control: largest accepted batch.
-    pub max_batch: usize,
     /// Admission control: most queries/batches computed concurrently.
     pub max_inflight: usize,
     /// Seed used when a query does not specify one.
     pub default_seed: u64,
-    /// Estimator used when a query does not specify one.
-    pub default_estimator: EstimatorKind,
     /// Sample cap applied to adaptive queries (`eps`/`time_budget_ms`)
-    /// that do not specify `samples`. Kept well below `max_samples` so
+    /// that do not specify `samples`. Kept well below [`MAX_SAMPLES`] so
     /// an unconverged easy-sounding query cannot eat the whole admission
     /// budget.
     pub adaptive_max_samples: usize,
-    /// Relative half-width target the `auto` planner budgets for when
-    /// the client gave neither `samples` nor `eps`: the Fig. 18 pick
-    /// then runs until this accuracy instead of a raw default K.
-    pub auto_eps: f64,
     /// `k` used when a `topk` request does not specify one.
     pub default_top_k: usize,
     /// `k` used when a `maximize` request does not specify one.
     pub default_maximize_k: usize,
-    /// Admission control: largest accepted `maximize` candidate pool —
-    /// each greedy round may evaluate the whole pool, so this bounds
-    /// the cost multiplier over a plain query. Also the default when a
-    /// request does not specify `candidates`.
-    pub max_maximize_candidates: usize,
-    /// `estimator:"auto"` policy: memory budget handed to Fig. 18.
-    pub memory: MemoryBudget,
-    /// `estimator:"auto"` policy: variance need handed to Fig. 18.
-    pub variance: VarianceNeed,
-    /// `estimator:"auto"` policy: speed need handed to Fig. 18.
-    pub speed: SpeedNeed,
 }
 
 impl Default for EngineConfig {
@@ -136,21 +141,12 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: cores,
             cache_capacity: 4096,
-            cache_shards: 16,
             default_samples: 2000,
-            max_samples: 1_000_000,
-            max_batch: 1024,
             max_inflight: 4 * cores,
             default_seed: 42,
-            default_estimator: EstimatorKind::Mc,
             adaptive_max_samples: DEFAULT_ADAPTIVE_CAP,
-            auto_eps: 0.01,
             default_top_k: 10,
             default_maximize_k: 1,
-            max_maximize_candidates: DEFAULT_MAX_CANDIDATES,
-            memory: MemoryBudget::Larger,
-            variance: VarianceNeed::Higher,
-            speed: SpeedNeed::Faster,
         }
     }
 }
@@ -434,7 +430,7 @@ impl QueryEngine {
                 graph,
                 resident: HashMap::new(),
             }),
-            cache: ShardedLru::new(config.cache_capacity, config.cache_shards),
+            cache: ShardedLru::new(config.cache_capacity, CACHE_SHARDS),
             config,
             threads,
             source: Mutex::new(None),
@@ -534,7 +530,7 @@ impl QueryEngine {
     /// Resolve and admission-check the budget fields every workload
     /// shares: validates the adaptive knobs, substitutes the configured
     /// defaults (the adaptive cap when an adaptive knob is present), and
-    /// enforces the `max_samples` admission limit. Returns a plan for the
+    /// enforces the [`MAX_SAMPLES`] admission limit. Returns a plan for the
     /// pair `(s, t)` answered by MC, which the s-t workload re-targets.
     fn resolve_budget(
         &self,
@@ -555,10 +551,9 @@ impl QueryEngine {
                 self.config.default_samples
             }),
         )?;
-        if samples > self.config.max_samples {
+        if samples > MAX_SAMPLES {
             return Err(Fail::Rejected(format!(
-                "samples {samples} exceeds the admission limit {}",
-                self.config.max_samples
+                "samples {samples} exceeds the admission limit {MAX_SAMPLES}"
             )));
         }
         Ok(PlannedQuery {
@@ -814,10 +809,9 @@ impl QueryEngine {
     /// per-query failures do not fail the batch.
     pub fn execute_batch(&self, reqs: &[QueryRequest]) -> Result<BatchResults, String> {
         let _guard = self.admit().map_err(|f| self.fail(ObsWorkload::St, f))?;
-        if reqs.len() > self.config.max_batch {
-            let limit = self.config.max_batch;
+        if reqs.len() > MAX_BATCH {
             let msg = format!(
-                "batch of {} exceeds the admission limit {limit}",
+                "batch of {} exceeds the admission limit {MAX_BATCH}",
                 reqs.len()
             );
             return Err(self.fail(ObsWorkload::St, Fail::Rejected(msg)));
@@ -907,7 +901,7 @@ impl QueryEngine {
     /// Updates serialize against in-flight resident queries: migration
     /// takes each resident's mutex under the state write lock, so the
     /// swap waits for the slowest resident query currently computing
-    /// (bounded by the admission `max_samples` knob) and new queries
+    /// (bounded by the [`MAX_SAMPLES`] admission limit) and new queries
     /// wait for the swap. That pause is what buys the guarantee that an
     /// epoch's cache entries are only ever computed from that epoch's
     /// index — migrating outside the lock would let a new-epoch key be
@@ -1213,14 +1207,13 @@ impl Workload for QueryRequest {
 
     fn plan(&self, engine: &QueryEngine, graph: &UncertainGraph) -> Result<Plan, Fail> {
         check_nodes(graph, &[("source", self.s), ("target", self.t)])?;
-        let config = &engine.config;
         let mut eps = self.eps;
         let is_auto = self.estimator.as_deref() == Some("auto");
         // The Fig. 18 auto planner now picks *budgets*, not raw sample
         // counts: with no explicit samples or eps, it targets the
-        // configured accuracy adaptively.
+        // fixed accuracy `AUTO_EPS` adaptively.
         if is_auto && self.samples.is_none() && eps.is_none() {
-            eps = Some(config.auto_eps);
+            eps = Some(AUTO_EPS);
         }
         let budget = engine.resolve_budget(
             (self.s, self.t),
@@ -1231,11 +1224,14 @@ impl Workload for QueryRequest {
             self.seed,
         )?;
         let kind = match self.estimator.as_deref() {
-            None => config.default_estimator,
-            Some("auto") => recommend(config.memory, config.variance, config.speed)
-                .first()
-                .copied()
-                .unwrap_or(config.default_estimator),
+            None => DEFAULT_ESTIMATOR,
+            Some("auto") => {
+                let (memory, variance, speed) = AUTO_NEEDS;
+                recommend(memory, variance, speed)
+                    .first()
+                    .copied()
+                    .unwrap_or(DEFAULT_ESTIMATOR)
+            }
             Some(name) => EstimatorKind::parse(name).map_err(Fail::Error)?,
         };
         Ok(Plan {
@@ -1444,20 +1440,20 @@ impl Workload for MaximizeRequest {
 
     fn plan(&self, engine: &QueryEngine, graph: &UncertainGraph) -> Result<Plan, Fail> {
         check_nodes(graph, &[("source", self.s), ("target", self.t)])?;
-        let config = &engine.config;
-        let k = positive("k", self.k.unwrap_or(config.default_maximize_k))?;
+        let k = positive("k", self.k.unwrap_or(engine.config.default_maximize_k))?;
         let boost = self.boost.unwrap_or(1.0);
         if !(boost > 0.0 && boost <= 1.0) {
             return Err(Fail::Error(format!("boost {boost} out of range (0, 1]")));
         }
+        // Each greedy round may evaluate the whole pool, so the pool limit
+        // bounds the cost multiplier over a plain query.
         let candidates = positive(
             "candidates",
-            self.candidates.unwrap_or(config.max_maximize_candidates),
+            self.candidates.unwrap_or(DEFAULT_MAX_CANDIDATES),
         )?;
-        if candidates > config.max_maximize_candidates {
+        if candidates > DEFAULT_MAX_CANDIDATES {
             return Err(Fail::Rejected(format!(
-                "candidate pool {candidates} exceeds the admission limit {}",
-                config.max_maximize_candidates
+                "candidate pool {candidates} exceeds the admission limit {DEFAULT_MAX_CANDIDATES}"
             )));
         }
         let query = engine.resolve_budget(
@@ -1798,18 +1794,12 @@ mod tests {
 
     #[test]
     fn admission_rejects_oversized_budgets_and_batches() {
-        let e = QueryEngine::new(
-            diamond(),
-            EngineConfig {
-                max_samples: 100,
-                max_batch: 2,
-                ..Default::default()
-            },
-        );
+        // Both limits are checked before any world is sampled.
+        let e = engine();
         let mut req = QueryRequest::new(0, 1);
-        req.samples = Some(101);
+        req.samples = Some(MAX_SAMPLES + 1);
         assert!(e.execute(&req).unwrap_err().contains("admission"));
-        let batch = vec![QueryRequest::new(0, 1); 3];
+        let batch = vec![QueryRequest::new(0, 1); MAX_BATCH + 1];
         assert!(e.execute_batch(&batch).unwrap_err().contains("admission"));
         assert_eq!(
             e.stats().rejected,
@@ -1914,7 +1904,7 @@ mod tests {
                 ..QueryRequest::new(0, 3)
             })
             .unwrap();
-        assert_eq!(plan.eps, Some(e.config().auto_eps));
+        assert_eq!(plan.eps, Some(AUTO_EPS));
         assert_eq!(plan.samples, e.config().adaptive_max_samples);
         assert!(!plan.is_fixed());
         // An explicit K keeps auto fixed (paper-table compatibility).
@@ -2091,13 +2081,7 @@ mod tests {
 
     #[test]
     fn extension_workloads_validate_and_admit() {
-        let e = QueryEngine::new(
-            diamond(),
-            EngineConfig {
-                max_samples: 100,
-                ..Default::default()
-            },
-        );
+        let e = engine();
         assert!(e
             .execute_topk(&TopKRequest::new(99))
             .unwrap_err()
@@ -2111,7 +2095,7 @@ mod tests {
             .contains("k must be positive"));
         assert!(e
             .execute_topk(&TopKRequest {
-                samples: Some(101),
+                samples: Some(MAX_SAMPLES + 1),
                 ..TopKRequest::new(0)
             })
             .unwrap_err()

@@ -11,9 +11,8 @@
 //! restarts at — the same epoch-keyed rule the live cache enforces.
 //!
 //! Writes are atomic (temp file + rename), so a crash mid-flush leaves
-//! the previous snapshot intact. A background [`spawn_flusher`] thread
-//! rewrites each tenant's snapshot on a fixed interval and once more on
-//! shutdown.
+//! the previous snapshot intact. A background flusher thread rewrites
+//! each tenant's snapshot on a fixed interval and once more on shutdown.
 
 use crate::engine::{CachedAnswer, MaximizeAnswer, QueryEngine, QueryKey, WorkloadKind};
 use crate::protocol::UpgradeRow;

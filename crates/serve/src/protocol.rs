@@ -51,8 +51,8 @@
 //! the samples actually consumed, the achieved `half_width`, and a
 //! `stop_reason` of `fixed_k`, `converged`, `max_samples`, or
 //! `time_limit`. Under `estimator:"auto"` with no explicit `samples`/
-//! `eps`, the planner itself picks an adaptive budget (the server's
-//! `auto_eps` policy knob) instead of a raw K.
+//! `eps`, the planner itself picks an adaptive budget (the server's fixed
+//! relative accuracy target `engine::AUTO_EPS`, 0.01) instead of a raw K.
 //!
 //! ## Extension workloads
 //!
@@ -730,8 +730,8 @@ pub struct StatsResponse {
     /// `scalar_samples` this shows how much sampling work rides the
     /// word-parallel path.
     pub packed_samples: u64,
-    /// Worlds sampled one at a time (the scalar tails of
-    /// `PackedMcSampling` sessions), process-wide. Served
+    /// Worlds sampled one at a time (plain MC and in-place ProbTree
+    /// with MC, one world per sample), process-wide. Served
     /// `ParallelSampler` shards add none.
     pub scalar_samples: u64,
     /// How the served graph was last loaded from disk: `"mmap"`

@@ -1,5 +1,5 @@
-//! Structural analysis of uncertain graphs: degree distributions, weakly
-//! connected components, and sampled hop statistics.
+//! Structural analysis of uncertain graphs: degree distributions and weakly
+//! connected components.
 //!
 //! Used by the dataset-analog validation (the paper's datasets are
 //! heavy-tailed small-world networks; our generators must be too) and by
@@ -8,7 +8,6 @@
 use crate::graph::UncertainGraph;
 use crate::ids::NodeId;
 use crate::stats::Summary;
-use rand::Rng;
 
 /// Degree statistics for one direction.
 #[derive(Clone, Debug)]
@@ -78,40 +77,11 @@ pub fn largest_component_size(graph: &UncertainGraph) -> usize {
     sizes.into_iter().max().unwrap_or(0)
 }
 
-/// Sampled hop-distance summary: BFS (over all edges, probabilities
-/// ignored) from `samples` random sources; returns the summary of finite
-/// distances and the largest observed distance (an effective-diameter
-/// style estimate — the paper bounds recursion depth by the diameter).
-pub fn sampled_hop_stats<R: Rng + ?Sized>(
-    graph: &UncertainGraph,
-    samples: usize,
-    rng: &mut R,
-) -> Option<(Summary, u32)> {
-    if graph.num_nodes() == 0 || samples == 0 {
-        return None;
-    }
-    let mut finite = Vec::new();
-    let mut max = 0u32;
-    for _ in 0..samples {
-        let s = NodeId(rng.gen_range(0..graph.num_nodes() as u32));
-        let dist = crate::traversal::hop_distances(graph, s, graph.num_nodes());
-        for d in dist.into_iter().flatten() {
-            if d > 0 {
-                finite.push(d as f64);
-                max = max.max(d);
-            }
-        }
-    }
-    Summary::of(&finite).map(|s| (s, max))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::datasets::Dataset;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn two_islands() -> UncertainGraph {
         let mut b = GraphBuilder::new(5);
@@ -154,20 +124,9 @@ mod tests {
     }
 
     #[test]
-    fn hop_stats_are_small_world() {
-        let g = Dataset::LastFm.generate_with_scale(0.1, 5);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let (summary, max) = sampled_hop_stats(&g, 3, &mut rng).unwrap();
-        assert!(summary.mean < 10.0, "mean hops {}", summary.mean);
-        assert!(max < 25, "max hops {max}");
-    }
-
-    #[test]
     fn empty_cases() {
         let g = GraphBuilder::new(0).build();
         let (_, count) = weakly_connected_components(&g);
         assert_eq!(count, 0);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert!(sampled_hop_stats(&g, 2, &mut rng).is_none());
     }
 }

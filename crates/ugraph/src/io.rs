@@ -11,7 +11,7 @@
 //! 1 2 0.25
 //! ```
 
-use crate::builder::{DuplicatePolicy, GraphBuilder};
+use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::graph::UncertainGraph;
 use crate::ids::NodeId;
@@ -88,50 +88,6 @@ pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<UncertainGraph, GraphError>
     read_graph(file)
 }
 
-/// Read a graph, collapsing duplicate edges with `1-(1-p1)(1-p2)` instead
-/// of rejecting them (useful for raw multi-edge dumps).
-pub fn read_graph_combine<R: Read>(input: R) -> Result<UncertainGraph, GraphError> {
-    // Parse through the strict reader first for format errors, but with a
-    // permissive builder. Simplest correct approach: re-implement the loop
-    // with the CombineOr policy.
-    let reader = BufReader::new(input);
-    let mut header: Option<(usize, usize)> = None;
-    let mut builder: Option<GraphBuilder> = None;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        match (&mut header, &mut builder) {
-            (None, _) => {
-                let n: usize = parse_field(&mut parts, idx + 1, "node count")?;
-                let m: usize = parse_field(&mut parts, idx + 1, "edge count")?;
-                header = Some((n, m));
-                builder = Some(
-                    GraphBuilder::new(n)
-                        .with_edge_capacity(m)
-                        .duplicate_policy(DuplicatePolicy::CombineOr),
-                );
-            }
-            (Some(_), Some(b)) => {
-                let u: u32 = parse_field(&mut parts, idx + 1, "source node")?;
-                let v: u32 = parse_field(&mut parts, idx + 1, "target node")?;
-                let p: f64 = parse_field(&mut parts, idx + 1, "probability")?;
-                b.add_edge(NodeId(u), NodeId(v), p)?;
-            }
-            _ => unreachable!(),
-        }
-    }
-    builder
-        .ok_or_else(|| GraphError::Parse {
-            line: 0,
-            message: "missing header line `n m`".into(),
-        })
-        .map(|b| b.build())
-}
-
 fn parse_field<'a, T: std::str::FromStr>(
     parts: &mut impl Iterator<Item = &'a str>,
     line: usize,
@@ -206,14 +162,6 @@ mod tests {
     fn out_of_range_probability_is_error() {
         let text = "3 1\n0 1 1.5\n";
         assert!(read_graph(text.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn combine_reader_merges_duplicates() {
-        let text = "2 2\n0 1 0.5\n0 1 0.5\n";
-        let g = read_graph_combine(text.as_bytes()).unwrap();
-        assert_eq!(g.num_edges(), 1);
-        assert!((g.prob(crate::ids::EdgeId(0)).value() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub mod probability;
 pub mod probmodel;
 pub mod stats;
 pub mod storage;
-pub mod subgraph;
 pub mod traversal;
 pub mod update;
 

@@ -1,5 +1,5 @@
 //! Integration + property tests for the extension modules (bounds, paths,
-//! top-k, distance-constrained queries, representative worlds).
+//! top-k and distance-constrained queries).
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -11,7 +11,6 @@ use relcomp_core::distance_constrained::{
 };
 use relcomp_core::exact::exact_reliability;
 use relcomp_core::paths::most_reliable_path;
-use relcomp_core::representative::{average_degree_world, degree_discrepancy, most_probable_world};
 use relcomp_core::topk::{top_k_targets_indexed, top_k_targets_mc};
 use relcomp_ugraph::generators::erdos_renyi;
 use relcomp_ugraph::probmodel::{Direction, ProbModel};
@@ -120,22 +119,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Representative worlds are subsets of the edge set with valid
-    /// structure, and ADR never loses to thresholding on degree
-    /// discrepancy by more than numerical noise.
-    #[test]
-    fn representative_world_invariants(seed in 0u64..100) {
-        let g = random_graph(seed, 10, 20);
-        let thr = most_probable_world(&g);
-        let adr = average_degree_world(&g);
-        prop_assert!(thr.num_present() <= g.num_edges());
-        prop_assert!(adr.num_present() <= g.num_edges());
-        let d_adr = degree_discrepancy(&g, &adr);
-        let d_thr = degree_discrepancy(&g, &thr);
-        prop_assert!(d_adr <= d_thr + 1e-9,
-            "ADR discrepancy {d_adr} worse than threshold {d_thr}");
     }
 }
 
