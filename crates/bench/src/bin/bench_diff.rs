@@ -22,9 +22,11 @@
 //! in both runs are skipped as noise. `serve_metrics` rows are
 //! informational only — the registry's log2 histogram buckets quantize
 //! percentiles in 2x jumps, far coarser than the gate tolerance — so
-//! they are printed but never fail. Exits nonzero on any regression
-//! unless `--report-only` is given. Rows present on only one side are
-//! reported but never fail the gate (estimator sets may grow).
+//! they are printed but never fail. A row only the fresh summary has is
+//! reported as new and never fails (estimator sets may grow); a baseline
+//! row the fresh summary lacks fails, so a gated row cannot vanish
+//! unseen. Exits nonzero on any regression or missing row unless
+//! `--report-only` is given.
 
 use relcomp_bench::summary::{load, BenchSummary};
 use std::path::PathBuf;
@@ -294,6 +296,30 @@ fn collect_rows(base: &BenchSummary, fresh: &BenchSummary) -> Vec<DiffRow> {
     rows
 }
 
+/// A row's printed status, and whether it fails the gate: a regression
+/// beyond `tolerance`, or a baseline row missing from the fresh summary.
+/// `None` when neither side has the row.
+fn judge(row: &DiffRow, tolerance: f64, min_ms: f64) -> Option<(&'static str, bool)> {
+    Some(match (row.base, row.fresh) {
+        (Some(b), Some(f)) => {
+            if row.info {
+                ("info", false)
+            } else if row.floored && b < min_ms && f < min_ms {
+                ("ok (below floor)", false)
+            } else if f > b * (1.0 + tolerance) {
+                ("REGRESSED", true)
+            } else if b > f * (1.0 + tolerance) {
+                ("improved", false)
+            } else {
+                ("ok", false)
+            }
+        }
+        (None, Some(_)) => ("new row", false),
+        (Some(_), None) => ("MISSING in fresh", true),
+        (None, None) => return None,
+    })
+}
+
 fn main() -> ExitCode {
     let opts = parse_options().unwrap_or_else(|msg| {
         eprintln!("{msg}");
@@ -324,54 +350,36 @@ fn main() -> ExitCode {
         "{:<12} {:<24} {:>12} {:>12} {:>9}  {}\n",
         "section", "row", "baseline", "fresh", "delta", "status"
     ));
-    let mut regressions = 0usize;
+    let (mut regressions, mut missing) = (0usize, 0usize);
     for row in collect_rows(&base, &fresh) {
-        let (base_s, fresh_s, delta_s, status) = match (row.base, row.fresh) {
-            (Some(b), Some(f)) => {
-                let delta = if b > 0.0 { (f - b) / b * 100.0 } else { 0.0 };
-                let noise = row.floored && b < opts.min_ms && f < opts.min_ms;
-                let status = if row.info {
-                    "info"
-                } else if noise {
-                    "ok (below floor)"
-                } else if f > b * (1.0 + opts.tolerance) {
-                    regressions += 1;
-                    "REGRESSED"
-                } else if b > f * (1.0 + opts.tolerance) {
-                    "improved"
-                } else {
-                    "ok"
-                };
-                (
-                    format!("{b:.2} {}", row.unit),
-                    format!("{f:.2} {}", row.unit),
-                    format!("{delta:+.1}%"),
-                    status,
-                )
-            }
-            (None, Some(f)) => (
-                "-".to_string(),
-                format!("{f:.2} {}", row.unit),
-                "-".to_string(),
-                "new row",
-            ),
-            (Some(b), None) => (
-                format!("{b:.2} {}", row.unit),
-                "-".to_string(),
-                "-".to_string(),
-                "missing in fresh",
-            ),
-            (None, None) => continue,
+        let Some((status, fails)) = judge(&row, opts.tolerance, opts.min_ms) else {
+            continue;
+        };
+        if fails && row.fresh.is_some() {
+            regressions += 1;
+        } else if fails {
+            missing += 1;
+        }
+        let value = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.2} {}", row.unit));
+        let delta = match (row.base, row.fresh) {
+            (Some(b), Some(f)) if b > 0.0 => format!("{:+.1}%", (f - b) / b * 100.0),
+            (Some(_), Some(_)) => "+0.0%".to_string(),
+            _ => "-".to_string(),
         };
         report.push_str(&format!(
             "{:<12} {:<24} {:>12} {:>12} {:>9}  {}\n",
-            row.section, row.name, base_s, fresh_s, delta_s, status
+            row.section,
+            row.name,
+            value(row.base),
+            value(row.fresh),
+            delta,
+            status
         ));
     }
     report.push('\n');
-    if regressions > 0 {
+    if regressions + missing > 0 {
         report.push_str(&format!(
-            "{regressions} row(s) regressed beyond +{:.0}%",
+            "{regressions} row(s) regressed beyond +{:.0}%, {missing} baseline row(s) missing in fresh",
             opts.tolerance * 100.0
         ));
         if opts.report_only {
@@ -382,9 +390,60 @@ fn main() -> ExitCode {
         report.push_str("no regressions\n");
     }
     relcomp_bench::emit("bench_diff", &report);
-    if regressions > 0 && !opts.report_only {
+    if regressions + missing > 0 && !opts.report_only {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(base: Option<f64>, fresh: Option<f64>, info: bool) -> DiffRow {
+        DiffRow {
+            section: "per_sample",
+            name: "mc_packed/lastfm".into(),
+            unit: "ns/sample",
+            base,
+            fresh,
+            floored: false,
+            info,
+        }
+    }
+
+    #[test]
+    fn missing_and_regressed_rows_fail_new_rows_do_not() {
+        let judge = |r: DiffRow| judge(&r, 0.5, 1.0);
+        assert_eq!(
+            judge(row(Some(100.0), None, false)),
+            Some(("MISSING in fresh", true))
+        );
+        assert_eq!(
+            judge(row(Some(100.0), None, true)),
+            Some(("MISSING in fresh", true))
+        );
+        assert_eq!(
+            judge(row(None, Some(100.0), false)),
+            Some(("new row", false))
+        );
+        assert_eq!(
+            judge(row(Some(100.0), Some(151.0), false)),
+            Some(("REGRESSED", true))
+        );
+        assert_eq!(
+            judge(row(Some(100.0), Some(151.0), true)),
+            Some(("info", false))
+        );
+        assert_eq!(
+            judge(row(Some(100.0), Some(149.0), false)),
+            Some(("ok", false))
+        );
+        assert_eq!(
+            judge(row(Some(151.0), Some(100.0), false)),
+            Some(("improved", false))
+        );
+        assert_eq!(judge(row(None, None, false)), None);
     }
 }
