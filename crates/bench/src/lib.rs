@@ -365,35 +365,30 @@ pub mod adaptive {
     ];
 
     /// Runs behind each single-query row of [`per_sample_probe`]
-    /// (`topk_*`, `rd_*`, `mcm_*`): the row reports their median wall
-    /// time, since one query of a few milliseconds is too short for one
-    /// run to hold steady.
+    /// (`topk_*`, `rd_*`): the row reports their median wall time, since
+    /// one query of a few milliseconds is too short for one run to hold
+    /// steady.
     pub const SINGLE_QUERY_RUNS: usize = 5;
 
     /// Per-sample cost of scalar vs packed sampling across
-    /// [`PER_SAMPLE_DATASETS`], four workloads per dataset:
+    /// [`PER_SAMPLE_DATASETS`], three workloads per dataset:
     ///
     /// * `mc_*` — plain s-t MC (early-terminating lazy BFS) on the same
     ///   10-pair workload at `fixed_k` samples per pair, single threaded,
     ///   from equally-seeded streams.
-    /// * `mcm_*` — multi-target MC: one stream of `fixed_k` worlds
-    ///   scored against all ten workload targets. The scalar baseline
-    ///   already shares worlds across targets (one full BFS per world —
-    ///   no early exit is possible with many targets), so the ratio
-    ///   isolates the 64-world packing itself, not target amortization.
-    /// * `topk_*` — the full-reach per-world primitive behind top-k and
-    ///   multi-target serving (no early termination, every node scored),
-    ///   at `fixed_k` samples from one source. This is where 64-world
-    ///   sharing pays most on dense graphs: the scalar loop re-explores
-    ///   the whole reachable cluster per world.
+    /// * `topk_*` — the full-reach per-world primitive behind top-k
+    ///   serving (no early termination, every node scored), at `fixed_k`
+    ///   samples from one source. This is where 64-world sharing pays
+    ///   most on dense graphs: the scalar loop re-explores the whole
+    ///   reachable cluster per world.
     /// * `rd_*` — distance-constrained `R_d` at `d = 4`, `fixed_k`
     ///   samples on the first pair. The bounded exploration keeps every
     ///   world inside the same `d`-ball around the source, so the
     ///   64-world union traversal revisits heavily shared structure.
     ///
-    /// Each `topk_*`, `rd_*` and `mcm_*` row times one query, so it
-    /// reports the median of [`SINGLE_QUERY_RUNS`] identical runs, each
-    /// on a freshly seeded stream.
+    /// Each `topk_*` and `rd_*` row times one query, so it reports the
+    /// median of [`SINGLE_QUERY_RUNS`] identical runs, each on a freshly
+    /// seeded stream.
     ///
     /// Three unpaired rows per dataset gate the served BFS-Sharing and MC
     /// paths and the recursive stratified estimator:
@@ -485,43 +480,6 @@ pub mod adaptive {
             rows.push(median_row(format!("rd_packed/{slug}"), &|| {
                 let r = sampler.estimate_distance_constrained_with(s, t, d, &budget, 0x9acced);
                 (r.samples, ms(r.elapsed))
-            }));
-
-            // Multi-target MC: both sides sample `fixed_k` worlds from
-            // the first source and score every workload target per world.
-            let targets: Vec<relcomp_ugraph::NodeId> =
-                env.workload.pairs.iter().map(|&(_, t)| t).collect();
-            let graph = &env.graph;
-            rows.push(median_row(format!("mcm_scalar/{slug}"), &|| {
-                let mut rng = env.rng(0x9acced);
-                let mut ws = relcomp_ugraph::traversal::BfsWorkspace::new(graph.num_nodes());
-                let start = std::time::Instant::now();
-                let mut hits = vec![0usize; targets.len()];
-                for _ in 0..fixed_k {
-                    ws.reset();
-                    ws.visited.insert(s);
-                    ws.queue.push_back(s);
-                    while let Some(v) = ws.queue.pop_front() {
-                        for (e, w) in graph.out_edges(v) {
-                            if !ws.visited.contains(w)
-                                && rand::Rng::gen::<f64>(&mut rng) < graph.prob(e).value()
-                            {
-                                ws.visited.insert(w);
-                                ws.queue.push_back(w);
-                            }
-                        }
-                    }
-                    for (h, &t) in hits.iter_mut().zip(&targets) {
-                        *h += usize::from(ws.visited.contains(t));
-                    }
-                }
-                std::hint::black_box(&hits);
-                (fixed_k, ms(start.elapsed()))
-            }));
-            rows.push(median_row(format!("mcm_packed/{slug}"), &|| {
-                let start = std::time::Instant::now();
-                std::hint::black_box(sampler.estimate_mc_multi(s, &targets, fixed_k, 0x9acced));
-                (fixed_k, ms(start.elapsed()))
             }));
 
             let start = std::time::Instant::now();

@@ -716,10 +716,10 @@ pub fn packed_lanes_st<R: Rng + ?Sized>(
 
 /// Sample `worlds` fresh worlds (`1..=LANES × 64`) in one dense lane pass
 /// and compute full reachability from `s` in each: the returned
-/// workspace's `reach()` lanes and `reached_nodes()` union back top-k and
-/// multi-target scoring. Same stream use as [`packed_lanes_st`]; the
-/// source holds exactly the pass's worlds. Panics unless `ws` is in the
-/// dense strategy.
+/// workspace's `reach()` lanes and `reached_nodes()` union back top-k
+/// scoring and served BFS-Sharing. Same stream use as
+/// [`packed_lanes_st`]; the source holds exactly the pass's worlds.
+/// Panics unless `ws` is in the dense strategy.
 pub fn packed_lanes_all<'a, R: Rng + ?Sized>(
     graph: &UncertainGraph,
     s: NodeId,

@@ -17,11 +17,9 @@
 //!   order on the calling thread instead: no spawn, same streams, same
 //!   answer.
 //!
-//! Five entry-point families cover the serving workloads: plain MC
+//! Four entry-point families cover the serving workloads: plain MC
 //! ([`ParallelSampler::estimate_mc`]), BFS-Sharing
-//! ([`ParallelSampler::estimate_bfs_sharing`]), multi-target MC
-//! ([`ParallelSampler::estimate_mc_multi`]) which amortizes possible-world
-//! sampling across queries that share a source node, top-k reliable
+//! ([`ParallelSampler::estimate_bfs_sharing`]), top-k reliable
 //! targets ([`ParallelSampler::top_k_targets_with`]), and
 //! distance-constrained reachability
 //! ([`ParallelSampler::estimate_distance_constrained_with`]). The
@@ -46,10 +44,8 @@
 
 use crate::estimator::{validate_query, Estimate};
 use crate::memory::MemoryTracker;
-use crate::packed::{
-    dense_strategy, packed_hits, packed_hits_within, packed_passes, PackedWorkspace,
-};
-use crate::session::{finish_estimate, Convergence, SampleBudget, StopReason, DEFAULT_CONFIDENCE};
+use crate::packed::{dense_strategy, packed_hits_within, packed_passes, PackedWorkspace};
+use crate::session::{finish_estimate, Convergence, SampleBudget, StopReason};
 use crate::topk::{boundary_tracker, rank_hits, reachable_targets, TopKResult};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -432,97 +428,6 @@ impl ParallelSampler {
         self.estimate_st(s, t, false, budget, seed)
     }
 
-    /// Multi-target MC: estimate `R(s, t)` for every `t` in `targets`
-    /// from **one** shared stream of possible worlds — each sampled world
-    /// is explored once from `s` and scored against all targets. This is
-    /// the batching primitive the query engine uses for queries sharing a
-    /// source: `|targets|` queries for the sampling cost of one.
-    ///
-    /// Returns one [`Estimate`] per target, in input order. For a given
-    /// `(k, seed)` the estimate for target `t` is deterministic across
-    /// thread counts, but differs from [`ParallelSampler::estimate_mc`]'s
-    /// (early-terminating) stream for the same seed — both are unbiased.
-    pub fn estimate_mc_multi(
-        &self,
-        s: NodeId,
-        targets: &[NodeId],
-        k: usize,
-        seed: u64,
-    ) -> Vec<Estimate> {
-        for &t in targets {
-            validate_query(&self.graph, s, t);
-        }
-        assert!(k > 0, "sample count must be positive");
-        if targets.is_empty() {
-            return Vec::new();
-        }
-        let start = Instant::now();
-        let graph = &self.graph;
-
-        let shards = Self::shards(k);
-        // Duplicate targets are legal: distinct cache keys can collapse to
-        // one node.
-        let hit_counts = if targets.iter().all(|&t| t == targets[0]) {
-            // One distinct target node: run the exact packed s-t kernel a
-            // plain `estimate_mc` with the same `(k, seed)` runs, so a
-            // batch that collapses to one query answers bit-identically
-            // to the single-query path.
-            let t = targets[0];
-            let hits = self.run_shards(
-                k,
-                seed,
-                || self.packed_ws(),
-                |ws, _, len, rng| packed_hits(graph, s, t, len, ws, rng),
-            );
-            vec![hits; targets.len()]
-        } else {
-            let merged = Mutex::new(vec![0usize; targets.len()]);
-            self.run_shard_range_fold(
-                &shards,
-                0..shards.len(),
-                seed,
-                || (self.packed_ws(), vec![0usize; targets.len()]),
-                |(ws, local), _, len, rng| {
-                    // Full reach, then score every target by the worlds
-                    // its node was reached in (the source holds every
-                    // world, so s as its own target still hits them all;
-                    // unreached nodes hold zero).
-                    packed_passes(graph, s, None, len, ws, rng, |pass| {
-                        for (h, &t) in local.iter_mut().zip(targets) {
-                            *h += pass.worlds_reaching(t) as usize;
-                        }
-                    });
-                },
-                |(_, local)| {
-                    let mut shared = merged.lock().expect("hit merge poisoned");
-                    for (slot, h) in shared.iter_mut().zip(local) {
-                        *slot += h;
-                    }
-                },
-            );
-            merged.into_inner().expect("hit merge poisoned")
-        };
-
-        let elapsed = start.elapsed();
-        let aux = self.workers_for(shards.len()) * self.packed_ws_bytes() + targets.len() * 8;
-        hit_counts
-            .into_iter()
-            .map(|hits| {
-                let mut tracker = Convergence::new(DEFAULT_CONFIDENCE);
-                tracker.observe_hits(hits, k);
-                Estimate {
-                    reliability: hits as f64 / k as f64,
-                    samples: k,
-                    elapsed,
-                    aux_bytes: aux,
-                    variance: Some(tracker.estimator_variance()),
-                    half_width: Some(tracker.half_width()),
-                    stop_reason: StopReason::FixedK,
-                }
-            })
-            .collect()
-    }
-
     /// Run full-world sampling over the global shards `[lo, hi)`,
     /// accumulating per-node hit counts into `hits`. Per-node addition
     /// is commutative, so the merged counts are deterministic for any
@@ -844,19 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_multi_target_is_thread_invariant() {
-        let g = dense_graph();
-        let targets = [NodeId(1), NodeId(4), NodeId(5), NodeId(0), NodeId(4)];
-        assert_thread_invariant(|threads| {
-            ParallelSampler::new(Arc::clone(&g), threads)
-                .estimate_mc_multi(NodeId(0), &targets, DENSE_K, 5)
-                .iter()
-                .map(|e| e.reliability.to_bits())
-                .collect()
-        });
-    }
-
-    #[test]
     fn estimates_land_near_exact_in_both_strategies() {
         // K not a multiple of 64, so every call ends in a partial lane
         // (dense graph) or a partial lazy word (the diamond). A hop cap of
@@ -893,14 +785,6 @@ mod tests {
                 let rd = sampler.estimate_distance_constrained(s, t, n - 1, k, 25);
                 near("estimate_distance_constrained", v, rd.reliability);
             }
-            let targets: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-            for (v, est) in sampler
-                .estimate_mc_multi(s, &targets, k, 23)
-                .iter()
-                .enumerate()
-            {
-                near("estimate_mc_multi", v, est.reliability);
-            }
             let top = sampler.top_k_targets(s, n - 1, k, 24);
             assert_eq!(top.scores.len(), n - 1);
             for sc in &top.scores {
@@ -927,26 +811,6 @@ mod tests {
                 7,
             );
             assert_eq!(est.reliability.to_bits(), baseline.reliability.to_bits());
-        }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_multi_target_estimates() {
-        let g = diamond();
-        let targets = [NodeId(1), NodeId(2), NodeId(3), NodeId(0)];
-        let k = 2 * SHARD_SAMPLES + 31;
-        let baseline: Vec<u64> = ParallelSampler::new(Arc::clone(&g), 1)
-            .estimate_mc_multi(NodeId(0), &targets, k, 5)
-            .iter()
-            .map(|e| e.reliability.to_bits())
-            .collect();
-        for threads in [2, 8] {
-            let got: Vec<u64> = ParallelSampler::new(Arc::clone(&g), threads)
-                .estimate_mc_multi(NodeId(0), &targets, k, 5)
-                .iter()
-                .map(|e| e.reliability.to_bits())
-                .collect();
-            assert_eq!(got, baseline, "{threads} threads diverged");
         }
     }
 
@@ -979,55 +843,6 @@ mod tests {
             "{} vs {exact}",
             est.reliability
         );
-    }
-
-    #[test]
-    fn multi_target_matches_exact_per_target() {
-        let g = diamond();
-        let targets = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
-        let ests = ParallelSampler::new(Arc::clone(&g), 4).estimate_mc_multi(
-            NodeId(0),
-            &targets,
-            60_000,
-            3,
-        );
-        for (&t, est) in targets.iter().zip(&ests) {
-            let exact = exact_reliability(&g, NodeId(0), t);
-            assert!(
-                (est.reliability - exact).abs() < 0.01,
-                "target {t}: {} vs {exact}",
-                est.reliability
-            );
-        }
-        // s is its own target: reached in every world.
-        assert_eq!(ests[0].reliability, 1.0);
-    }
-
-    #[test]
-    fn duplicate_targets_get_identical_estimates() {
-        let g = diamond();
-        let ests = ParallelSampler::new(Arc::clone(&g), 2).estimate_mc_multi(
-            NodeId(0),
-            &[NodeId(3), NodeId(3)],
-            1000,
-            9,
-        );
-        assert_eq!(ests[0].reliability.to_bits(), ests[1].reliability.to_bits());
-    }
-
-    #[test]
-    fn multi_with_one_distinct_target_matches_estimate_mc() {
-        // The engine folds a batch of queries sharing (s, budget, seed)
-        // into one multi-target call; when that batch collapses to a
-        // single distinct target it must answer bit-identically to the
-        // single-query path.
-        let g = diamond();
-        let sampler = ParallelSampler::new(Arc::clone(&g), 4);
-        let single = sampler.estimate_mc(NodeId(0), NodeId(3), 4000, 7);
-        let multi = sampler.estimate_mc_multi(NodeId(0), &[NodeId(3), NodeId(3)], 4000, 7);
-        for est in &multi {
-            assert_eq!(single.reliability.to_bits(), est.reliability.to_bits());
-        }
     }
 
     #[test]

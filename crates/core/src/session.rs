@@ -649,23 +649,6 @@ fn should_stop_inner(
     None
 }
 
-/// Restate a Bernoulli estimate's CI at `confidence`: the hit count is
-/// exactly recoverable from the hit fraction, so this is a pure
-/// re-report, never a re-run. Only valid for estimates whose
-/// `reliability` is `hits / samples` over Bernoulli draws (MC-style
-/// sampling paths) — the one place grouped/batched answers and single
-/// answers must agree on.
-pub fn restate_bernoulli_confidence(est: Estimate, confidence: f64) -> Estimate {
-    let hits = (est.reliability * est.samples as f64).round() as usize;
-    let mut tracker = Convergence::new(confidence);
-    tracker.observe_hits(hits, est.samples);
-    Estimate {
-        variance: Some(tracker.estimator_variance()),
-        half_width: Some(tracker.half_width()),
-        ..est
-    }
-}
-
 /// Validate user-supplied adaptive-budget fields (wire protocol, CLI
 /// flags). One home for the boundary rules so the serve planner and the
 /// CLI cannot drift apart.

@@ -63,9 +63,6 @@ fn served_shards_count_each_world_once_as_packed() {
         check("top_k_targets", served, &mut || {
             p.top_k_targets(s, 2, 1000, 7).samples
         });
-        check("estimate_mc_multi", served, &mut || {
-            p.estimate_mc_multi(s, &[t, NodeId(2)], 1000, 7)[0].samples
-        });
         check("estimate_distance_constrained", served, &mut || {
             p.estimate_distance_constrained(s, t, 2, 1000, 7).samples
         });

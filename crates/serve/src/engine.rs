@@ -1,5 +1,5 @@
 //! The query engine: admission control, per-query estimator planning,
-//! result caching, batched execution over the parallel sampler, and
+//! result caching, batches answered item by item, and
 //! **live graph epochs** — edge-probability updates and wholesale
 //! reloads swap the served graph without restarting the process.
 //!
@@ -22,8 +22,8 @@
 //! wire struct), and `cacheable` / `commit` (maximize `apply` runs skip
 //! the cache and commit their upgrades through
 //! [`QueryEngine::apply_updates`]). [`QueryEngine::execute_request`]
-//! routes a parsed wire request to its workload; batches reuse the s-t
-//! workload's plan, key and respond.
+//! routes a parsed wire request to its workload; a batch is its items,
+//! each answered as a single s-t query.
 //!
 //! ## Keys and determinism
 //!
@@ -36,11 +36,9 @@
 //! parked in an epoch-tagged registry behind per-kind mutexes, and
 //! queried with an RNG derived from the key.
 //!
-//! Batches answer fixed-budget MC queries sharing `(s, samples, seed)`
-//! from **one** stream of possible worlds
-//! ([`ParallelSampler::estimate_mc_multi`]). A group of one is exactly
-//! the single-query stream, so cache entries never depend on whether a
-//! query arrived alone or in a batch of one.
+//! A batch item runs the single-query pipeline, so one key always holds
+//! one answer, computed one way: whether a query arrived alone or in a
+//! batch, before or after others, never changes its bits.
 //!
 //! ## Epoch swaps
 //!
@@ -66,9 +64,7 @@ use rand_chacha::ChaCha8Rng;
 use relcomp_core::maximize::{MaximizeOptions, DEFAULT_MAX_CANDIDATES};
 use relcomp_core::metrics::take_thread_session_stats;
 use relcomp_core::parallel::{shard_rng, ParallelSampler};
-use relcomp_core::session::{
-    restate_bernoulli_confidence, validate_budget_fields, DEFAULT_ADAPTIVE_CAP, DEFAULT_CONFIDENCE,
-};
+use relcomp_core::session::{validate_budget_fields, DEFAULT_ADAPTIVE_CAP, DEFAULT_CONFIDENCE};
 use relcomp_core::{
     build_estimator, Estimator, EstimatorKind, SampleBudget, StopReason, SuiteParams, UpdateOutcome,
 };
@@ -188,7 +184,7 @@ pub enum WorkloadKind {
 /// query capped at 2000, and a time-capped query are different
 /// computations and cache separately. (Time-capped answers are machine-
 /// dependent; the cache replays whichever computation landed first for a
-/// given key, exactly as it does for batch-grouped answers.)
+/// given key.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct QueryKey {
     /// Which workload (and its `k`/`d` parameter) this key answers.
@@ -804,9 +800,11 @@ impl QueryEngine {
         self.obs.traces.push(tb.finish());
     }
 
-    /// Answer a batch in one pass, amortizing MC world sampling across
-    /// queries that share `(s, samples, seed)`. Results keep input order;
-    /// per-query failures do not fail the batch.
+    /// Answer a batch under one admission: each item runs the single-query
+    /// pipeline with a latency clock of its own, so its answer and cache
+    /// entry are the ones [`QueryEngine::execute`] gives the same query,
+    /// and its `micros` counts its own work only. Results keep input
+    /// order; per-query failures do not fail the batch.
     pub fn execute_batch(&self, reqs: &[QueryRequest]) -> Result<BatchResults, String> {
         let _guard = self.admit().map_err(|f| self.fail(ObsWorkload::St, f))?;
         if reqs.len() > MAX_BATCH {
@@ -816,73 +814,10 @@ impl QueryEngine {
             );
             return Err(self.fail(ObsWorkload::St, Fail::Rejected(msg)));
         }
-        let snap = self.snapshot();
-        let start = Instant::now();
-        let mut out: Vec<Option<Result<QueryResponse, Fail>>> = vec![None; reqs.len()];
-        // (group key -> indices of cache-missing MC queries to batch).
-        let mut mc_groups: HashMap<(u32, usize, u64), Vec<usize>> = HashMap::new();
-        let mut plans: Vec<Option<Plan>> = vec![None; reqs.len()];
-
-        for (i, req) in reqs.iter().enumerate() {
-            let plan = match req.plan(self, &snap.graph) {
-                Ok(plan) => plan,
-                Err(f) => {
-                    out[i] = Some(Err(f));
-                    continue;
-                }
-            };
-            // Only fixed-budget MC shares a world stream (an adaptive
-            // query's stopping point is its own); everything else runs
-            // the single-query pipeline.
-            if plan.query.kind != EstimatorKind::Mc || !plan.query.is_fixed() {
-                out[i] = Some(self.answer(req, &mut TraceBuilder::new(), start));
-            } else if let Some(hit) = self.cache.get(&plan.key(snap.epoch)) {
-                out[i] = Some(Ok(self.respond(req, &plan, &hit, true, None, start)));
-            } else {
-                let q = &plan.query;
-                mc_groups
-                    .entry((q.s.0, q.samples, q.seed))
-                    .or_default()
-                    .push(i);
-                plans[i] = Some(plan);
-            }
-        }
-
-        // The sampler snapshot pins the batch's epoch: groups computed
-        // here stay consistent with the keys taken above even if an
-        // update lands mid-batch.
-        for ((s, samples, seed), indices) in mc_groups {
-            let targets: Vec<NodeId> = indices
-                .iter()
-                .map(|&i| plans[i].expect("planned").query.t)
-                .collect();
-            let estimates = snap
-                .sampler
-                .estimate_mc_multi(NodeId(s), &targets, samples, seed);
-            for (&i, est) in indices.iter().zip(&estimates) {
-                let plan = plans[i].expect("planned");
-                // The shared world stream reports its CI at the default
-                // confidence; restate it at the plan's, so a grouped
-                // answer matches what the single-query path would have
-                // cached under the same key.
-                let confidence = plan.query.confidence;
-                let est = if confidence == DEFAULT_CONFIDENCE {
-                    *est
-                } else {
-                    restate_bernoulli_confidence(*est, confidence)
-                };
-                let answer = CachedAnswer::from_estimate(est, "MC");
-                self.cache.insert(plan.key(snap.epoch), answer.clone());
-                out[i] = Some(Ok(
-                    self.respond(&reqs[i], &plan, &answer, false, None, start)
-                ));
-            }
-        }
-
-        Ok(out
-            .into_iter()
-            .map(|r| {
-                r.expect("every slot answered")
+        Ok(reqs
+            .iter()
+            .map(|req| {
+                self.answer(req, &mut TraceBuilder::new(), Instant::now())
                     .map_err(|f| self.fail(ObsWorkload::St, f))
             })
             .collect())
@@ -1731,16 +1666,88 @@ mod tests {
         assert_eq!(answers[0], answers[1]);
     }
 
+    /// A lazy-strategy LastFM analog. Batch-vs-single checks need it: on
+    /// the diamond a shared full-reach world stream happens to give every
+    /// target the single query's answer.
+    fn lastfm_engine() -> QueryEngine {
+        let g = Arc::new(relcomp_ugraph::datasets::Dataset::LastFm.generate_with_scale(0.05, 42));
+        assert!(!relcomp_core::packed::dense_strategy(&g));
+        QueryEngine::new(
+            g,
+            EngineConfig {
+                threads: 1,
+                ..Default::default()
+            },
+        )
+    }
+
     #[test]
     fn single_query_and_batch_of_one_share_cache_entries() {
-        // A batch group of one must reproduce the single-query stream, so
-        // the cache stays path-independent.
         let e1 = engine();
         let single = e1.execute(&q(0, 3)).unwrap();
         let e2 = engine();
         let batch = e2.execute_batch(&[q(0, 3)]).unwrap();
         let batched = batch[0].as_ref().unwrap();
         assert_eq!(single.reliability.to_bits(), batched.reliability.to_bits());
+
+        // Same-source fixed MC items, an adaptive item and a
+        // non-default confidence: every item answers as a fresh engine's
+        // single query does, bit for bit, and a later single query
+        // replays it from the cache.
+        let mut reqs: Vec<QueryRequest> = (0..5)
+            .flat_map(|s| (10..18).map(move |t| (s, t)))
+            .map(|(s, t)| QueryRequest {
+                samples: Some(1000),
+                ..q(s, t)
+            })
+            .collect();
+        reqs.push(QueryRequest {
+            eps: Some(0.1),
+            seed: Some(5),
+            ..q(0, 3)
+        });
+        reqs.push(QueryRequest {
+            confidence: Some(0.9),
+            samples: Some(1000),
+            ..q(0, 12)
+        });
+        let e = lastfm_engine();
+        let results = e.execute_batch(&reqs).unwrap();
+        let bits = |r: &QueryResponse| {
+            (
+                r.reliability.to_bits(),
+                r.samples,
+                r.stop_reason.clone(),
+                r.half_width.map(f64::to_bits),
+                r.variance.map(f64::to_bits),
+            )
+        };
+        for (req, res) in reqs.iter().zip(&results) {
+            let batched = res.as_ref().unwrap();
+            assert!(!batched.cached);
+            let alone = lastfm_engine().execute(req).unwrap();
+            assert_eq!(bits(batched), bits(&alone), "{}-{}", req.s, req.t);
+            let replay = e.execute(req).unwrap();
+            assert!(replay.cached, "{}-{}", req.s, req.t);
+            assert_eq!(bits(&replay), bits(&alone), "{}-{}", req.s, req.t);
+        }
+    }
+
+    #[test]
+    fn batch_items_report_their_own_latency() {
+        let e = lastfm_engine();
+        let reqs: Vec<QueryRequest> = (1..5)
+            .map(|seed| QueryRequest {
+                samples: Some(20_000),
+                seed: Some(seed),
+                ..q(0, 11)
+            })
+            .collect();
+        let start = Instant::now();
+        let results = e.execute_batch(&reqs).unwrap();
+        let wall = start.elapsed().as_micros() as u64;
+        let items: u64 = results.iter().map(|r| r.as_ref().unwrap().micros).sum();
+        assert!(items <= wall, "items {items} us > batch {wall} us");
     }
 
     #[test]
@@ -1949,28 +1956,6 @@ mod tests {
             let err = e.execute(&req).unwrap_err();
             assert!(err.contains(needle), "{err}");
         }
-    }
-
-    #[test]
-    fn batch_mixes_fixed_groups_and_adaptive_singles() {
-        let e = engine();
-        let adaptive = QueryRequest {
-            estimator: Some("mc".into()),
-            eps: Some(0.1),
-            seed: Some(5),
-            ..QueryRequest::new(0, 3)
-        };
-        let results = e
-            .execute_batch(&[q(0, 1), q(0, 2), adaptive.clone()])
-            .unwrap();
-        assert!(results.iter().all(|r| r.is_ok()));
-        let r = results[2].as_ref().unwrap();
-        assert!(r.stop_reason == "converged" || r.stop_reason == "max_samples");
-        // The adaptive answer in a batch caches under its own key and
-        // replays for an identical single query.
-        let single = e.execute(&adaptive).unwrap();
-        assert!(single.cached);
-        assert_eq!(single.reliability.to_bits(), r.reliability.to_bits());
     }
 
     #[test]

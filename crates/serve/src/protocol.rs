@@ -414,12 +414,9 @@ pub enum Request {
     DQuery(DistanceQueryRequest),
     /// Greedy reliability maximization: pick `k` edge upgrades.
     Maximize(MaximizeRequest),
-    /// Several queries answered in one round trip; the server amortizes
-    /// possible-world sampling across MC queries sharing a source (one
-    /// shared world stream answers the whole group). A grouped answer is
-    /// unbiased and thread-count-deterministic but may differ bit-wise
-    /// from the same query computed alone; the result cache replays
-    /// whichever computation landed first for a given key.
+    /// Several queries answered in one round trip, under one admission.
+    /// Each item is answered as the same query sent alone, bit for bit,
+    /// and shares its cache entry.
     Batch(Vec<QueryRequest>),
     /// Apply a batch of edge-probability updates: snapshot a new graph
     /// epoch, migrate resident estimator indexes incrementally, bump the

@@ -61,7 +61,7 @@ fn full_session_query_batch_stats_shutdown() {
     assert!(second.cached);
     assert_eq!(first.reliability.to_bits(), second.reliability.to_bits());
 
-    // Batch sharing a source (amortized sampling) + one failing query.
+    // Batch of same-source queries + one failing query.
     let batch = client
         .batch(vec![
             QueryRequest::new(0, 1),

@@ -295,8 +295,8 @@ impl WordBfsWorkspace {
 
 /// Per-node results of one packed traversal, whichever workspace ran it:
 /// how many of its worlds reached each node, and which nodes any world
-/// reached. Top-k and multi-target scoring read a pass through this view
-/// in both batch strategies.
+/// reached. Top-k scoring and served BFS-Sharing read a pass through
+/// this view in both batch strategies.
 pub trait ReachView {
     /// Number of worlds in which `v` was reached by the most recent
     /// traversal.
