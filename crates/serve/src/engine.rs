@@ -233,11 +233,6 @@ pub struct PlannedQuery {
 }
 
 impl PlannedQuery {
-    /// Whether this plan runs a fixed budget (historical semantics).
-    pub fn is_fixed(&self) -> bool {
-        self.eps.is_none() && self.time_budget_ms.is_none()
-    }
-
     /// The sample budget this plan executes. Confidence applies to
     /// fixed budgets too: it shapes the *reported* half-width even when
     /// it cannot stop the run.
@@ -1913,7 +1908,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.eps, Some(AUTO_EPS));
         assert_eq!(plan.samples, e.config().adaptive_max_samples);
-        assert!(!plan.is_fixed());
+        assert!(!plan.budget().is_fixed());
         // An explicit K keeps auto fixed (paper-table compatibility).
         let fixed = e
             .plan(&QueryRequest {
@@ -1922,7 +1917,7 @@ mod tests {
                 ..QueryRequest::new(0, 3)
             })
             .unwrap();
-        assert!(fixed.is_fixed());
+        assert!(fixed.budget().is_fixed());
         assert_eq!(fixed.samples, 1000);
     }
 
