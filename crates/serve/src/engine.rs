@@ -670,19 +670,30 @@ impl QueryEngine {
     /// the trace's workload, pair and outcome land in `tb`; failures are
     /// counted under the right outcome label here.
     fn run<W: Workload>(&self, req: &W, tb: &mut TraceBuilder) -> Result<W::Response, String> {
+        self.traced(req, tb, |tb| {
+            let admitted = {
+                let _span = Span::enter(tb, Stage::Admission);
+                self.admit()
+            };
+            admitted.and_then(|_guard| self.answer(req, tb, Instant::now()))
+        })
+    }
+
+    /// Run `step` with `req`'s workload and pair in `tb`, marking a failure
+    /// in the trace and counting it under the right outcome label.
+    fn traced<W: Workload>(
+        &self,
+        req: &W,
+        tb: &mut TraceBuilder,
+        step: impl FnOnce(&mut TraceBuilder) -> Result<W::Response, Fail>,
+    ) -> Result<W::Response, String> {
         tb.set_workload(W::OBS.label());
         let (s, t) = req.pair();
         tb.set_pair(s as u64, t as u64);
-        let admitted = {
-            let _span = Span::enter(tb, Stage::Admission);
-            self.admit()
-        };
-        admitted
-            .and_then(|_guard| self.answer(req, tb, Instant::now()))
-            .map_err(|f| {
-                tb.set_outcome(false, false);
-                self.fail(W::OBS, f)
-            })
+        step(tb).map_err(|f| {
+            tb.set_outcome(false, false);
+            self.fail(W::OBS, f)
+        })
     }
 
     /// Plan → cache lookup → compute → respond against the current epoch,
@@ -798,8 +809,9 @@ impl QueryEngine {
     /// Answer a batch under one admission: each item runs the single-query
     /// pipeline with a latency clock of its own, so its answer and cache
     /// entry are the ones [`QueryEngine::execute`] gives the same query,
-    /// and its `micros` counts its own work only. Results keep input
-    /// order; per-query failures do not fail the batch.
+    /// and its `micros` counts its own work only. Each item records a
+    /// trace of its own. Results keep input order; per-query failures do
+    /// not fail the batch.
     pub fn execute_batch(&self, reqs: &[QueryRequest]) -> Result<BatchResults, String> {
         let _guard = self.admit().map_err(|f| self.fail(ObsWorkload::St, f))?;
         if reqs.len() > MAX_BATCH {
@@ -812,8 +824,10 @@ impl QueryEngine {
         Ok(reqs
             .iter()
             .map(|req| {
-                self.answer(req, &mut TraceBuilder::new(), Instant::now())
-                    .map_err(|f| self.fail(ObsWorkload::St, f))
+                let mut tb = TraceBuilder::new();
+                let out = self.traced(req, &mut tb, |tb| self.answer(req, tb, Instant::now()));
+                self.record_trace(tb);
+                out
             })
             .collect())
     }
@@ -1758,6 +1772,19 @@ mod tests {
         }
         // Batch answers are now cached for singles.
         assert!(e.execute(&q(0, 2)).unwrap().cached);
+    }
+
+    #[test]
+    fn batch_items_leave_a_trace_each() {
+        let e = engine();
+        let before = e.traces(16).len();
+        e.execute_batch(&[q(0, 1), q(0, 99), q(1, 3)]).unwrap();
+        let traces = e.traces(16);
+        assert_eq!(traces.len(), before + 3);
+        // Newest first: the items' pairs in reverse input order.
+        let new: Vec<_> = traces[..3].iter().map(|tr| (tr.s, tr.t, tr.ok)).collect();
+        assert_eq!(new, [(1, 3, true), (0, 99, false), (0, 1, true)]);
+        assert!(traces[..3].iter().all(|tr| tr.workload == "st"));
     }
 
     #[test]
