@@ -57,9 +57,15 @@ impl Estimator for McSampling {
         // Only auxiliary structure: the BFS workspace (visited marks + queue).
         mem.baseline(self.ws.resident_bytes());
 
+        // One world at a time, each counted as a scalar sample. Batching
+        // does not perturb the draws: a fixed budget draws exactly the
+        // worlds a single loop of `k` would.
         let (graph, ws) = (&self.graph, &mut self.ws);
-        session.run_bernoulli(&mem, || {
-            bfs_reaches(graph, s, t, ws, |e| coin(rng, graph.prob(e).value()))
+        session.run_batches(&mem, |n| {
+            relcomp_obs::note_scalar_samples(n as u64);
+            (0..n)
+                .filter(|_| bfs_reaches(graph, s, t, ws, |e| coin(rng, graph.prob(e).value())))
+                .count()
         })
     }
 

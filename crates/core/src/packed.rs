@@ -61,7 +61,9 @@
 //! each shard that way, so a shard of `len` worlds consumes
 //! `len.div_ceil(64)` words in either strategy and no served world is
 //! scalar. [`PackedMcSampling`] runs each session batch the same way, so
-//! none of its worlds is scalar either.
+//! none of its worlds is scalar either. ProbTree with MC takes lazy passes
+//! over its query view of the index, an [`EdgeView`] with one mask slot
+//! per raw and virtual edge.
 //!
 //! Lane `j`'s mask for edge `e` is [`sample_mask`] on a [`SplitMix64`]
 //! keyed by `(seed_j, e)`, a pure function of those two values: an
@@ -73,7 +75,8 @@ use crate::memory::MemoryTracker;
 use crate::session::{EstimationSession, SampleBudget};
 use rand::{Rng, RngCore};
 use relcomp_ugraph::traversal::{
-    lane_reach, word_reach, LaneBfsWorkspace, ReachView, WordBfsWorkspace, WORLD_WORD_BITS,
+    lane_reach, word_reach, EdgeView, LaneBfsWorkspace, ReachView, WordBfsWorkspace,
+    WORLD_WORD_BITS,
 };
 use relcomp_ugraph::{EdgeId, EdgeUpdate, NodeId, UncertainGraph};
 use std::sync::Arc;
@@ -98,9 +101,8 @@ pub const GEOMETRIC_THRESHOLD: f64 = 0.02;
 ///
 /// Packed counts cover every world drawn through the mask kernels: each
 /// pass counts its worlds, partial last words and lanes included, and so
-/// does each served BFS-Sharing shard. Scalar counts cover the one-world-
-/// at-a-time loop [`EstimationSession::run_bernoulli`] drives: plain
-/// [`McSampling`](crate::mc::McSampling) and in-place ProbTree with MC.
+/// does each served BFS-Sharing shard. Scalar counts cover plain
+/// [`McSampling`](crate::mc::McSampling), one world at a time.
 pub fn sample_counts() -> (u64, u64) {
     relcomp_obs::sample_counts()
 }
@@ -598,22 +600,22 @@ pub(crate) fn packed_hits<R: Rng + ?Sized>(
 }
 
 /// Number of `worlds` fresh worlds in which `t` is within `d` hops of `s`
-/// (the distance-constrained workload's `R_d`), in lazy passes of up to
+/// in `view` (any number of hops for `d = None`), in lazy passes of up to
 /// 64 worlds that consume one `next_u64` of `rng` each, whatever the
-/// workspace's strategy: the hop cap bounds how much of the graph a pass
-/// can touch, so the dense fill-everything strategy has nothing to
-/// amortize here.
-pub(crate) fn packed_hits_within<R: Rng + ?Sized>(
-    graph: &UncertainGraph,
+/// workspace's strategy. The distance-constrained workload's `R_d` caps
+/// the hops, so a pass touches little of the graph; ProbTree walks its
+/// query view, whose edges no lane pass covers.
+pub(crate) fn packed_hits_within<V: EdgeView, R: Rng + ?Sized>(
+    view: &V,
     s: NodeId,
     t: NodeId,
-    d: usize,
+    d: Option<usize>,
     worlds: usize,
     ws: &mut PackedWorkspace,
     rng: &mut R,
 ) -> usize {
     pass_sizes(worlds, WORLD_BATCH)
-        .map(|n| lazy_pass(graph, s, Some(t), Some(d), n, ws, rng).worlds_reaching(t) as usize)
+        .map(|n| lazy_pass(view, s, Some(t), d, n, ws, rng).worlds_reaching(t) as usize)
         .sum()
 }
 
@@ -621,10 +623,11 @@ pub(crate) fn packed_hits_within<R: Rng + ?Sized>(
 /// `b` of one word, a pass below 64 worlds leaving the high bits unused.
 /// The pass's masks come from a [`SplitMix64`] seeded with one `next_u64`
 /// of `rng`, drawn edge by edge as the walk first needs each world bit
-/// ([`MaskCache`]); `t` and `max_hops` are [`word_reach`]'s. A whole-word
-/// pass is the lazy strategy's 64-world batch, bit for bit.
-fn lazy_pass<'a, R: Rng + ?Sized>(
-    graph: &UncertainGraph,
+/// ([`MaskCache`], one slot per id of `view`); `t` and `max_hops` are
+/// [`word_reach`]'s. A whole-word pass is the lazy strategy's 64-world
+/// batch, bit for bit.
+pub(crate) fn lazy_pass<'a, V: EdgeView, R: Rng + ?Sized>(
+    view: &V,
     s: NodeId,
     t: Option<NodeId>,
     max_hops: Option<usize>,
@@ -640,8 +643,8 @@ fn lazy_pass<'a, R: Rng + ?Sized>(
     let mut mask_rng = SplitMix64::new(rng.next_u64());
     masks.begin_batch();
     let live = !0u64 >> (WORLD_BATCH - worlds);
-    word_reach(graph, s, t, max_hops, live, words, |e, cand| {
-        masks.probe(e, graph.prob(e).value(), cand, &mut mask_rng)
+    word_reach(view, s, t, max_hops, live, words, |e, cand| {
+        masks.probe(e, view.edge_prob(e), cand, &mut mask_rng)
     });
     relcomp_obs::note_packed_samples(worlds as u64);
     words
@@ -765,23 +768,11 @@ impl Estimator for PackedMcSampling {
         rng: &mut dyn RngCore,
     ) -> Estimate {
         validate_query(&self.graph, s, t);
-        let mut session = EstimationSession::begin(budget);
-
+        let session = EstimationSession::begin(budget);
         let mut mem = MemoryTracker::new();
         mem.baseline(self.ws.resident_bytes());
-
-        let mut hits = 0usize;
-        loop {
-            let n = session.next_batch();
-            if n == 0 {
-                break;
-            }
-            let batch_hits = packed_hits(&self.graph, s, t, n, &mut self.ws, rng);
-            hits += batch_hits;
-            session.record_hits(batch_hits, n);
-        }
-
-        session.finish(hits as f64 / session.samples() as f64, &mem)
+        let (graph, ws) = (&self.graph, &mut self.ws);
+        session.run_batches(&mem, |n| packed_hits(graph, s, t, n, ws, rng))
     }
 
     fn apply_updates(
@@ -1053,7 +1044,7 @@ mod tests {
         let batches = 1500u32;
         let mut hits = 0u32;
         for _ in 0..batches {
-            let words = lazy_pass(&g, NodeId(0), None, None, WORLD_BATCH, &mut ws, &mut rng);
+            let words = lazy_pass(&*g, NodeId(0), None, None, WORLD_BATCH, &mut ws, &mut rng);
             hits += words.reach()[NodeId(3).index()].count_ones();
         }
         let freq = hits as f64 / (batches as f64 * 64.0);
@@ -1114,7 +1105,7 @@ mod tests {
         assert!(ws.resident_bytes() < DenseLanes::bytes_for(n, m) + LazyWalk::bytes_for(n, m));
         // A lazy walk on a dense workspace builds the lazy state on demand.
         let mut rng = ChaCha8Rng::seed_from_u64(17);
-        lazy_pass(&g, NodeId(0), None, None, WORLD_BATCH, &mut ws, &mut rng);
+        lazy_pass(&*g, NodeId(0), None, None, WORLD_BATCH, &mut ws, &mut rng);
         assert!(ws.resident_bytes() >= DenseLanes::bytes_for(n, m) + LazyWalk::bytes_for(n, m));
     }
 

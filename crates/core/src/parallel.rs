@@ -595,7 +595,7 @@ impl ParallelSampler {
             seed,
             ws_bytes,
             || PackedWorkspace::new(graph.num_nodes(), graph.num_edges()),
-            |ws, _, len, rng| packed_hits_within(graph, s, t, d, len, ws, rng),
+            |ws, _, len, rng| packed_hits_within(&**graph, s, t, Some(d), len, ws, rng),
         )
     }
 

@@ -17,11 +17,11 @@
 //! - a bag's virtual up-edges are visible iff the bag is not expanded and
 //!   its parent is the root or expanded.
 //!
-//! [`ProbTreeIndex::world_reaches`] samples worlds of `G(q)` directly on
-//! the index under this rule; [`ProbTreeIndex::extract_query_graph`]
+//! The packed kernel walks `G(q)` on the index through [`QueryView`],
+//! which applies this rule; [`ProbTreeIndex::extract_query_graph`]
 //! materialises the same edges for the coupled estimators.
 
-use relcomp_ugraph::traversal::BfsWorkspace;
+use relcomp_ugraph::traversal::EdgeView;
 use relcomp_ugraph::{
     DuplicatePolicy, EdgeId, EdgeUpdate, GraphBuilder, NodeId, Probability, UncertainGraph,
 };
@@ -550,82 +550,30 @@ impl ProbTreeIndex {
         }
     }
 
-    /// The edges of `G(q)` leaving `v` as `(target, probability)`: the
-    /// visible raw out-edges in graph order, then the visible virtual
-    /// edges `v` is the source of.
-    #[inline]
-    fn visible_out<'a>(
-        &'a self,
-        v: NodeId,
-        exp: &'a Expansion,
-    ) -> impl Iterator<Item = (NodeId, f64)> + 'a {
-        let raw = self
-            .graph
-            .out_edges(v)
-            .filter(move |&(e, _)| exp.shows_raw(self.edge_bag[e.index()]))
-            .map(move |(e, w)| (w, self.graph.prob(e).value()));
-        let range =
-            self.virtual_start[v.index()] as usize..self.virtual_start[v.index() + 1] as usize;
-        let virtual_edges = self.virtual_out[range]
-            .iter()
-            .filter(move |e| e.prob > 0.0 && exp.shows_virtual(e.bag, e.parent))
-            .map(|e| (e.to, e.prob));
-        raw.chain(virtual_edges)
+    /// `G(q)` for the bags `exp` expands, in place on the index.
+    pub(crate) fn view<'a>(&'a self, exp: &'a Expansion) -> QueryView<'a> {
+        QueryView { index: self, exp }
     }
 
-    /// Sample one possible world of `G(q)` in place on the index and report
-    /// whether `t` is reached: a BFS from `s` over the edges visible under
-    /// `exp` (filled by [`expand`](Self::expand) for this `(s, t)`), with
-    /// early exit at `t`. `edge_exists(p)` is asked once per probed edge —
-    /// raw or virtual — whose target is still unvisited, exactly as MC
-    /// (Alg. 1) probes edges lazily. Parallel edges get one draw each
-    /// rather than one OR-merged draw; reachability is equal in law.
-    pub(crate) fn world_reaches<F>(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        exp: &Expansion,
-        ws: &mut BfsWorkspace,
-        mut edge_exists: F,
-    ) -> bool
-    where
-        F: FnMut(f64) -> bool,
-    {
-        if s == t {
-            return true;
-        }
-        ws.reset();
-        ws.visited.insert(s);
-        ws.queue.push_back(s);
-        while let Some(v) = ws.queue.pop_front() {
-            for (w, p) in self.visible_out(v, exp) {
-                if ws.visited.contains(w) {
-                    continue;
-                }
-                if edge_exists(p) {
-                    if w == t {
-                        return true;
-                    }
-                    ws.visited.insert(w);
-                    ws.queue.push_back(w);
-                }
-            }
-        }
-        false
+    /// Edge ids a [`QueryView`] uses: the `m` raw edges, then one per
+    /// virtual edge.
+    pub(crate) fn view_edges(&self) -> usize {
+        self.graph.num_edges() + self.virtual_out.len()
     }
 
-    /// Every edge the in-place BFS (`world_reaches`) can traverse for
-    /// `(s, t)`, in node order: the lazy view of `G(q)` as a list.
+    /// Every edge the packed walk over the in-place view of `G(q)` can
+    /// traverse for `(s, t)`, in node order, as a list.
     pub fn visible_edges(&self, s: NodeId, t: NodeId) -> Vec<DirEdge> {
         let mut exp = Expansion::new();
         self.expand(s, t, &mut exp);
-        self.graph
-            .nodes()
-            .flat_map(|v| {
-                self.visible_out(v, &exp)
-                    .map(move |(to, prob)| DirEdge { from: v, to, prob })
-            })
-            .collect()
+        let view = self.view(&exp);
+        let edge = |from, (e, to)| DirEdge {
+            from,
+            to,
+            prob: view.edge_prob(e),
+        };
+        let out = |v| view.out_edges(v).map(move |e| edge(v, e));
+        self.graph.nodes().flat_map(out).collect()
     }
 
     /// The edges of `G(q)` in extraction order, before relabelling: walk
@@ -661,7 +609,7 @@ impl ProbTreeIndex {
     /// [`query_edges`](Self::query_edges) relabelled into a dense small
     /// graph, parallel edges OR-merged. The coupled estimators (§3.8)
     /// need this materialised graph; plain MC samples the same edges in
-    /// place (`world_reaches`).
+    /// place.
     pub fn extract_query_graph(&self, s: NodeId, t: NodeId) -> QueryExtraction {
         let edges = self.query_edges(s, t);
 
@@ -695,6 +643,41 @@ impl ProbTreeIndex {
             graph: builder.build(),
             s: NodeId(qs),
             t: NodeId(qt),
+        }
+    }
+}
+
+/// `G(q)` as the packed kernel walks it, in place on the index: a raw
+/// edge under its own id if [`Expansion::shows_raw`] keeps it, and virtual
+/// edge `i` of [`ProbTreeIndex::virtual_out`] as id `m + i` if it is
+/// visible. Parallel edges stay apart, each with its own mask slot, where
+/// extraction OR-merges them; reachability is equal in law.
+#[derive(Clone, Copy)]
+pub(crate) struct QueryView<'a> {
+    index: &'a ProbTreeIndex,
+    exp: &'a Expansion,
+}
+
+impl EdgeView for QueryView<'_> {
+    #[inline]
+    fn out_edges(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> {
+        let QueryView { index, exp } = *self;
+        let raw = index.graph.out_edges(v);
+        let raw = raw.filter(move |&(e, _)| exp.shows_raw(index.edge_bag[e.index()]));
+        let range = index.virtual_start[v.index()]..index.virtual_start[v.index() + 1];
+        let virtual_edges = range.map(|i| i as usize).filter_map(move |i| {
+            let e = &index.virtual_out[i];
+            let shown = e.prob > 0.0 && exp.shows_virtual(e.bag, e.parent);
+            shown.then(|| (EdgeId::from_index(index.graph.num_edges() + i), e.to))
+        });
+        raw.chain(virtual_edges)
+    }
+
+    #[inline]
+    fn edge_prob(&self, e: EdgeId) -> f64 {
+        match e.index().checked_sub(self.index.graph.num_edges()) {
+            None => self.index.graph.prob(e).value(),
+            Some(i) => self.index.virtual_out[i].prob,
         }
     }
 }
@@ -778,30 +761,31 @@ mod tests {
 
     #[test]
     fn in_place_worlds_stay_off_the_pendant_path() {
-        use crate::sampler::coin;
+        use crate::packed::{lazy_pass, packed_hits_within, PackedWorkspace};
         use rand::SeedableRng;
         use rand_chacha::ChaCha8Rng;
-        use relcomp_ugraph::traversal::BfsWorkspace;
+        use relcomp_ugraph::traversal::ReachView;
 
         let g = lollipop();
         let idx = ProbTreeIndex::build(Arc::clone(&g));
         let mut exp = Expansion::new();
-        let mut ws = BfsWorkspace::new(g.num_nodes());
+        let mut ws = PackedWorkspace::new(g.num_nodes(), idx.view_edges());
         let mut rng = ChaCha8Rng::seed_from_u64(71);
 
-        // Core to core: node 0 (the path's anchor) gets explored in some
-        // worlds, yet no pendant-path node is ever queued.
+        // Core to core: node 0 (the path's anchor) is reached in some
+        // passes, yet no pass ever reaches a pendant-path node.
         let (s, t) = (NodeId(1), NodeId(4));
         idx.expand(s, t, &mut exp);
-        let mut anchor_explored = false;
-        for _ in 0..500 {
-            idx.world_reaches(s, t, &exp, &mut ws, |p| coin(&mut rng, p));
-            anchor_explored |= ws.visited.contains(NodeId(0));
+        let mut anchor_reached = false;
+        for _ in 0..8 {
+            let pass = lazy_pass(&idx.view(&exp), s, Some(t), None, 64, &mut ws, &mut rng);
+            let reached = pass.reached_nodes();
+            anchor_reached |= reached.contains(&NodeId(0));
             for v in 6..36u32 {
-                assert!(!ws.visited.contains(NodeId(v)), "pendant node {v} queued");
+                assert!(!reached.contains(&NodeId(v)), "pendant node {v} reached");
             }
         }
-        assert!(anchor_explored, "no world explored past node 0");
+        assert!(anchor_reached, "no pass reached node 0");
 
         // Into the tail: every 1 -> 8 path is a core path 1 -> 0 followed
         // by the tail edges 0 -> 6 -> 7 -> 8, so R(1, 8) = R_core(1, 0) ·
@@ -820,9 +804,7 @@ mod tests {
         let (s, t) = (NodeId(1), NodeId(8));
         idx.expand(s, t, &mut exp);
         let k = 40_000;
-        let hits = (0..k)
-            .filter(|_| idx.world_reaches(s, t, &exp, &mut ws, |p| coin(&mut rng, p)))
-            .count();
+        let hits = packed_hits_within(&idx.view(&exp), s, t, None, k, &mut ws, &mut rng);
         let est = hits as f64 / k as f64;
         let sigma = (exact * (1.0 - exact) / k as f64).sqrt();
         assert!(

@@ -28,11 +28,10 @@
 //! children), everything else stays collapsed. The result is the query
 //! graph `G(q)`.
 //!
-//! Plain MC (the served `probtree` estimator) never builds `G(q)`: each
-//! world is a BFS from `s` on the index in place, over the original
-//! out-edges and the virtual edges that `G(q)` keeps, drawing one coin per
-//! probed edge as Algorithm 1 does
-//! (`ProbTreeIndex::world_reaches`). Per query it only marks the at most
+//! Plain MC (the served `probtree` estimator) never builds `G(q)`: it
+//! takes lazy packed passes ([`crate::packed`], 64 worlds each) over a
+//! view of the index in place, the original out-edges and the virtual
+//! edges that `G(q)` keeps. Per query it only marks the at most
 //! `2 · height` expanded bags. The coupled estimators (§3.8: LP+, RHH,
 //! RSS) need a materialised graph, so they still run on
 //! [`ProbTreeIndex::extract_query_graph`], which emits the same edge set.
@@ -46,11 +45,10 @@ use decompose::Expansion;
 use crate::estimator::{validate_query, Estimate, Estimator, UpdateOutcome};
 use crate::lazy::LazyPropagation;
 use crate::memory::MemoryTracker;
+use crate::packed::{packed_hits_within, PackedWorkspace};
 use crate::recursive::{RecursiveSampling, RecursiveStratified};
-use crate::sampler::coin;
 use crate::session::{EstimationSession, SampleBudget};
 use rand::RngCore;
-use relcomp_ugraph::traversal::BfsWorkspace;
 use relcomp_ugraph::{EdgeUpdate, NodeId, UncertainGraph};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -87,8 +85,8 @@ pub struct ProbTree {
     build_time: Duration,
     /// The current query's expanded bags (in-place MC).
     expansion: Expansion,
-    /// BFS workspace over the original node space (in-place MC).
-    ws: BfsWorkspace,
+    /// Lazy packed passes over the query view (in-place MC).
+    ws: PackedWorkspace,
 }
 
 impl ProbTree {
@@ -107,18 +105,19 @@ impl ProbTree {
         let index = ProbTreeIndex::build(graph);
         let build_time = start.elapsed();
         ProbTree {
+            ws: PackedWorkspace::new(n, index.view_edges()),
             index,
             inner,
             build_time,
             expansion: Expansion::new(),
-            ws: BfsWorkspace::new(n),
         }
     }
 
-    /// Bytes of the per-query scratch held between queries: the BFS
+    /// Bytes of the per-query scratch held between queries: the packed
     /// workspace and one expansion mark per bag.
     fn scratch_bytes(&self) -> usize {
-        BfsWorkspace::bytes_for(self.index.graph().num_nodes()) + self.index.num_bags()
+        let n = self.index.graph().num_nodes();
+        PackedWorkspace::bytes_for(n, self.index.view_edges(), false) + self.index.num_bags()
     }
 
     /// Offline index construction time (Fig. 13a).
@@ -158,11 +157,10 @@ impl Estimator for ProbTree {
                 // Sample G(q) in place: nothing proportional to m is built.
                 let session = EstimationSession::begin(budget);
                 mem.alloc(self.scratch_bytes());
-                let (index, exp, ws) = (&self.index, &mut self.expansion, &mut self.ws);
-                index.expand(s, t, exp);
-                return session.run_bernoulli(&mem, || {
-                    index.world_reaches(s, t, exp, ws, |p| coin(rng, p))
-                });
+                self.index.expand(s, t, &mut self.expansion);
+                let (view, ws) = (self.index.view(&self.expansion), &mut self.ws);
+                return session
+                    .run_batches(&mem, |n| packed_hits_within(&view, s, t, None, n, ws, rng));
             }
             InnerEstimator::LpPlus => |g| Box::new(LazyPropagation::corrected(g)),
             InnerEstimator::Rhh => |g| Box::new(RecursiveSampling::new(g)),

@@ -520,25 +520,17 @@ impl EstimationSession {
         self.start
     }
 
-    /// Drive the whole session with one Bernoulli draw per sample and
-    /// package the hit fraction: the loop MC and in-place ProbTree share.
-    /// `world` samples one possible world and reports whether `t` was
-    /// reached. Batching does not perturb the draw sequence, so a fixed
-    /// budget draws exactly the worlds a single loop of `k` would. Each
-    /// world counts once as a scalar sample in `relcomp_samples_total`.
-    pub fn run_bernoulli(
+    /// Drive the whole session and package the hit fraction: the loop
+    /// MC, packed MC and in-place ProbTree share. `world_hits(n)` samples
+    /// `n` fresh worlds and reports how many reached `t`.
+    pub fn run_batches(
         mut self,
         mem: &MemoryTracker,
-        mut world: impl FnMut() -> bool,
+        mut world_hits: impl FnMut(usize) -> usize,
     ) -> Estimate {
-        let mut hits = 0usize;
-        loop {
-            let n = self.next_batch();
-            if n == 0 {
-                break;
-            }
-            let batch_hits = (0..n).filter(|_| world()).count();
-            relcomp_obs::note_scalar_samples(n as u64);
+        let mut hits = 0;
+        while let n @ 1.. = self.next_batch() {
+            let batch_hits = world_hits(n);
             hits += batch_hits;
             self.record_hits(batch_hits, n);
         }

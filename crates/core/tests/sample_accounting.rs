@@ -1,8 +1,8 @@
 //! Sample accounting: each world counts once, as packed on the served
-//! shards and in `PackedMcSampling`, as scalar in the one-world-at-a-time
-//! session loop. The `(packed, scalar)` world counters behind
-//! `relcomp_samples_total` are process-global, so this file holds a
-//! single test: nothing else in its process samples.
+//! shards, in `PackedMcSampling` and in ProbTree with MC, as scalar in
+//! plain `McSampling`'s one-world-at-a-time loop. The `(packed, scalar)`
+//! world counters behind `relcomp_samples_total` are process-global, so
+//! this file holds a single test: nothing else in its process samples.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -27,8 +27,8 @@ fn graph(edges: &[(u32, u32, f64)]) -> Arc<UncertainGraph> {
 /// graph it is three whole lazy words and a partial one. Either way each
 /// call must add exactly 1000 packed worlds (a partial word counts its 40
 /// worlds, not 64) and no scalar ones. `PackedMcSampling`'s session
-/// batches split the same way. ProbTree with MC samples its worlds one at
-/// a time on the index: 1000 scalar worlds and no packed ones.
+/// batches split the same way. ProbTree with MC takes lazy passes over its
+/// query view on either graph: 1000 packed worlds and no scalar ones.
 #[test]
 fn served_shards_count_each_world_once_as_packed() {
     let dense = graph(&[
@@ -73,7 +73,7 @@ fn served_shards_count_each_world_once_as_packed() {
             packed_mc.estimate(s, t, 1000, &mut rng).samples
         });
         let mut probtree = ProbTree::new(Arc::clone(&g));
-        check("ProbTree", (0, 1000), &mut || {
+        check("ProbTree", (1000, 0), &mut || {
             probtree.estimate(s, t, 1000, &mut rng).samples
         });
     }

@@ -6,7 +6,7 @@
 //! `O(n)` clear.
 
 use crate::graph::UncertainGraph;
-use crate::ids::NodeId;
+use crate::ids::{EdgeId, NodeId};
 use std::collections::VecDeque;
 
 /// A reusable visited-set over dense node ids with O(1) reset.
@@ -95,12 +95,6 @@ impl BfsWorkspace {
     pub fn resident_bytes(&self) -> usize {
         self.visited.resident_bytes() + self.queue.capacity() * std::mem::size_of::<NodeId>()
     }
-
-    /// Resident bytes a fresh workspace for `n` nodes would hold, without
-    /// allocating one (memory accounting on hot paths).
-    pub fn bytes_for(n: usize) -> usize {
-        n * std::mem::size_of::<u32>()
-    }
 }
 
 /// BFS over edges accepted by `edge_exists`; returns `true` as soon as `t`
@@ -117,7 +111,7 @@ pub fn bfs_reaches<F>(
     mut edge_exists: F,
 ) -> bool
 where
-    F: FnMut(crate::ids::EdgeId) -> bool,
+    F: FnMut(EdgeId) -> bool,
 {
     if s == t {
         return true;
@@ -192,7 +186,7 @@ pub fn bfs_reaches_within<F>(
     mut edge_exists: F,
 ) -> bool
 where
-    F: FnMut(crate::ids::EdgeId) -> bool,
+    F: FnMut(EdgeId) -> bool,
 {
     if s == t {
         return true;
@@ -319,6 +313,29 @@ impl ReachView for WordBfsWorkspace {
     }
 }
 
+/// The out-edges a packed walk ([`word_reach`]) follows: a whole graph, or
+/// a view of one with edges hidden and extra ones given ids past `m`.
+/// Edge ids key the caller's per-edge state, so a view's ids must be dense.
+pub trait EdgeView {
+    /// Out-edges of `v` as `(edge, head)`.
+    fn out_edges(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)>;
+
+    /// Existence probability of edge `e`.
+    fn edge_prob(&self, e: EdgeId) -> f64;
+}
+
+impl EdgeView for UncertainGraph {
+    #[inline]
+    fn out_edges(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> {
+        UncertainGraph::out_edges(self, v)
+    }
+
+    #[inline]
+    fn edge_prob(&self, e: EdgeId) -> f64 {
+        self.prob(e).value()
+    }
+}
+
 /// Bit-packed reachability from `s` over up to 64 sampled worlds at once,
 /// level-synchronous: each frontier node is expanded once per level with
 /// every world bit that arrived there on the previous level, so a node's
@@ -349,8 +366,8 @@ impl ReachView for WordBfsWorkspace {
 /// Returns the reach word of `t` (of `s`, i.e. `live`, without a target);
 /// with `s == t` that is `live`. Every node's words land in
 /// [`WordBfsWorkspace::reach`] and [`ReachView::reached_nodes`].
-pub fn word_reach<F>(
-    graph: &UncertainGraph,
+pub fn word_reach<V: EdgeView, F>(
+    graph: &V,
     s: NodeId,
     t: Option<NodeId>,
     max_hops: Option<usize>,
@@ -359,7 +376,7 @@ pub fn word_reach<F>(
     mut edge_mask: F,
 ) -> u64
 where
-    F: FnMut(crate::ids::EdgeId, u64) -> u64,
+    F: FnMut(EdgeId, u64) -> u64,
 {
     for &v in &ws.touched {
         ws.reach[v.index()] = 0;
@@ -519,7 +536,7 @@ pub fn lane_reach<const L: usize, F>(
     ws: &mut LaneBfsWorkspace<L>,
     mut edge_mask: F,
 ) where
-    F: FnMut(crate::ids::EdgeId) -> [u64; L],
+    F: FnMut(EdgeId) -> [u64; L],
 {
     let LaneBfsWorkspace {
         reach,
