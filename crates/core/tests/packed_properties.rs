@@ -5,7 +5,8 @@
 //! offline world index, drawn through the same mask kernel, keeps its
 //! slices inside `L` worlds, and served BFS-Sharing is thread-invariant,
 //! exact on unreachable and `s == t` pairs, and equal to served MC bit
-//! for bit on dense-strategy graphs.
+//! for bit on dense-strategy graphs, and an uncapped served `R_d` equals
+//! served MC bit for bit on lazy-strategy graphs.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -323,6 +324,39 @@ proptest! {
             for budget in [SampleBudget::fixed(k), SampleBudget::adaptive(eps, cap)] {
                 prop_assert_eq!(
                     key(&sampler.estimate_bfs_sharing_with(s, t, &budget, seed)),
+                    key(&sampler.estimate_mc_with(s, t, &budget, seed)),
+                    "{:?} on {} threads", budget, threads
+                );
+            }
+        }
+    }
+
+    /// One world kernel: on a lazy-strategy graph a distance-constrained
+    /// query whose hop cap is the node count can never bind, and R_d's
+    /// shards are MC's lazy passes, so `R_n` answers MC's estimate bit for
+    /// bit (estimate, samples, stop reason, half-width, scratch bytes)
+    /// under fixed and adaptive budgets, on 1 (inline) and 3 (spawned)
+    /// worker threads.
+    #[test]
+    fn uncapped_distance_query_equals_mc_on_lazy_graphs(
+        (n, edges) in small_digraph(),
+        seed in 0u64..500,
+        k in world_budget(1200),
+        cap in world_budget(6000),
+        eps in 0.05f64..0.4,
+    ) {
+        let g = Arc::new(build(n, &edges));
+        prop_assume!(!dense_strategy(&g));
+        let (s, t) = (NodeId(0), NodeId((n - 1) as u32));
+        let key = |e: &Estimate| {
+            let hw = e.half_width.map(f64::to_bits);
+            (e.reliability.to_bits(), e.samples, e.stop_reason, hw, e.aux_bytes)
+        };
+        for threads in [1usize, 3] {
+            let sampler = ParallelSampler::new(Arc::clone(&g), threads);
+            for budget in [SampleBudget::fixed(k), SampleBudget::adaptive(eps, cap)] {
+                prop_assert_eq!(
+                    key(&sampler.estimate_distance_constrained_with(s, t, n, &budget, seed)),
                     key(&sampler.estimate_mc_with(s, t, &budget, seed)),
                     "{:?} on {} threads", budget, threads
                 );
