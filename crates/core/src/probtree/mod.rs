@@ -85,8 +85,9 @@ pub struct ProbTree {
     build_time: Duration,
     /// The current query's expanded bags (in-place MC).
     expansion: Expansion,
-    /// Lazy packed passes over the query view (in-place MC).
-    ws: PackedWorkspace,
+    /// Lazy packed passes over the query view: built for in-place MC
+    /// only, since the coupled estimators sample the extracted graph.
+    ws: Option<PackedWorkspace>,
 }
 
 impl ProbTree {
@@ -105,7 +106,7 @@ impl ProbTree {
         let index = ProbTreeIndex::build(graph);
         let build_time = start.elapsed();
         ProbTree {
-            ws: PackedWorkspace::new(n, index.view_edges()),
+            ws: (inner == InnerEstimator::Mc).then(|| PackedWorkspace::new(n, index.view_edges())),
             index,
             inner,
             build_time,
@@ -114,10 +115,11 @@ impl ProbTree {
     }
 
     /// Bytes of the per-query scratch held between queries: the packed
-    /// workspace and one expansion mark per bag.
+    /// workspace (in-place MC only) and one expansion mark per bag.
     fn scratch_bytes(&self) -> usize {
         let n = self.index.graph().num_nodes();
-        PackedWorkspace::bytes_for(n, self.index.view_edges(), false) + self.index.num_bags()
+        let packed = PackedWorkspace::bytes_for(n, self.index.view_edges(), false);
+        self.ws.as_ref().map_or(0, |_| packed) + self.index.num_bags()
     }
 
     /// Offline index construction time (Fig. 13a).
@@ -158,7 +160,11 @@ impl Estimator for ProbTree {
                 let session = EstimationSession::begin(budget);
                 mem.alloc(self.scratch_bytes());
                 self.index.expand(s, t, &mut self.expansion);
-                let (view, ws) = (self.index.view(&self.expansion), &mut self.ws);
+                let view = self.index.view(&self.expansion);
+                let ws = self
+                    .ws
+                    .as_mut()
+                    .expect("in-place MC holds a packed workspace");
                 return session
                     .run_batches(&mem, |n| packed_hits_within(&view, s, t, None, n, ws, rng));
             }
@@ -324,6 +330,25 @@ mod tests {
                 "{}: {mean} vs exact {exact}",
                 pt.name()
             );
+        }
+    }
+
+    #[test]
+    fn couplings_hold_no_packed_workspace() {
+        // Only in-place MC samples through the packed workspace; the
+        // couplings' resident bytes are MC's less exactly that workspace.
+        let g = figure6_graph();
+        let mc = ProbTree::new(Arc::clone(&g));
+        let packed = PackedWorkspace::bytes_for(g.num_nodes(), mc.index().view_edges(), false);
+        assert!(packed > 0);
+        for inner in [
+            InnerEstimator::LpPlus,
+            InnerEstimator::Rhh,
+            InnerEstimator::Rss,
+        ] {
+            let coupled = ProbTree::with_inner(Arc::clone(&g), inner);
+            assert!(coupled.ws.is_none(), "{}", coupled.name());
+            assert_eq!(coupled.resident_bytes() + packed, mc.resident_bytes());
         }
     }
 
