@@ -32,6 +32,16 @@
 //! worlds overlap little, and drawing full words would cost *more*
 //! randomness than 64 scalar samples. That is the **lazy** strategy.
 //!
+//! An s-t pass searches from both ends, forward from `s` and backward
+//! from `t`, and settles each world where the two searches meet or one
+//! runs out ([`relcomp_ugraph::traversal::word_reach`]). Both searches
+//! probe an edge through the same [`MaskCache`] slot, so each (world,
+//! edge) pair still gets exactly one Bernoulli draw. Which search probes
+//! an edge first decides which draws of the pass's stream its bits take,
+//! so a lazy s-t answer is a function of the two-ended probe order: equal
+//! in law to a forward-only walk's, not bit for bit. Hit counts come from
+//! the target word the kernel returns.
+//!
 //! Supercritical graphs (mean offspring ≥ [`DENSE_OFFSPRING_THRESHOLD`],
 //! see [`dense_strategy`]) take the **dense** strategy instead: every
 //! sampled world holds a giant component, so a batch touches most edges
@@ -68,7 +78,9 @@
 //! Lane `j`'s mask for edge `e` is [`sample_mask`] on a [`SplitMix64`]
 //! keyed by `(seed_j, e)`, a pure function of those two values: an
 //! `L`-lane pass equals `L` one-lane passes bit for bit, and a one-lane
-//! pass is the dense strategy's 64-world batch.
+//! pass is the dense strategy's 64-world batch. A dense s-t pass's answer
+//! therefore does not depend on the sweeps' direction either: the
+//! two-ended lane sweep answers what a forward-only sweep would.
 
 use crate::estimator::{validate_query, Estimate, Estimator, UpdateOutcome};
 use crate::memory::MemoryTracker;
@@ -555,17 +567,15 @@ fn pass_sizes(worlds: usize, width: usize) -> impl Iterator<Item = usize> {
 }
 
 /// Sample `worlds` fresh worlds in packed passes of the workspace's batch
-/// strategy and hand each pass's per-node reach to `visit`: one lane pass
-/// per [`LANES`] × 64 worlds in the dense strategy, one lazy pass per 64
-/// worlds in the lazy one, a remainder forming a partial last pass. Each
-/// pass consumes one `next_u64` of `rng` per 64 worlds or part of them,
-/// so `worlds` worlds consume `worlds.div_ceil(64)` in either strategy.
-/// With `t = Some(target)` worlds that reach the target stop propagating,
-/// so only the target's count is exact; with `None` every node's is.
+/// strategy, compute full reachability from `s` in each, and hand each
+/// pass's per-node reach to `visit`: one lane pass per [`LANES`] × 64
+/// worlds in the dense strategy, one lazy pass per 64 worlds in the lazy
+/// one, a remainder forming a partial last pass. Each pass consumes one
+/// `next_u64` of `rng` per 64 worlds or part of them, so `worlds` worlds
+/// consume `worlds.div_ceil(64)` in either strategy.
 pub(crate) fn packed_passes<R: Rng + ?Sized>(
     graph: &UncertainGraph,
     s: NodeId,
-    t: Option<NodeId>,
     worlds: usize,
     ws: &mut PackedWorkspace,
     rng: &mut R,
@@ -573,17 +583,18 @@ pub(crate) fn packed_passes<R: Rng + ?Sized>(
 ) {
     if ws.dense_mode() {
         for n in pass_sizes(worlds, LANES * WORLD_BATCH) {
-            visit(lane_pass(graph, s, t, n, ws, rng));
+            visit(lane_pass(graph, s, None, n, ws, rng).1);
         }
     } else {
         for n in pass_sizes(worlds, WORLD_BATCH) {
-            visit(lazy_pass(graph, s, t, None, n, ws, rng));
+            visit(lazy_pass(graph, s, None, None, n, ws, rng).1);
         }
     }
 }
 
 /// Number of `worlds` fresh worlds in which `t` is reachable from `s`,
-/// sampled through [`packed_passes`].
+/// sampled in the same passes as [`packed_passes`] (same stream use), each
+/// searching from both ends and counted from the target's returned word.
 pub(crate) fn packed_hits<R: Rng + ?Sized>(
     graph: &UncertainGraph,
     s: NodeId,
@@ -592,11 +603,15 @@ pub(crate) fn packed_hits<R: Rng + ?Sized>(
     ws: &mut PackedWorkspace,
     rng: &mut R,
 ) -> usize {
-    let mut hits = 0;
-    packed_passes(graph, s, Some(t), worlds, ws, rng, |pass| {
-        hits += pass.worlds_reaching(t) as usize;
-    });
-    hits
+    if !ws.dense_mode() {
+        return packed_hits_within(graph, s, t, None, worlds, ws, rng);
+    }
+    pass_sizes(worlds, LANES * WORLD_BATCH)
+        .map(|n| {
+            let (hits, _) = lane_pass(graph, s, Some(t), n, ws, rng);
+            hits.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+        })
+        .sum()
 }
 
 /// Number of `worlds` fresh worlds in which `t` is within `d` hops of `s`
@@ -615,7 +630,7 @@ pub(crate) fn packed_hits_within<V: EdgeView, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> usize {
     pass_sizes(worlds, WORLD_BATCH)
-        .map(|n| lazy_pass(view, s, Some(t), d, n, ws, rng).worlds_reaching(t) as usize)
+        .map(|n| lazy_pass(view, s, Some(t), d, n, ws, rng).0.count_ones() as usize)
         .sum()
 }
 
@@ -623,9 +638,11 @@ pub(crate) fn packed_hits_within<V: EdgeView, R: Rng + ?Sized>(
 /// `b` of one word, a pass below 64 worlds leaving the high bits unused.
 /// The pass's masks come from a [`SplitMix64`] seeded with one `next_u64`
 /// of `rng`, drawn edge by edge as the walk first needs each world bit
-/// ([`MaskCache`], one slot per id of `view`); `t` and `max_hops` are
-/// [`word_reach`]'s. A whole-word pass is the lazy strategy's 64-world
-/// batch, bit for bit.
+/// ([`MaskCache`], one slot per id of `view`, shared by the forward and
+/// backward searches); `t` and `max_hops` are [`word_reach`]'s. Returns
+/// [`word_reach`]'s word with the workspace holding the pass's forward
+/// reach. A whole-word pass is the lazy strategy's 64-world batch, bit
+/// for bit.
 pub(crate) fn lazy_pass<'a, V: EdgeView, R: Rng + ?Sized>(
     view: &V,
     s: NodeId,
@@ -634,7 +651,7 @@ pub(crate) fn lazy_pass<'a, V: EdgeView, R: Rng + ?Sized>(
     worlds: usize,
     ws: &'a mut PackedWorkspace,
     rng: &mut R,
-) -> &'a WordBfsWorkspace {
+) -> (u64, &'a WordBfsWorkspace) {
     assert!(
         (1..=WORLD_BATCH).contains(&worlds),
         "a lazy pass covers 1..={WORLD_BATCH} worlds, not {worlds}"
@@ -643,11 +660,11 @@ pub(crate) fn lazy_pass<'a, V: EdgeView, R: Rng + ?Sized>(
     let mut mask_rng = SplitMix64::new(rng.next_u64());
     masks.begin_batch();
     let live = !0u64 >> (WORLD_BATCH - worlds);
-    word_reach(view, s, t, max_hops, live, words, |e, cand| {
+    let hits = word_reach(view, s, t, max_hops, live, words, |e, cand| {
         masks.probe(e, view.edge_prob(e), cand, &mut mask_rng)
     });
     relcomp_obs::note_packed_samples(worlds as u64);
-    words
+    (hits, words)
 }
 
 /// One dense pass over `worlds` fresh worlds (`1..=LANES × 64`): worlds
@@ -655,7 +672,10 @@ pub(crate) fn lazy_pass<'a, V: EdgeView, R: Rng + ?Sized>(
 /// `rng`, and a `worlds % 64` remainder forms a partial last lane whose
 /// live word holds only its low bits. Lane `j`'s mask for edge `e` is a
 /// pure function of `(seed_j, e)`, so a pass equals one one-lane pass per
-/// lane bit for bit. Panics unless `ws` is in the dense strategy.
+/// lane bit for bit, and its target lanes do not depend on the sweeps'
+/// direction. Returns [`lane_reach`]'s target lanes with the workspace
+/// holding the pass's forward reach. Panics unless `ws` is in the dense
+/// strategy.
 fn lane_pass<'a, R: Rng + ?Sized>(
     graph: &UncertainGraph,
     s: NodeId,
@@ -663,7 +683,7 @@ fn lane_pass<'a, R: Rng + ?Sized>(
     worlds: usize,
     ws: &'a mut PackedWorkspace,
     rng: &mut R,
-) -> &'a LaneBfsWorkspace<LANES> {
+) -> ([u64; LANES], &'a LaneBfsWorkspace<LANES>) {
     assert!(
         (1..=LANES * WORLD_BATCH).contains(&worlds),
         "a lane pass covers 1..={} worlds, not {worlds}",
@@ -688,7 +708,7 @@ fn lane_pass<'a, R: Rng + ?Sized>(
         live[lanes - 1] = (1u64 << (worlds % WORLD_BATCH)) - 1;
     }
     drawn.fill(0);
-    lane_reach(graph, s, t, live, sweep, |e| {
+    let hits = lane_reach(graph, s, t, live, sweep, |e| {
         let (i, bit) = (e.index() / 64, 1u64 << (e.index() % 64));
         if drawn[i] & bit == 0 {
             drawn[i] |= bit;
@@ -697,15 +717,16 @@ fn lane_pass<'a, R: Rng + ?Sized>(
         masks[e.index()]
     });
     relcomp_obs::note_packed_samples(worlds as u64);
-    sweep
+    (hits, sweep)
 }
 
 /// Sample `worlds` fresh worlds (`1..=LANES × 64`) in one dense lane pass
 /// and return `t`'s reach lanes: bit `b` of lane `j` is set when `t` is
 /// reachable from `s` in world `64 j + b`, and bits past `worlds` are
 /// zero. Consumes `worlds.div_ceil(64)` `next_u64`s of `rng`, one lane
-/// seed each. Worlds that reach `t` stop propagating, and the sweep stops
-/// once every world has. Panics unless `ws` is in the dense strategy.
+/// seed each. The sweeps search from both ends, and a world stops once
+/// the two searches meet or either runs out. Panics unless `ws` is in the
+/// dense strategy.
 pub fn packed_lanes_st<R: Rng + ?Sized>(
     graph: &UncertainGraph,
     s: NodeId,
@@ -714,7 +735,7 @@ pub fn packed_lanes_st<R: Rng + ?Sized>(
     ws: &mut PackedWorkspace,
     rng: &mut R,
 ) -> [u64; LANES] {
-    lane_pass(graph, s, Some(t), worlds, ws, rng).reach()[t.index()]
+    lane_pass(graph, s, Some(t), worlds, ws, rng).0
 }
 
 /// Sample `worlds` fresh worlds (`1..=LANES × 64`) in one dense lane pass
@@ -730,7 +751,7 @@ pub fn packed_lanes_all<'a, R: Rng + ?Sized>(
     ws: &'a mut PackedWorkspace,
     rng: &mut R,
 ) -> &'a LaneBfsWorkspace<LANES> {
-    lane_pass(graph, s, None, worlds, ws, rng)
+    lane_pass(graph, s, None, worlds, ws, rng).1
 }
 
 /// Monte Carlo s-t estimator running the packed 64-world kernel inside the
@@ -1044,7 +1065,7 @@ mod tests {
         let batches = 1500u32;
         let mut hits = 0u32;
         for _ in 0..batches {
-            let words = lazy_pass(&*g, NodeId(0), None, None, WORLD_BATCH, &mut ws, &mut rng);
+            let (_, words) = lazy_pass(&*g, NodeId(0), None, None, WORLD_BATCH, &mut ws, &mut rng);
             hits += words.reach()[NodeId(3).index()].count_ones();
         }
         let freq = hits as f64 / (batches as f64 * 64.0);

@@ -37,14 +37,21 @@
 //! worlds. Distance-constrained shards always take lazy passes. Shard `i`
 //! still owns stream `(seed, i)` exclusively, so thread-count invariance
 //! and `(seed, budget)` determinism are untouched. MC, BFS-Sharing and
-//! distance-constrained answers share one budget driver; MC's worlds stop
-//! once they reach the target, while a BFS-Sharing shard is the same
-//! passes run to full reach with no early termination (§2.3), so on a
-//! dense-strategy graph the two answer bit for bit alike.
+//! distance-constrained answers share one budget driver. MC and
+//! distance-constrained passes search from both ends and stop each world
+//! once the forward and backward searches meet or one runs out; on a
+//! lazy-strategy graph an uncapped distance-constrained query is
+//! therefore MC, bit for bit. A
+//! BFS-Sharing shard is the same passes run forward to full reach with no
+//! early termination (§2.3), so on a dense-strategy graph, where a
+//! world's masks do not depend on probe order, it answers bit for bit as
+//! MC does.
 
 use crate::estimator::{validate_query, Estimate};
 use crate::memory::MemoryTracker;
-use crate::packed::{dense_strategy, packed_hits_within, packed_passes, PackedWorkspace};
+use crate::packed::{
+    dense_strategy, packed_hits, packed_hits_within, packed_passes, PackedWorkspace,
+};
 use crate::session::{finish_estimate, Convergence, SampleBudget, StopReason};
 use crate::topk::{boundary_tracker, rank_hits, reachable_targets, TopKResult};
 use rand::SeedableRng;
@@ -367,15 +374,17 @@ impl ParallelSampler {
     ) -> Estimate {
         validate_query(&self.graph, s, t);
         let graph = &self.graph;
-        let target = early_exit.then_some(t);
         self.estimate_shards(
             budget,
             seed,
             self.packed_ws_bytes(),
             || self.packed_ws(),
             |ws, _, len, rng| {
+                if early_exit {
+                    return packed_hits(graph, s, t, len, ws, rng);
+                }
                 let mut hits = 0;
-                packed_passes(graph, s, target, len, ws, rng, |pass| {
+                packed_passes(graph, s, len, ws, rng, |pass| {
                     hits += pass.worlds_reaching(t) as usize;
                 });
                 hits
@@ -452,7 +461,7 @@ impl ParallelSampler {
                 // The source holds every world by construction and is
                 // never credited, as in the scalar reference. Only the
                 // reached union can have nonzero counts.
-                packed_passes(graph, s, None, len, ws, rng, |pass| {
+                packed_passes(graph, s, len, ws, rng, |pass| {
                     for &v in pass.reached_nodes() {
                         if v != s {
                             local[v.index()] += u64::from(pass.worlds_reaching(v));

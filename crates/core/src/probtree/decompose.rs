@@ -82,10 +82,16 @@ struct VirtualEdge {
     /// That bag's parent ([`IN_ROOT`] if it hangs off the root).
     parent: u32,
     to: NodeId,
+    /// Slot of the bag's edge the other way, `to -> from`: the virtual
+    /// edges entering a node are the partners of those leaving it.
+    partner: u32,
     /// Aggregated bottom-up; 0 when the bag holds no path this way (such an
     /// edge is neither traversed nor extracted).
     prob: f64,
 }
+
+// The partner slot fills what was padding: a virtual edge stays 24 bytes.
+const _: () = assert!(std::mem::size_of::<VirtualEdge>() == 24);
 
 /// Summary statistics of a built index (Fig. 13 reporting).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -328,6 +334,7 @@ impl ProbTreeIndex {
             bag: 0,
             parent: IN_ROOT,
             to: NodeId(0),
+            partner: 0,
             prob: 0.0,
         };
         let mut virtual_out = vec![unset; virtual_start[n] as usize];
@@ -335,13 +342,16 @@ impl ProbTreeIndex {
         for (bag_id, bag) in bags.iter_mut().enumerate() {
             if let [a, b] = bag.boundary[..] {
                 let parent = bag.parent.map_or(IN_ROOT, |p| p as u32);
-                for (slot, (from, to)) in bag.up_slots.iter_mut().zip([(a, b), (b, a)]) {
+                for (slot, from) in bag.up_slots.iter_mut().zip([a, b]) {
                     *slot = fill[from.index()];
                     fill[from.index()] += 1;
-                    virtual_out[*slot as usize] = VirtualEdge {
+                }
+                for (i, to) in [(0, b), (1, a)] {
+                    virtual_out[bag.up_slots[i] as usize] = VirtualEdge {
                         bag: bag_id as u32,
                         parent,
                         to,
+                        partner: bag.up_slots[1 - i],
                         prob: 0.0,
                     };
                 }
@@ -576,6 +586,20 @@ impl ProbTreeIndex {
         self.graph.nodes().flat_map(out).collect()
     }
 
+    /// The in-place view's adjacency for `(s, t)` as `(view id, from, to)`
+    /// triples in node order: first each node's out-edges, then each
+    /// node's in-edges. A backward search reads the same edges, under the
+    /// same ids, as the forward one, so the two lists hold one multiset.
+    pub fn visible_adjacency(&self, s: NodeId, t: NodeId) -> [Vec<(EdgeId, NodeId, NodeId)>; 2] {
+        let mut exp = Expansion::new();
+        self.expand(s, t, &mut exp);
+        let view = self.view(&exp);
+        let nodes = || self.graph.nodes();
+        let out = nodes().flat_map(|v| view.out_edges(v).map(move |(e, w)| (e, v, w)));
+        let into = nodes().flat_map(|v| view.in_edges(v).map(move |(e, u)| (e, u, v)));
+        [out.collect(), into.collect()]
+    }
+
     /// The edges of `G(q)` in extraction order, before relabelling: walk
     /// the tree from the root, descending into expanded bags and emitting
     /// the virtual edges of the collapsed bags met on the way.
@@ -658,6 +682,16 @@ pub(crate) struct QueryView<'a> {
     exp: &'a Expansion,
 }
 
+impl QueryView<'_> {
+    /// Virtual edges stored under `v`, shown or not: as many leave `v` as
+    /// enter it, one each way per two-boundary bag `v` bounds.
+    #[inline]
+    fn virtual_degree(&self, v: NodeId) -> usize {
+        let start = &self.index.virtual_start;
+        (start[v.index() + 1] - start[v.index()]) as usize
+    }
+}
+
 impl EdgeView for QueryView<'_> {
     #[inline]
     fn out_edges(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> {
@@ -671,6 +705,33 @@ impl EdgeView for QueryView<'_> {
             shown.then(|| (EdgeId::from_index(index.graph.num_edges() + i), e.to))
         });
         raw.chain(virtual_edges)
+    }
+
+    #[inline]
+    fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> {
+        let QueryView { index, exp } = *self;
+        let raw = index.graph.in_edges(v);
+        let raw = raw.filter(move |&(e, _)| exp.shows_raw(index.edge_bag[e.index()]));
+        // The virtual edges into `v` are the partners of those out of it:
+        // the same bag's edge the other way, with the same visibility.
+        let range = index.virtual_start[v.index()]..index.virtual_start[v.index() + 1];
+        let virtual_edges = range.map(|i| i as usize).filter_map(move |i| {
+            let out = &index.virtual_out[i];
+            let j = out.partner as usize;
+            let shown = index.virtual_out[j].prob > 0.0 && exp.shows_virtual(out.bag, out.parent);
+            shown.then(|| (EdgeId::from_index(index.graph.num_edges() + j), out.to))
+        });
+        raw.chain(virtual_edges)
+    }
+
+    #[inline]
+    fn out_degree(&self, v: NodeId) -> usize {
+        self.index.graph.out_degree(v) + self.virtual_degree(v)
+    }
+
+    #[inline]
+    fn in_degree(&self, v: NodeId) -> usize {
+        self.index.graph.in_degree(v) + self.virtual_degree(v)
     }
 
     #[inline]
@@ -773,12 +834,14 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(71);
 
         // Core to core: node 0 (the path's anchor) is reached in some
-        // passes, yet no pass ever reaches a pendant-path node.
+        // passes, yet no pass ever reaches a pendant-path node. The passes
+        // walk the view to full reach, as a target walk's forward side
+        // stops where it meets the backward one.
         let (s, t) = (NodeId(1), NodeId(4));
         idx.expand(s, t, &mut exp);
         let mut anchor_reached = false;
         for _ in 0..8 {
-            let pass = lazy_pass(&idx.view(&exp), s, Some(t), None, 64, &mut ws, &mut rng);
+            let (_, pass) = lazy_pass(&idx.view(&exp), s, None, None, 64, &mut ws, &mut rng);
             let reached = pass.reached_nodes();
             anchor_reached |= reached.contains(&NodeId(0));
             for v in 6..36u32 {

@@ -4,6 +4,21 @@
 //! world). To keep the per-sample cost down, [`VisitSet`] uses an epoch
 //! trick: resetting between samples is a single counter bump instead of an
 //! `O(n)` clear.
+//!
+//! The packed kernels, [`word_reach`] (64 worlds per `u64` word) and
+//! [`lane_reach`] (several such lanes per sweep), settle many sampled
+//! worlds in one traversal. Without a target they walk forward from the
+//! source to full reach, so every node's word is exact (BFS-Sharing,
+//! top-k). With a target they search from both ends: forward from `s`
+//! over out-edges and backward from `t` over in-edges
+//! ([`EdgeView::in_edges`]), always expanding the side with fewer
+//! adjacency entries to scan. A world stops as soon as the two searches
+//! meet in it (a hit) or one of them runs out (a settled miss), so a world
+//! that misses pays for the smaller of the two searches rather than for
+//! all of `s`'s component. Under a hop cap a meet counts only while the
+//! forward and backward levels add up to at most the cap. The backward
+//! search keeps its words in the same workspace: [`WordBfsWorkspace`]
+//! holds three words per node either way.
 
 use crate::graph::UncertainGraph;
 use crate::ids::{EdgeId, NodeId};
@@ -226,13 +241,18 @@ pub const WORLD_WORD_BITS: usize = 64;
 ///
 /// Each node carries a `u64` *reach word*: bit `b` is set when the node is
 /// reachable from the source in world `b`. One traversal therefore settles
-/// [`WORLD_WORD_BITS`] sampled worlds at once.
+/// [`WORLD_WORD_BITS`] sampled worlds at once. A target-mode walk also
+/// searches backward from the target, so each node carries a second word,
+/// bit `b` set when the node reaches the target in world `b`, and one
+/// next-level accumulator: three words per node in all
+/// ([`bytes_for`](Self::bytes_for)).
 ///
 /// Resetting between batches is O(union), not O(n): the workspace keeps a
-/// deduplicated list of nodes whose reach word went nonzero, and the next
-/// traversal clears exactly those words. On graphs where a 64-world batch
-/// touches a few hundred nodes out of hundreds of thousands, the old
-/// full-array clear dominated the whole batch.
+/// deduplicated list of nodes whose reach word went nonzero (one per
+/// search side), and the next traversal clears exactly those words. On
+/// graphs where a 64-world batch touches a few hundred nodes out of
+/// hundreds of thousands, the old full-array clear dominated the whole
+/// batch.
 #[derive(Clone, Debug)]
 pub struct WordBfsWorkspace {
     reach: Vec<u64>,
@@ -240,17 +260,23 @@ pub struct WordBfsWorkspace {
     /// (source first). Every nonzero `reach` write pushes here exactly
     /// once, so `reach[v] != 0` iff `v` is listed.
     touched: Vec<NodeId>,
-    // Level-synchronous frontier state: the frontier word holds the bits
-    // that arrived at this node on the current level; a node re-enters a
-    // later frontier only if new worlds reach it there. This bounds the
-    // out-edge rescans per node by the spread of its per-world BFS depths
+    /// Backward reach words of a target-mode walk, with their touched
+    /// list: bit `b` of `back[v]` is set when `v` reaches the target in
+    /// world `b`.
+    back: Vec<u64>,
+    back_touched: Vec<NodeId>,
+    // Level-synchronous frontiers: each entry holds the bits that arrived
+    // at its node on the side's last level, and a node re-enters a later
+    // frontier only if new worlds reach it there. This bounds the edge
+    // rescans per node by the spread of its per-world BFS depths
     // (typically 1-3 levels), where an arrival-ordered worklist rescans
     // once per *bit* arrival — up to 64x on heavily-overlapping worlds.
-    // Invariant between traversals: both word arrays are all-zero.
-    word: Vec<u64>,
+    // Only one side expands per level, so both share one accumulator.
+    // Invariant between levels: `next_word` is all-zero.
+    frontier: Vec<(NodeId, u64)>,
+    back_frontier: Vec<(NodeId, u64)>,
+    next: Vec<(NodeId, u64)>,
     next_word: Vec<u64>,
-    frontier: Vec<NodeId>,
-    next: Vec<NodeId>,
 }
 
 impl WordBfsWorkspace {
@@ -259,15 +285,17 @@ impl WordBfsWorkspace {
         WordBfsWorkspace {
             reach: vec![0; n],
             touched: Vec::new(),
-            word: vec![0; n],
-            next_word: vec![0; n],
+            back: vec![0; n],
+            back_touched: Vec::new(),
             frontier: Vec::new(),
+            back_frontier: Vec::new(),
             next: Vec::new(),
+            next_word: vec![0; n],
         }
     }
 
-    /// Per-node reach words of the most recent traversal: bit `b` of
-    /// `reach()[v]` is set when node `v` was reached in world `b`.
+    /// Per-node forward reach words of the most recent traversal: bit `b`
+    /// of `reach()[v]` is set when node `v` was reached in world `b`.
     /// Unreached nodes hold zero.
     pub fn reach(&self) -> &[u64] {
         &self.reach
@@ -275,9 +303,12 @@ impl WordBfsWorkspace {
 
     /// Approximate resident bytes (for memory accounting).
     pub fn resident_bytes(&self) -> usize {
-        self.reach.len() * 8 * 3
-            + (self.touched.capacity() + self.frontier.capacity() + self.next.capacity())
-                * std::mem::size_of::<NodeId>()
+        let node = std::mem::size_of::<NodeId>();
+        let entry = std::mem::size_of::<(NodeId, u64)>();
+        Self::bytes_for(self.reach.len())
+            + (self.touched.capacity() + self.back_touched.capacity()) * node
+            + (self.frontier.capacity() + self.back_frontier.capacity() + self.next.capacity())
+                * entry
     }
 
     /// Resident bytes a fresh workspace for `n` nodes would hold, without
@@ -313,12 +344,23 @@ impl ReachView for WordBfsWorkspace {
     }
 }
 
-/// The out-edges a packed walk ([`word_reach`]) follows: a whole graph, or
-/// a view of one with edges hidden and extra ones given ids past `m`.
-/// Edge ids key the caller's per-edge state, so a view's ids must be dense.
+/// The edges a packed walk ([`word_reach`]) follows: a whole graph, or a
+/// view of one with edges hidden and extra ones given ids past `m`. Edge
+/// ids key the caller's per-edge state, so a view's ids must be dense.
 pub trait EdgeView {
     /// Out-edges of `v` as `(edge, head)`.
     fn out_edges(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)>;
+
+    /// In-edges of `v` as `(edge, tail)`: the view's out-edges with head
+    /// `v`, each under the same id.
+    fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)>;
+
+    /// Adjacency entries [`out_edges`](Self::out_edges) scans for `v`,
+    /// hidden edges included: the cost a search pays to expand `v`.
+    fn out_degree(&self, v: NodeId) -> usize;
+
+    /// Adjacency entries [`in_edges`](Self::in_edges) scans for `v`.
+    fn in_degree(&self, v: NodeId) -> usize;
 
     /// Existence probability of edge `e`.
     fn edge_prob(&self, e: EdgeId) -> f64;
@@ -331,43 +373,148 @@ impl EdgeView for UncertainGraph {
     }
 
     #[inline]
+    fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> {
+        UncertainGraph::in_edges(self, v)
+    }
+
+    #[inline]
+    fn out_degree(&self, v: NodeId) -> usize {
+        UncertainGraph::out_degree(self, v)
+    }
+
+    #[inline]
+    fn in_degree(&self, v: NodeId) -> usize {
+        UncertainGraph::in_degree(self, v)
+    }
+
+    #[inline]
     fn edge_prob(&self, e: EdgeId) -> f64 {
         self.prob(e).value()
     }
 }
 
+/// One search side's state in a packed walk: its reach words and touched
+/// list, and the frontier it expands next.
+struct Side<'w> {
+    reach: &'w mut [u64],
+    touched: &'w mut Vec<NodeId>,
+    frontier: &'w mut Vec<(NodeId, u64)>,
+}
+
+/// Expand one level of `side` over `adjacency` (out-edges forward,
+/// in-edges backward), carrying each frontier entry's `active` worlds
+/// across the edges `edge_mask` keeps. With `other` (the opposite side's
+/// reach words) a world whose new bit lands on a node the other side holds
+/// is a hit: it joins the returned hit word and leaves `active` at once.
+/// The side's next frontier keeps only still-active bits. Returns the hit
+/// word and the worlds the level added bits for.
+#[inline(always)]
+fn expand_level<I, F>(
+    side: &mut Side<'_>,
+    other: Option<&[u64]>,
+    next: &mut Vec<(NodeId, u64)>,
+    next_word: &mut [u64],
+    active: &mut u64,
+    adjacency: impl Fn(NodeId) -> I,
+    edge_mask: &mut F,
+) -> (u64, u64)
+where
+    I: Iterator<Item = (EdgeId, NodeId)>,
+    F: FnMut(EdgeId, u64) -> u64,
+{
+    let mut hit = 0u64;
+    for &(v, word) in side.frontier.iter() {
+        let mut fw = word & *active;
+        if fw == 0 {
+            continue;
+        }
+        for (e, w) in adjacency(v) {
+            let old = side.reach[w.index()];
+            let cand = fw & !old;
+            if cand == 0 {
+                continue;
+            }
+            let add = edge_mask(e, cand) & cand;
+            if add != 0 {
+                if old == 0 {
+                    side.touched.push(w);
+                }
+                side.reach[w.index()] = old | add;
+                if next_word[w.index()] == 0 {
+                    next.push((w, 0));
+                }
+                next_word[w.index()] |= add;
+                if let Some(other) = other {
+                    let met = add & other[w.index()];
+                    if met != 0 {
+                        hit |= met;
+                        *active &= !met;
+                        fw &= !met;
+                    }
+                }
+            }
+        }
+    }
+    side.frontier.clear();
+    let mut added = 0u64;
+    for &(w, _) in next.iter() {
+        let word = std::mem::take(&mut next_word[w.index()]) & *active;
+        if word != 0 {
+            side.frontier.push((w, word));
+            added |= word;
+        }
+    }
+    next.clear();
+    (hit, added)
+}
+
+/// Adjacency entries a search pays to expand `frontier`.
+fn frontier_cost(frontier: &[(NodeId, u64)], degree: impl Fn(NodeId) -> usize) -> usize {
+    frontier.iter().map(|&(v, _)| degree(v)).sum()
+}
+
 /// Bit-packed reachability from `s` over up to 64 sampled worlds at once,
 /// level-synchronous: each frontier node is expanded once per level with
 /// every world bit that arrived there on the previous level, so a node's
-/// out-edges are rescanned at most once per distinct per-world BFS depth
-/// — not once per arriving bit, which degenerates to 64 rescans per node
-/// on supercritical graphs where the worlds share a giant component.
+/// edges are rescanned at most once per distinct per-world BFS depth —
+/// not once per arriving bit, which degenerates to 64 rescans per node on
+/// supercritical graphs where the worlds share a giant component.
 ///
 /// `live` holds the worlds the traversal samples (`!0` for a whole word,
 /// the low bits for a partial one); the source starts reached in exactly
 /// those worlds, so no other bit is ever set. `live = 0` reaches nothing.
 ///
 /// `edge_mask(e, cand)` receives the *candidate* world-set — worlds that
-/// would newly reach the edge's head if the edge exists — and returns the
-/// subset in which the edge survives (any bits outside `cand` are
-/// ignored). Passing the candidate set in lets mask generators draw only
-/// the worlds the traversal can actually use, instead of all 64 bits of
-/// every probed edge. Probes happen lazily and their order depends on the
-/// traversal — callers that need a stable RNG stream must treat the whole
-/// pass as one draw.
+/// would newly cross the edge if it exists — and returns the subset in
+/// which the edge survives (any bits outside `cand` are ignored). Passing
+/// the candidate set in lets mask generators draw only the worlds the
+/// traversal can actually use, instead of all 64 bits of every probed
+/// edge. Probes happen lazily and their order depends on the traversal —
+/// callers that need a stable RNG stream must treat the whole pass as one
+/// draw.
 ///
-/// With `t = Some(target)`, worlds that already reach the target drop out
-/// of propagation (`live & !reach[t]`), and the walk stops once every live
-/// world has reached it; the target's word is then exact and other nodes'
-/// words may be partial. With `t = None` every node's word is exact.
-/// `max_hops = Some(d)` expands at most `d` levels: a world reaches each
-/// node at its per-world BFS depth, so the cap is exact per world.
+/// With `t = None` the walk runs forward from `s` to full reach and every
+/// node's word is exact. With `t = Some(target)` it searches from both
+/// ends: forward from `s` over out-edges and backward from `t` over
+/// in-edges ([`EdgeView::in_edges`]), each level expanding the side whose
+/// frontier has fewer adjacency entries. A world is a hit when a new bit
+/// lands on a node the other side already holds in that world, and a
+/// settled miss when the side just expanded added nothing for it; either
+/// way it stops propagating. Both sides probe edges through the same
+/// `edge_mask`, so a mask that remembers its draws decides each (world,
+/// edge) pair once. The target's word is then exact and other nodes'
+/// forward words may be partial.
+///
+/// `max_hops = Some(d)` expands at most `d` levels in all — forward
+/// levels plus backward ones under a target. Each side reaches a node at
+/// its per-world BFS distance, so a meet within `d` levels is a path of at
+/// most `d` hops and the cap is exact per world.
 ///
 /// Returns the reach word of `t` (of `s`, i.e. `live`, without a target);
-/// with `s == t` that is `live`. Every node's words land in
+/// with `s == t` that is `live`. Forward words land in
 /// [`WordBfsWorkspace::reach`] and [`ReachView::reached_nodes`].
 pub fn word_reach<V: EdgeView, F>(
-    graph: &V,
+    view: &V,
     s: NodeId,
     t: Option<NodeId>,
     max_hops: Option<usize>,
@@ -378,68 +525,113 @@ pub fn word_reach<V: EdgeView, F>(
 where
     F: FnMut(EdgeId, u64) -> u64,
 {
-    for &v in &ws.touched {
-        ws.reach[v.index()] = 0;
+    let WordBfsWorkspace {
+        reach,
+        touched,
+        back,
+        back_touched,
+        frontier,
+        back_frontier,
+        next,
+        next_word,
+    } = ws;
+    for (words, list) in [
+        (&mut *reach, &mut *touched),
+        (&mut *back, &mut *back_touched),
+    ] {
+        for &v in list.iter() {
+            words[v.index()] = 0;
+        }
+        list.clear();
     }
-    ws.touched.clear();
+    frontier.clear();
+    back_frontier.clear();
     if live == 0 {
         return 0;
     }
-    ws.reach[s.index()] = live;
-    ws.touched.push(s);
-    ws.frontier.clear();
-    ws.next.clear();
-    ws.word[s.index()] = live;
-    ws.frontier.push(s);
-    let mut hops = 0usize;
-    while !ws.frontier.is_empty() && max_hops.map_or(true, |d| hops < d) {
+    reach[s.index()] = live;
+    touched.push(s);
+    frontier.push((s, live));
+    let mut fwd = Side {
+        reach,
+        touched,
+        frontier,
+    };
+    let within = |hops: usize| max_hops.map_or(true, |d| hops < d);
+    let Some(t) = t.filter(|&t| t != s) else {
+        // Forward only: to full reach, or the target is the source.
+        let mut active = if t.is_some() { 0 } else { live };
+        let mut hops = 0usize;
+        while active != 0 && within(hops) {
+            hops += 1;
+            let (_, added) = expand_level(
+                &mut fwd,
+                None,
+                next,
+                next_word,
+                &mut active,
+                |v| view.out_edges(v),
+                &mut edge_mask,
+            );
+            if added == 0 {
+                break;
+            }
+        }
+        return live;
+    };
+    back[t.index()] = live;
+    back_touched.push(t);
+    back_frontier.push((t, live));
+    let mut bwd = Side {
+        reach: back,
+        touched: back_touched,
+        frontier: back_frontier,
+    };
+    let (mut hit, mut active, mut hops) = (0u64, live, 0usize);
+    let (mut fwd_cost, mut bwd_cost) = (view.out_degree(s), view.in_degree(t));
+    while active != 0 && within(hops) {
         hops += 1;
-        let active = t.map_or(live, |t| live & !ws.reach[t.index()]);
-        if active == 0 {
-            break;
-        }
-        for i in 0..ws.frontier.len() {
-            let v = ws.frontier[i];
-            let fw = std::mem::take(&mut ws.word[v.index()]) & active;
-            if fw == 0 {
-                continue;
-            }
-            for (e, w) in graph.out_edges(v) {
-                let old = ws.reach[w.index()];
-                let cand = fw & !old;
-                if cand == 0 {
-                    continue;
-                }
-                let add = edge_mask(e, cand) & cand;
-                if add != 0 {
-                    if old == 0 {
-                        ws.touched.push(w);
-                    }
-                    ws.reach[w.index()] = old | add;
-                    if ws.next_word[w.index()] == 0 {
-                        ws.next.push(w);
-                    }
-                    ws.next_word[w.index()] |= add;
-                }
-            }
-        }
-        std::mem::swap(&mut ws.frontier, &mut ws.next);
-        ws.next.clear();
-        std::mem::swap(&mut ws.word, &mut ws.next_word);
+        let (met, added) = if fwd_cost <= bwd_cost {
+            let level = expand_level(
+                &mut fwd,
+                Some(&*bwd.reach),
+                next,
+                next_word,
+                &mut active,
+                |v| view.out_edges(v),
+                &mut edge_mask,
+            );
+            fwd_cost = frontier_cost(fwd.frontier, |v| view.out_degree(v));
+            level
+        } else {
+            let level = expand_level(
+                &mut bwd,
+                Some(&*fwd.reach),
+                next,
+                next_word,
+                &mut active,
+                |v| view.in_edges(v),
+                &mut edge_mask,
+            );
+            bwd_cost = frontier_cost(bwd.frontier, |v| view.in_degree(v));
+            level
+        };
+        hit |= met;
+        active &= added;
     }
-    // Clear any frontier words left by an early exit so the next traversal
-    // starts from a clean slate.
-    for i in 0..ws.frontier.len() {
-        let v = ws.frontier[i];
-        ws.word[v.index()] = 0;
+    let old = fwd.reach[t.index()];
+    if old == 0 && hit != 0 {
+        fwd.touched.push(t);
     }
-    ws.reach[t.unwrap_or(s).index()]
+    fwd.reach[t.index()] = old | hit;
+    hit
 }
 
 /// Reusable workspace for multi-lane packed sweeps: each node carries `L`
 /// reach words (*lanes*) of [`WORLD_WORD_BITS`] worlds each, so one
 /// traversal settles up to `L × 64` sampled worlds. Bit `b` of lane `j`
-/// belongs to world `64 j + b`.
+/// belongs to world `64 j + b`. A target-mode sweep also searches
+/// backward, with its own reach lanes and dirty bitset.
 ///
 /// Resetting between passes is O(union), as for [`WordBfsWorkspace`]: the
 /// next traversal clears exactly the nodes the previous one reached.
@@ -456,6 +648,12 @@ pub struct LaneBfsWorkspace<const L: usize> {
     // O(sum of per-node changes × degree), not O(sweeps × m).
     // Invariant between traversals: all-zero.
     dirty: Vec<u64>,
+    /// The backward search's reach lanes, touched list and dirty bitset
+    /// (target mode only): bit `b` of lane `j` of `back[v]` is set when
+    /// `v` reaches the target in world `64 j + b`.
+    back: Vec<[u64; L]>,
+    back_touched: Vec<NodeId>,
+    back_dirty: Vec<u64>,
 }
 
 impl<const L: usize> LaneBfsWorkspace<L> {
@@ -465,11 +663,14 @@ impl<const L: usize> LaneBfsWorkspace<L> {
             reach: vec![[0; L]; n],
             touched: Vec::new(),
             dirty: vec![0; n.div_ceil(64)],
+            back: vec![[0; L]; n],
+            back_touched: Vec::new(),
+            back_dirty: vec![0; n.div_ceil(64)],
         }
     }
 
-    /// Per-node reach lanes of the most recent traversal: bit `b` of
-    /// `reach()[v][j]` is set when node `v` was reached in world
+    /// Per-node forward reach lanes of the most recent traversal: bit `b`
+    /// of `reach()[v][j]` is set when node `v` was reached in world
     /// `64 j + b`. Unreached nodes hold zero.
     pub fn reach(&self) -> &[[u64; L]] {
         &self.reach
@@ -477,13 +678,15 @@ impl<const L: usize> LaneBfsWorkspace<L> {
 
     /// Approximate resident bytes (for memory accounting).
     pub fn resident_bytes(&self) -> usize {
-        Self::bytes_for(self.reach.len()) + self.touched.capacity() * std::mem::size_of::<NodeId>()
+        Self::bytes_for(self.reach.len())
+            + (self.touched.capacity() + self.back_touched.capacity())
+                * std::mem::size_of::<NodeId>()
     }
 
     /// Resident bytes a fresh workspace for `n` nodes would hold, without
     /// allocating one.
     pub fn bytes_for(n: usize) -> usize {
-        n * L * std::mem::size_of::<u64>() + n.div_ceil(64) * 8
+        2 * (n * L * std::mem::size_of::<u64>() + n.div_ceil(64) * 8)
     }
 }
 
@@ -502,6 +705,89 @@ fn lanes_nonzero<const L: usize>(a: &[u64; L]) -> bool {
     a.iter().fold(0, |acc, &w| acc | w) != 0
 }
 
+/// One search side's state in a lane sweep: its reach lanes, touched list
+/// and dirty bitset, and the adjacency entries of its dirty nodes.
+struct LaneSide<'w, const L: usize> {
+    reach: &'w mut [[u64; L]],
+    touched: &'w mut Vec<NodeId>,
+    dirty: &'w mut [u64],
+    cost: usize,
+}
+
+/// One sweep of `side` over its dirty nodes in id order: OR each dirty
+/// node's `active` lanes, masked by `edge_mask`, into its neighbors over
+/// `adjacency`, marking grown neighbors dirty. With `other` (the opposite
+/// side's reach lanes) a world whose new bit lands on a node the other
+/// side holds is a hit: it joins `hit` and leaves `active` at once.
+/// Returns the worlds the sweep added bits for.
+#[inline(always)]
+fn sweep_lanes<const L: usize, I, F>(
+    side: &mut LaneSide<'_, L>,
+    other: Option<&[[u64; L]]>,
+    active: &mut [u64; L],
+    hit: &mut [u64; L],
+    adjacency: impl Fn(NodeId) -> I,
+    degree: impl Fn(NodeId) -> usize,
+    edge_mask: &mut F,
+) -> [u64; L]
+where
+    I: Iterator<Item = (EdgeId, NodeId)>,
+    F: FnMut(EdgeId) -> [u64; L],
+{
+    let mut added = [0u64; L];
+    for wi in 0..side.dirty.len() {
+        let mut bits = side.dirty[wi];
+        if bits == 0 {
+            continue;
+        }
+        side.dirty[wi] = 0;
+        while bits != 0 {
+            let vi = wi * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let v = NodeId(vi as u32);
+            side.cost -= degree(v);
+            let mut rv: [u64; L] = std::array::from_fn(|j| side.reach[vi][j] & active[j]);
+            if !lanes_nonzero(&rv) {
+                continue;
+            }
+            for (e, w) in adjacency(v) {
+                let old = side.reach[w.index()];
+                let cand: [u64; L] = std::array::from_fn(|j| rv[j] & !old[j]);
+                if !lanes_nonzero(&cand) {
+                    continue;
+                }
+                let mask = edge_mask(e);
+                let add: [u64; L] = std::array::from_fn(|j| cand[j] & mask[j]);
+                if lanes_nonzero(&add) {
+                    if !lanes_nonzero(&old) {
+                        side.touched.push(w);
+                    }
+                    side.reach[w.index()] = std::array::from_fn(|j| old[j] | add[j]);
+                    let (slot, bit) = (w.index() / 64, 1u64 << (w.index() % 64));
+                    if side.dirty[slot] & bit == 0 {
+                        side.dirty[slot] |= bit;
+                        side.cost += degree(w);
+                    }
+                    for j in 0..L {
+                        added[j] |= add[j];
+                    }
+                    if let Some(other) = other {
+                        let met: [u64; L] = std::array::from_fn(|j| add[j] & other[w.index()][j]);
+                        if lanes_nonzero(&met) {
+                            for j in 0..L {
+                                hit[j] |= met[j];
+                                active[j] &= !met[j];
+                                rv[j] &= !met[j];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    added
+}
+
 /// Multi-lane packed reachability from `s` by fixed-point sweeps over a
 /// dirty-node bitset — the dense-batch traversal for supercritical graphs,
 /// where every sampled world holds a giant component and the reached
@@ -510,23 +796,28 @@ fn lanes_nonzero<const L: usize>(a: &[u64; L]) -> bool {
 /// `live[j]` holds the worlds lane `j` samples (`0` for an unused lane,
 /// the low bits for a partial one); the source starts reached in exactly
 /// those worlds. A node is *dirty* while its lanes have grown since its
-/// out-edges were last scanned. Each sweep walks the dirty bitset in id
-/// order and ORs `reach[v] & mask(e)` into each out-neighbor, marking
-/// changed neighbors dirty; the walk ends when a sweep leaves nothing
-/// dirty. A visit pays its adjacency walk, index math, dirty bit and
-/// branch once for all `L` lanes.
+/// edges were last scanned. Each sweep walks the dirty bitset in id order
+/// and ORs `reach[v] & mask(e)` into each neighbor, marking changed
+/// neighbors dirty; the walk ends when a sweep leaves nothing dirty. A
+/// visit pays its adjacency walk, index math, dirty bit and branch once
+/// for all `L` lanes.
 ///
 /// `edge_mask(e)` returns the edge's `L` lane existence masks. It is
-/// called only for edges that could still carry a new world to their
-/// head, so masks must be a pure function of the edge within one pass:
-/// the traversal order then decides nothing but which masks get asked
-/// for.
+/// called only for edges that could still carry a new world across, so
+/// masks must be a pure function of the edge within one pass: the
+/// traversal order then decides nothing but which masks get asked for,
+/// and every world's reachability of the target is the same in either
+/// mode.
 ///
-/// With `t = Some(target)`, worlds that already reach the target drop out
-/// of propagation (per lane, `live & !reach[t]`), and the walk stops once
-/// every live world has reached it; the target's lanes are then exact and
-/// other nodes' lanes may be partial. With `t = None` every node's lanes
-/// are exact. Results land in [`LaneBfsWorkspace::reach`] and
+/// With `t = None` every node's lanes are exact. With `t = Some(target)`
+/// the sweeps search from both ends, as [`word_reach`] does: forward from
+/// `s` over out-edges and backward from `t` over in-edges, each sweep
+/// taking the side whose dirty nodes have fewer adjacency entries. A
+/// world is a hit when a new bit lands on a node the other side holds, and
+/// a settled miss when a sweep of either side adds nothing for it. The
+/// target's lanes are then exact and other nodes' lanes may be partial.
+/// Returns the target's reach lanes (`live` without a target or with
+/// `s == t`); forward lanes land in [`LaneBfsWorkspace::reach`] and
 /// [`ReachView::reached_nodes`].
 pub fn lane_reach<const L: usize, F>(
     graph: &UncertainGraph,
@@ -535,70 +826,112 @@ pub fn lane_reach<const L: usize, F>(
     live: [u64; L],
     ws: &mut LaneBfsWorkspace<L>,
     mut edge_mask: F,
-) where
+) -> [u64; L]
+where
     F: FnMut(EdgeId) -> [u64; L],
 {
     let LaneBfsWorkspace {
         reach,
         touched,
         dirty,
+        back,
+        back_touched,
+        back_dirty,
     } = ws;
-    for &v in touched.iter() {
-        reach[v.index()] = [0; L];
+    for (lanes, list) in [
+        (&mut *reach, &mut *touched),
+        (&mut *back, &mut *back_touched),
+    ] {
+        for &v in list.iter() {
+            lanes[v.index()] = [0; L];
+        }
+        list.clear();
     }
-    touched.clear();
     if !lanes_nonzero(&live) {
-        return;
+        return live;
     }
     reach[s.index()] = live;
     touched.push(s);
-    dirty[s.index() / 64] = 1 << (s.index() % 64);
-    let mut any = true;
-    while any {
-        let active: [u64; L] = match t {
-            Some(t) => std::array::from_fn(|j| live[j] & !reach[t.index()][j]),
-            None => live,
-        };
-        if !lanes_nonzero(&active) {
-            break;
+    let mark = |bits: &mut [u64], v: NodeId| bits[v.index() / 64] = 1 << (v.index() % 64);
+    mark(dirty, s);
+    let mut fwd = LaneSide {
+        reach,
+        touched,
+        dirty,
+        cost: graph.out_degree(s),
+    };
+    let mut active = live;
+    let mut hit = [0u64; L];
+    match t {
+        None => {
+            let forward = |v| graph.out_edges(v);
+            while lanes_nonzero(&sweep_lanes(
+                &mut fwd,
+                None,
+                &mut active,
+                &mut hit,
+                forward,
+                |_| 0,
+                &mut edge_mask,
+            )) {}
+            hit = live;
         }
-        any = false;
-        for wi in 0..dirty.len() {
-            let mut bits = dirty[wi];
-            if bits == 0 {
-                continue;
-            }
-            dirty[wi] = 0;
-            while bits != 0 {
-                let vi = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let rv: [u64; L] = std::array::from_fn(|j| reach[vi][j] & active[j]);
-                if !lanes_nonzero(&rv) {
-                    continue;
+        Some(t) if t == s => hit = live,
+        Some(t) => {
+            back[t.index()] = live;
+            back_touched.push(t);
+            mark(back_dirty, t);
+            let mut bwd = LaneSide {
+                reach: back,
+                touched: back_touched,
+                dirty: back_dirty,
+                cost: graph.in_degree(t),
+            };
+            while lanes_nonzero(&active) {
+                let added = if fwd.cost <= bwd.cost {
+                    let forward = |v| graph.out_edges(v);
+                    let degree = |v| graph.out_degree(v);
+                    let other = Some(&*bwd.reach);
+                    sweep_lanes(
+                        &mut fwd,
+                        other,
+                        &mut active,
+                        &mut hit,
+                        forward,
+                        degree,
+                        &mut edge_mask,
+                    )
+                } else {
+                    let backward = |v| graph.in_edges(v);
+                    let degree = |v| graph.in_degree(v);
+                    let other = Some(&*fwd.reach);
+                    sweep_lanes(
+                        &mut bwd,
+                        other,
+                        &mut active,
+                        &mut hit,
+                        backward,
+                        degree,
+                        &mut edge_mask,
+                    )
+                };
+                for j in 0..L {
+                    active[j] &= added[j];
                 }
-                for (e, w) in graph.out_edges(NodeId(vi as u32)) {
-                    let old = reach[w.index()];
-                    let cand: [u64; L] = std::array::from_fn(|j| rv[j] & !old[j]);
-                    if !lanes_nonzero(&cand) {
-                        continue;
-                    }
-                    let mask = edge_mask(e);
-                    let add: [u64; L] = std::array::from_fn(|j| cand[j] & mask[j]);
-                    if lanes_nonzero(&add) {
-                        if !lanes_nonzero(&old) {
-                            touched.push(w);
-                        }
-                        reach[w.index()] = std::array::from_fn(|j| old[j] | add[j]);
-                        dirty[w.index() / 64] |= 1 << (w.index() % 64);
-                        any = true;
-                    }
-                }
             }
+            // An early close can leave dirty bits behind; restore the
+            // all-zero invariant (the bitset is n/8 bytes — a trivial
+            // memset).
+            bwd.dirty.fill(0);
+            let old = fwd.reach[t.index()];
+            if !lanes_nonzero(&old) && lanes_nonzero(&hit) {
+                fwd.touched.push(t);
+            }
+            fwd.reach[t.index()] = std::array::from_fn(|j| old[j] | hit[j]);
         }
     }
-    // Early close can leave dirty bits behind; restore the all-zero
-    // invariant (the bitset is n/8 bytes — a trivial memset).
-    dirty.fill(0);
+    fwd.dirty.fill(0);
+    hit
 }
 
 /// Hop distances from `s` over *all* edges (ignoring probabilities), up to
@@ -865,6 +1198,16 @@ mod tests {
     }
 
     #[test]
+    fn word_workspace_holds_three_words_per_node() {
+        // Forward reach, backward reach and one next-level accumulator:
+        // the two-ended walk costs no per-node memory beyond them.
+        for n in [0usize, 1, 7, 6_899] {
+            assert_eq!(WordBfsWorkspace::bytes_for(n), 24 * n);
+            assert_eq!(WordBfsWorkspace::new(n).resident_bytes(), 24 * n);
+        }
+    }
+
+    #[test]
     fn word_reach_reuse_clears_only_touched_words() {
         // After a traversal that reached nodes 1..3, a second traversal
         // from a different source must not see stale reach words.
@@ -1088,13 +1431,65 @@ mod tests {
         })
     }
 
+    /// World `b`'s copy of edge `e` exists iff bit `b` of this word is
+    /// set: a pure hash of `(salt, e)`, thinned to a quarter, a half or
+    /// three quarters of the worlds by `density` 0, 1 or 2.
+    fn world_mask(salt: u64, density: u8, e: EdgeId) -> u64 {
+        let hash = |k: u64| {
+            let mut z = (salt ^ (e.index() as u64) << 1 ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 32)
+        };
+        match density {
+            0 => hash(0) & hash(1),
+            1 => hash(0),
+            _ => hash(0) | hash(1),
+        }
+    }
+
+    /// Reference: `t`'s hop distance from `s` in world `b`, by a scalar BFS
+    /// over the edges whose mask holds bit `b`.
+    fn world_distance(
+        g: &UncertainGraph,
+        s: NodeId,
+        t: NodeId,
+        b: usize,
+        mask: impl Fn(EdgeId) -> u64,
+    ) -> Option<usize> {
+        let mut dist = vec![usize::MAX; g.num_nodes()];
+        dist[s.index()] = 0;
+        let mut queue = VecDeque::from([s]);
+        while let Some(v) = queue.pop_front() {
+            for (e, w) in g.out_edges(v) {
+                if mask(e) >> b & 1 == 1 && dist[w.index()] == usize::MAX {
+                    dist[w.index()] = dist[v.index()] + 1;
+                    queue.push_back(w);
+                }
+            }
+        }
+        (dist[t.index()] != usize::MAX).then_some(dist[t.index()])
+    }
+
+    /// `g` with one more node, which no edge touches.
+    fn with_isolated_node(g: &UncertainGraph) -> UncertainGraph {
+        let mut b = GraphBuilder::new(g.num_nodes() + 1);
+        for (_, u, v, p) in g.edges() {
+            b.add_edge(u, v, p.value()).unwrap();
+        }
+        b.build()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// Each world bit of `word_reach` evolves on its own when the edge
-        /// masks are a pure function of `(e, cand)`: sampling only the
-        /// `live` worlds gives every node the all-worlds reach word ANDed
-        /// with `live`, with a target, without one, and under a hop cap.
+        /// Each world bit of `word_reach` is decided on its own when the
+        /// edge masks are a pure function of `(e, cand)`: sampling only
+        /// the `live` worlds gives the all-worlds answer ANDed with `live`
+        /// for the target's word, with a target, without one, and under a
+        /// hop cap. Without a target every node's word is exact, so each
+        /// one restricts the same way; with one, which side a level
+        /// expands depends on every live world, so only the target's word
+        /// is compared.
         #[test]
         fn word_reach_live_restricts_every_reach_word(
             g in random_digraph(),
@@ -1114,8 +1509,10 @@ mod tests {
             for (target, cap) in [(Some(t), None), (None, None), (Some(t), Some(hops))] {
                 let want = word_reach(&g, s, target, cap, !0, &mut all, mask);
                 let got = word_reach(&g, s, target, cap, live, &mut part, mask);
-                proptest::prop_assert_eq!(got, want & live);
-                for v in 0..n {
+                proptest::prop_assert_eq!(got, want & live, "{:?} {:?}", target, cap);
+                let t_word = part.reach()[t.index()];
+                proptest::prop_assert_eq!(t_word, all.reach()[t.index()] & live);
+                for v in (0..n).filter(|_| target.is_none()) {
                     proptest::prop_assert_eq!(part.reach()[v], all.reach()[v] & live);
                 }
                 let reached = part.reached_nodes();
@@ -1127,6 +1524,82 @@ mod tests {
                 if target.is_some() {
                     let own = word_reach(&g, s, Some(s), cap, live, &mut part, mask);
                     proptest::prop_assert_eq!(own, live);
+                }
+            }
+        }
+
+        /// The two-ended target walk answers each world as a scalar BFS
+        /// over that world's edges does: bit `b` of the returned word is
+        /// set iff `t` is reachable from `s` in world `b`, within `d` hops
+        /// under a cap of `d`, for partial live words too. The target's
+        /// reach word is that answer, `s == t` answers `live`, and a
+        /// target no edge reaches answers 0.
+        #[test]
+        fn word_reach_target_matches_per_world_bfs(
+            g in random_digraph(),
+            salt in 0u64..u64::MAX,
+            density in 0u8..3,
+            live in 1u64..u64::MAX,
+            partial in 0u8..2,
+            pick in 0usize..100,
+            hops in 0usize..6,
+        ) {
+            let g = with_isolated_node(&g);
+            let n = g.num_nodes();
+            let (s, t) = (NodeId(0), NodeId((pick % (n - 1)) as u32));
+            let live = if partial == 1 { live } else { !0 };
+            let mask = |e| world_mask(salt, density, e);
+            let mut ws = WordBfsWorkspace::new(n);
+            for cap in [None, Some(hops)] {
+                let got = word_reach(&g, s, Some(t), cap, live, &mut ws, |e, c| mask(e) & c);
+                let mut want = 0u64;
+                for b in (0..64).filter(|b| live >> b & 1 == 1) {
+                    let d = world_distance(&g, s, t, b, mask);
+                    if d.is_some_and(|d| cap.map_or(true, |c| d <= c)) {
+                        want |= 1 << b;
+                    }
+                }
+                proptest::prop_assert_eq!(got, want, "t {:?} cap {:?}", t, cap);
+                proptest::prop_assert_eq!(ws.reach()[t.index()], want);
+                let own = word_reach(&g, t, Some(t), cap, live, &mut ws, |e, c| mask(e) & c);
+                proptest::prop_assert_eq!(own, live);
+                let lone = NodeId(n as u32 - 1);
+                let none = word_reach(&g, s, Some(lone), cap, live, &mut ws, |e, c| mask(e) & c);
+                proptest::prop_assert_eq!(none, 0);
+            }
+        }
+
+        /// Per lane, the two-ended target sweep answers what a full-reach
+        /// sweep leaves at the target, for partial and unused lanes too,
+        /// and each lane answers as a one-word target walk does.
+        #[test]
+        fn lane_reach_target_matches_full_reach(
+            g in random_digraph(),
+            salt in 0u64..u64::MAX,
+            density in 0u8..3,
+            tail in 1u64..u64::MAX,
+            pick in 0usize..100,
+        ) {
+            let g = with_isolated_node(&g);
+            let n = g.num_nodes();
+            let s = NodeId(0);
+            let live = [!0, tail, 0];
+            let lanes = |e: EdgeId| {
+                [0u64, 1, 2].map(|j| world_mask(salt ^ j.wrapping_mul(0x5151), density, e))
+            };
+            let mut ws = LaneBfsWorkspace::<3>::new(n);
+            let mut word = WordBfsWorkspace::new(n);
+            for t in [NodeId((pick % n) as u32), s, NodeId(n as u32 - 1)] {
+                let got = lane_reach(&g, s, Some(t), live, &mut ws, lanes);
+                proptest::prop_assert_eq!(ws.reach()[t.index()], got);
+                let full = lane_reach(&g, s, None, live, &mut ws, lanes);
+                proptest::prop_assert_eq!(full, live);
+                proptest::prop_assert_eq!(got, ws.reach()[t.index()], "t {:?}", t);
+                for j in 0..3 {
+                    let one = word_reach(&g, s, Some(t), None, live[j], &mut word, |e, c| {
+                        lanes(e)[j] & c
+                    });
+                    proptest::prop_assert_eq!(one, got[j], "lane {} t {:?}", j, t);
                 }
             }
         }

@@ -126,8 +126,9 @@ proptest! {
     /// ProbTree's in-place view and extraction share one visibility rule:
     /// for every (s, t), the edges the in-place BFS can traverse are
     /// exactly the edges extraction collects before relabelling, as a
-    /// multiset of (from, to, p). Every pair is tried, so pendant bags and
-    /// endpoints covered deep in the tree are exercised.
+    /// multiset of (from, to, p), and every node's in-edges in the view are
+    /// its reversed out-edges under the same ids. Every pair is tried, so
+    /// pendant bags and endpoints covered deep in the tree are exercised.
     #[test]
     fn probtree_in_place_view_matches_extraction((n, edges) in small_digraph()) {
         let g = Arc::new(build(n, &edges));
@@ -140,6 +141,10 @@ proptest! {
                 lazy.sort_unstable();
                 extracted.sort_unstable();
                 prop_assert_eq!(lazy, extracted, "query {:?} -> {:?}", s, t);
+                let [mut out, mut into] = index.visible_adjacency(s, t);
+                out.sort_unstable();
+                into.sort_unstable();
+                prop_assert_eq!(into, out, "in-edges of query {:?} -> {:?}", s, t);
             }
         }
     }
