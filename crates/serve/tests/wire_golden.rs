@@ -209,7 +209,7 @@ fn wire_transcript_matches_golden() {
         (
             r#"{"cmd":"batch","queries":[{"s":0,"t":1,"samples":1000,"seed":7},{"s":0,"t":2,"samples":1000,"seed":7},{"s":0,"t":3,"estimator":"probtree","samples":500,"seed":7},{"s":0,"t":99}]}"#,
             Check::Exact,
-            r#"{"ok":true,"kind":"batch","results":[{"ok":true,"kind":"query","s":0,"t":1,"reliability":0.945,"samples":1000,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.014205480162876307,"variance":5.202702702702705e-5},{"ok":true,"kind":"query","s":0,"t":2,"reliability":0.584,"samples":1000,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.030492480116258186,"variance":0.0002431871871871872},{"ok":true,"kind":"query","s":0,"t":3,"reliability":0.736,"samples":500,"estimator":"ProbTree","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.03853151296676929,"variance":0.0003893867735470942},{"ok":false,"error":"target node 99 out of range (graph has 4 nodes)"}]}"#,
+            r#"{"ok":true,"kind":"batch","results":[{"ok":true,"kind":"query","s":0,"t":1,"reliability":0.945,"samples":1000,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.014205480162876307,"variance":5.202702702702705e-5},{"ok":true,"kind":"query","s":0,"t":2,"reliability":0.623,"samples":1000,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.029983597916180823,"variance":0.0002351061061061061},{"ok":true,"kind":"query","s":0,"t":3,"reliability":0.736,"samples":500,"estimator":"ProbTree","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.03853151296676929,"variance":0.0003893867735470942},{"ok":false,"error":"target node 99 out of range (graph has 4 nodes)"}]}"#,
         ),
         (
             r#"{"cmd":"update","updates":[{"s":0,"t":1,"prob":0.8}]}"#,

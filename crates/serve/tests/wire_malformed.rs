@@ -144,7 +144,7 @@ const TABLE: &[(&str, &str)] = &[
     ),
     (
         r#"{"cmd":"batch","queries":[{"s":0,"t":2,"samples":300,"seed":3,"extra":true,"seed2":1}]}"#,
-        r#"{"ok":true,"kind":"batch","results":[{"ok":true,"kind":"query","s":0,"t":2,"reliability":0.6033333333333334,"samples":300,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.05502227512731895,"variance":0.0008004087699739874}]}"#,
+        r#"{"ok":true,"kind":"batch","results":[{"ok":true,"kind":"query","s":0,"t":2,"reliability":0.62,"samples":300,"estimator":"MC","micros":_,"cached":false,"stop_reason":"fixed_k","half_width":0.05459840464006688,"variance":0.000787959866220736}]}"#,
     ),
     // topk
     (
