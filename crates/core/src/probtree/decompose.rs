@@ -572,31 +572,20 @@ impl ProbTreeIndex {
     }
 
     /// Every edge the packed walk over the in-place view of `G(q)` can
-    /// traverse for `(s, t)`, in node order, as a list.
-    pub fn visible_edges(&self, s: NodeId, t: NodeId) -> Vec<DirEdge> {
+    /// traverse for `(s, t)`, under its view id, in node order: first as
+    /// each node's out-edges (the forward search), then as each node's
+    /// in-edges (the backward search). The two lists hold one multiset.
+    pub fn visible_edges(&self, s: NodeId, t: NodeId) -> [Vec<(EdgeId, DirEdge)>; 2] {
         let mut exp = Expansion::new();
         self.expand(s, t, &mut exp);
         let view = self.view(&exp);
-        let edge = |from, (e, to)| DirEdge {
-            from,
-            to,
-            prob: view.edge_prob(e),
+        let edge = |e, from, to| {
+            let prob = view.edge_prob(e);
+            (e, DirEdge { from, to, prob })
         };
-        let out = |v| view.out_edges(v).map(move |e| edge(v, e));
-        self.graph.nodes().flat_map(out).collect()
-    }
-
-    /// The in-place view's adjacency for `(s, t)` as `(view id, from, to)`
-    /// triples in node order: first each node's out-edges, then each
-    /// node's in-edges. A backward search reads the same edges, under the
-    /// same ids, as the forward one, so the two lists hold one multiset.
-    pub fn visible_adjacency(&self, s: NodeId, t: NodeId) -> [Vec<(EdgeId, NodeId, NodeId)>; 2] {
-        let mut exp = Expansion::new();
-        self.expand(s, t, &mut exp);
-        let view = self.view(&exp);
         let nodes = || self.graph.nodes();
-        let out = nodes().flat_map(|v| view.out_edges(v).map(move |(e, w)| (e, v, w)));
-        let into = nodes().flat_map(|v| view.in_edges(v).map(move |(e, u)| (e, u, v)));
+        let out = nodes().flat_map(|v| view.out_edges(v).map(move |(e, w)| edge(e, v, w)));
+        let into = nodes().flat_map(|v| view.in_edges(v).map(move |(e, u)| edge(e, u, v)));
         [out.collect(), into.collect()]
     }
 

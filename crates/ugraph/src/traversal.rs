@@ -271,11 +271,12 @@ pub struct WordBfsWorkspace {
     // rescans per node by the spread of its per-world BFS depths
     // (typically 1-3 levels), where an arrival-ordered worklist rescans
     // once per *bit* arrival — up to 64x on heavily-overlapping worlds.
-    // Only one side expands per level, so both share one accumulator.
-    // Invariant between levels: `next_word` is all-zero.
+    // Only one side expands per level, so both share one accumulator:
+    // `next` lists the nodes whose `next_word` went nonzero, in arrival
+    // order. Invariant between levels: `next_word` is all-zero.
     frontier: Vec<(NodeId, u64)>,
     back_frontier: Vec<(NodeId, u64)>,
-    next: Vec<(NodeId, u64)>,
+    next: Vec<NodeId>,
     next_word: Vec<u64>,
 }
 
@@ -306,9 +307,8 @@ impl WordBfsWorkspace {
         let node = std::mem::size_of::<NodeId>();
         let entry = std::mem::size_of::<(NodeId, u64)>();
         Self::bytes_for(self.reach.len())
-            + (self.touched.capacity() + self.back_touched.capacity()) * node
-            + (self.frontier.capacity() + self.back_frontier.capacity() + self.next.capacity())
-                * entry
+            + (self.touched.capacity() + self.back_touched.capacity() + self.next.capacity()) * node
+            + (self.frontier.capacity() + self.back_frontier.capacity()) * entry
     }
 
     /// Resident bytes a fresh workspace for `n` nodes would hold, without
@@ -412,7 +412,7 @@ struct Side<'w> {
 fn expand_level<I, F>(
     side: &mut Side<'_>,
     other: Option<&[u64]>,
-    next: &mut Vec<(NodeId, u64)>,
+    next: &mut Vec<NodeId>,
     next_word: &mut [u64],
     active: &mut u64,
     adjacency: impl Fn(NodeId) -> I,
@@ -441,7 +441,7 @@ where
                 }
                 side.reach[w.index()] = old | add;
                 if next_word[w.index()] == 0 {
-                    next.push((w, 0));
+                    next.push(w);
                 }
                 next_word[w.index()] |= add;
                 if let Some(other) = other {
@@ -457,7 +457,7 @@ where
     }
     side.frontier.clear();
     let mut added = 0u64;
-    for &(w, _) in next.iter() {
+    for &w in next.iter() {
         let word = std::mem::take(&mut next_word[w.index()]) & *active;
         if word != 0 {
             side.frontier.push((w, word));
