@@ -38,9 +38,8 @@
 //! probe an edge through the same [`MaskCache`] slot, so each (world,
 //! edge) pair still gets exactly one Bernoulli draw. Which search probes
 //! an edge first decides which draws of the pass's stream its bits take,
-//! so a lazy s-t answer is a function of the two-ended probe order: equal
-//! in law to a forward-only walk's, not bit for bit. Hit counts come from
-//! the target word the kernel returns.
+//! so a seeded lazy s-t answer depends on the probe order, while its law
+//! does not. Hit counts come from the target word the kernel returns.
 //!
 //! Supercritical graphs (mean offspring ≥ [`DENSE_OFFSPRING_THRESHOLD`],
 //! see [`dense_strategy`]) take the **dense** strategy instead: every
